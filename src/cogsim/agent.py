@@ -31,7 +31,7 @@ from .affect import (
 from .arguments import Argument, active_set, build_case
 from .errors import IllegalAction, NoTendency, RoutingViolation
 from .metacog import Commitment, ReasoningTrace, control, monitor
-from .planner import Plan, TaskPlanner, plan_tidy_task, simulate_whatif  # noqa: F401
+from .planner import Plan, TaskPlanner, plan_tidy_task
 from .rules import BeliefStore, RuleContext, eval_condition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +61,6 @@ class SimulationState:
     goal: W.GoalSpec
     events: tuple[W.WorldEvent, ...]
     bct_profile: str = "prime"
-    rng_seed: int = 0
     tendency_pool: list[ActionTendency] = field(default_factory=list)
     arguments: list[Argument] = field(default_factory=list)
     sticky_arguments: list[Argument] = field(default_factory=list)
@@ -236,13 +235,6 @@ def _inject_plan_step(state: SimulationState) -> None:
             origin="plan",
         ),
     )
-
-
-def intention_step(state: SimulationState) -> SimulationState:
-    """Keep the standing intention generating impulses between
-    deliberations: inject the plan's next step as a fresh tendency."""
-    _inject_plan_step(state)
-    return state
 
 
 def deliberative_step(state: SimulationState) -> SimulationState:
@@ -513,11 +505,12 @@ def tick(state: SimulationState) -> SimulationState:
     for tendency in reactive_step(state):
         _inject(state, tendency)
 
-    due = now % state.config.deliberation_period == 0
-    if not due:
-        intention_step(state)
-    if due:
+    if now % state.config.deliberation_period == 0:
         deliberative_step(state)
+    else:
+        # Between deliberations the standing intention keeps generating
+        # impulses: the plan's next step is injected as a fresh tendency.
+        _inject_plan_step(state)
 
     if state.metacognition_enabled:
         findings = monitor(

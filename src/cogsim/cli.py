@@ -98,20 +98,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if overrides is None:
         return 2
     stem = Path(args.scenario).stem
+    trace_path = args.trace or f"{stem}.trace.jsonl"
+    metrics_path = args.metrics or f"{stem}.metrics.csv"
     config = RunConfig(
-        scenario_path=args.scenario,
         ticks=args.ticks,
         seed=args.seed,
         bct_profile=args.bct,
         metacognition_enabled=not args.no_metacog,
         weight_overrides=overrides,
-        trace_path=args.trace or f"{stem}.trace.jsonl",
-        metrics_path=args.metrics or f"{stem}.metrics.csv",
     )
     result = run_simulation(spec, config)
     try:
-        write_trace(result.state, config.trace_path)
-        write_metrics(result, config.metrics_path)
+        write_trace(result.state, trace_path)
+        write_metrics(result, metrics_path)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1

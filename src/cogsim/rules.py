@@ -118,22 +118,56 @@ def eval_condition(cond: Any, ctx: RuleContext) -> bool:
     raise ValueError(f"unknown condition form: {sorted(cond)}")
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def referenced_atoms(cond: Any) -> list[str]:
-    """Belief atoms a condition reads, in declaration order, deduplicated."""
+    """Belief atoms a condition reads, in declaration order, deduplicated.
+
+    Raises ValueError on every form :func:`eval_condition` can fail on
+    (and on sub-conditions that are not objects), so a condition that
+    passes here evaluates without error.
+    """
     out: list[str] = []
 
     def walk(c: Any) -> None:
         if not isinstance(c, dict):
-            return
-        if "belief" in c and c["belief"] not in out:
-            out.append(c["belief"])
+            raise ValueError(f"malformed condition: {c!r}")
+        known = "const" in c
+        if "belief" in c:
+            known = True
+            atom = c["belief"]
+            if not isinstance(atom, str):
+                raise ValueError(f"belief atom must be a string: {atom!r}")
+            for op in ("gt", "gte", "lt", "lte"):
+                if op in c and not _is_number(c[op]):
+                    raise ValueError(f"{op} needs a number: {c[op]!r}")
+            if "in" in c and not isinstance(c["in"], list):
+                raise ValueError(f"in needs a list: {c['in']!r}")
+            if atom not in out:
+                out.append(atom)
         for key in ("all", "any"):
-            for sub in c.get(key, ()):  # type: ignore[union-attr]
-                walk(sub)
+            if key in c:
+                known = True
+                subs = c[key]
+                if not isinstance(subs, list):
+                    raise ValueError(f"{key} needs a list: {subs!r}")
+                for sub in subs:
+                    walk(sub)
         if "not" in c:
+            known = True
             walk(c["not"])
+        for key in ("appraisal", "commitment"):
+            if key in c:
+                known = True
+                want = c[key]
+                if not isinstance(want, dict):
+                    raise ValueError(f"{key} needs an object: {want!r}")
+                if "min_magnitude" in want and not _is_number(want["min_magnitude"]):
+                    raise ValueError("min_magnitude needs a number")
+        if not known:
+            raise ValueError(f"unknown condition form: {sorted(c)}")
 
     walk(cond)
     return out
-
-

@@ -21,14 +21,11 @@ QUIESCENT_IDLE_TICKS = 5
 
 @dataclass
 class RunConfig:
-    scenario_path: str | None = None
     ticks: int = 60
     seed: int = 1
     bct_profile: str | None = None
     metacognition_enabled: bool = True
     weight_overrides: dict[str, float] = field(default_factory=dict)
-    trace_path: str | None = None
-    metrics_path: str | None = None
 
 
 @dataclass

@@ -20,6 +20,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Any, Callable, NamedTuple
 
 from . import world as W
 from .affect import AffectiveProcess, AppraisalRule, ProcessOption
@@ -30,19 +31,6 @@ from .metacog import Commitment, CountermeasureSpec, ReasoningTrace
 from .rules import BeliefStore, referenced_atoms
 
 FORMAT_VERSION = 1
-TOP_KEYS = ("meta", "ontology", "starting_state", "events", "goal", "agent",
-            "bct_profile")
-AGENT_KEYS = (
-    "processes",
-    "reactive_rules",
-    "appraisal_rules",
-    "argument_templates",
-    "countermeasures",
-    "commitments",
-    "deliberation_period",
-    "tendency_ttl",
-)
-
 DEFAULT_GRID = (8, 8)
 DEFAULT_DELIBERATION_PERIOD = 3
 DEFAULT_TENDENCY_TTL = 2
@@ -126,130 +114,374 @@ class ValidationReport:
         return not self.errors
 
 
-# -- schema walking helpers ---------------------------------------------------
+# -- field tables -------------------------------------------------------------
+#
+# A converter has ``load(value, path)``, which checks one JSON value and
+# returns the attribute it becomes, raising SchemaError at ``path``, and
+# ``dump``, its inverse.  A _Record names a class and one _Field per JSON
+# key, in document order; it parses and renders any record from that
+# table, and is itself the converter of a record held under a key.
+
+_REQUIRED = object()
+_ABSENT = object()
 
 
-def _check_keys(obj: dict, path: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(path, f"missing required key: {key}")
+class _Conv(NamedTuple):
+    load: Callable[[Any, str], Any]
+    dump: Callable[[Any], Any] = lambda value: value  # tuples dump as lists
 
 
-def _str(obj: dict, path: str, key: str, default=None) -> str:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise SchemaError(path, f"missing required key: {key}")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}", "expected a string")
-    return value
+class _Field(NamedTuple):
+    """A JSON key, its converter and attribute (by default the key), and
+    the default for an absent key: _REQUIRED, a value, a function of the
+    attributes parsed so far, or _ABSENT (the class default; a None
+    attribute is left out of the document)."""
+
+    key: str
+    conv: Any
+    default: Any = _REQUIRED
+    attr: str = ""
 
 
-_ID_PATTERN = re.compile(r"^[a-z][a-z0-9_]*$")
+class _Record:
+    def __init__(self, cls, *fields: _Field, one_of: str | None = None):
+        self.cls = cls
+        self.fields = fields
+        self.keys = frozenset(f.key for f in fields)
+        self.required = [f.key for f in fields if f.default is _REQUIRED]
+        self.one_of = one_of  # message for an object without exactly one key
+
+    def walk(self, obj, path: str):
+        if not isinstance(obj, dict):
+            raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
+        for key in obj:
+            if key not in self.keys:
+                raise SchemaError(f"{path}.{key}", "unknown key")
+        for key in self.required:
+            if key not in obj:
+                raise SchemaError(path, f"missing required key: {key}")
+        values = {}
+        for key, conv, default, attr in self.fields:
+            attr = attr or key
+            if key in obj:
+                values[attr] = conv.load(obj[key], f"{path}.{key}")
+            elif callable(default):
+                values[attr] = default(values)
+            elif default is not _ABSENT:
+                values[attr] = default
+        return self.cls(**values)
+
+    def load(self, value, path: str):
+        if not isinstance(value, dict):
+            raise SchemaError(path, "expected an object")
+        if self.one_of and len(value) != 1 and value.keys() <= self.keys:
+            raise SchemaError(path, self.one_of)
+        return self.walk(value, _inner(path))
+
+    def dump(self, value) -> dict:
+        doc = {}
+        for key, conv, default, attr in self.fields:
+            attr = attr or key
+            got = value.get(attr) if self.cls is dict else getattr(value, attr)
+            if got is not None or default is not _ABSENT:
+                doc[key] = conv.dump(got)
+        return doc
+
+    def many(self) -> _Conv:
+        """The converter of a list of these records, loaded as a tuple."""
+
+        def load(value, path):
+            if not isinstance(value, list):
+                raise SchemaError(path, "expected a list")
+            inner = _inner(path)
+            return tuple(self.walk(item, f"{inner}[{i}]") for i, item in enumerate(value))
+
+        return _Conv(load, lambda value: [self.dump(item) for item in value])
 
 
-def _id(obj: dict, path: str, key: str) -> str:
-    value = _str(obj, path, key)
-    if not _ID_PATTERN.match(value):
-        raise SchemaError(f"{path}.{key}",
-                          f"ids must be lowercase snake_case, got {value!r}")
-    return value
+def _inner(path: str) -> str:
+    # A top-level section's type error names "$.key"; paths inside it don't.
+    return path[2:] if path.startswith("$.") else path
 
 
-def _int(obj: dict, path: str, key: str, default=None) -> int:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise SchemaError(path, f"missing required key: {key}")
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "expected an integer")
-    return value
+def _tagged(noun: str, variants: dict[str, _Record]) -> _Conv:
+    """An object whose "kind" names the dict record it is parsed as."""
+
+    def load(value, path):
+        if not isinstance(value, dict):
+            raise SchemaError(path, "expected an object")
+        if "kind" not in value:
+            raise SchemaError(path, "missing required key: kind")
+        kind = _STR.load(value["kind"], f"{path}.kind")
+        if kind not in variants:
+            raise SchemaError(f"{path}.kind", f"unknown {noun}: {kind}")
+        return variants[kind].walk(value, path)
+
+    return _Conv(load, lambda value: variants[value["kind"]].dump(value))
 
 
-def _number(obj: dict, path: str, key: str, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise SchemaError(path, f"missing required key: {key}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", "expected a number")
-    return float(value)
+def _checked(conv: _Conv, invalid: Callable[[Any], bool], message: str) -> _Conv:
+    """``conv``, then ``message``, formatted with the value, if ``invalid``."""
+
+    def load(value, path):
+        value = conv.load(value, path)
+        if invalid(value):
+            raise SchemaError(_inner(path), message.format(value))
+        return value
+
+    return _Conv(load, conv.dump)
 
 
-def _bool(obj: dict, path: str, key: str, default: bool) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "expected a boolean")
-    return value
+def _value(ok: Callable[[Any], bool], message: str, convert=None) -> _Conv:
+    """A JSON value for which ``ok`` holds, then ``convert(value, path)``.
+
+    JSON values have exact builtin types, and a boolean is no integer,
+    so the checks below compare ``type(value)``.
+    """
+
+    def load(value, path):
+        if not ok(value):
+            raise SchemaError(path, message)
+        return value if convert is None else convert(value, path)
+
+    return _Conv(load)
 
 
-def _list(obj: dict, path: str, key: str, default=None) -> list:
-    if key not in obj:
-        return [] if default is None else default
-    value = obj[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}.{key}", "expected a list")
-    return value
-
-
-def _dict(obj: dict, path: str, key: str, default=None) -> dict:
-    if key not in obj:
-        if default is None:
-            raise SchemaError(path, f"missing required key: {key}")
-        return default
-    value = obj[key]
+def _load_condition(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "expected an object")
-    return value
-
-
-def _cell(value, path: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise SchemaError(path, "expected a [x, y] integer pair")
-    return (value[0], value[1])
-
-
-def _str_list(value, path: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaError(path, "expected a list of strings")
-    return tuple(value)
-
-
-def _ids_list(value, path: str) -> tuple[str, ...]:
-    ids = _str_list(value, path)
-    for entry in ids:
-        if not _ID_PATTERN.match(entry):
-            raise SchemaError(path, f"ids must be lowercase snake_case, got {entry!r}")
-    return ids
-
-
-def _condition(obj: dict, path: str, key: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "expected a condition object")
+        raise SchemaError(path, "expected a condition object")
     try:
         referenced_atoms(value)
-    except Exception:
-        raise SchemaError(f"{path}.{key}", "malformed condition") from None
+    except ValueError:
+        raise SchemaError(path, "malformed condition") from None
     return value
 
 
-# -- parsing ------------------------------------------------------------------
+_STR = _value(lambda v: type(v) is str, "expected a string")
+_INT = _value(lambda v: type(v) is int, "expected an integer")
+_NUMBER = _value(lambda v: type(v) in (int, float), "expected a number",
+                 lambda v, path: float(v))
+_BOOL = _value(lambda v: type(v) is bool, "expected a boolean")
+_OPT_INT = _value(lambda v: v is None or type(v) is int, "expected an integer or null")
+_OPT_STR = _value(lambda v: v is None or type(v) is str, "expected a string or null")
+_ANY = _value(lambda v: True, "")
+_CELL = _value(lambda v: type(v) is list and len(v) == 2
+               and all(type(x) is int for x in v),
+               "expected a [x, y] integer pair", lambda v, path: tuple(v))
+_REGION = _value(lambda v: type(v) is list and len(v) == 2,
+                 "expected [[x0, y0], [x1, y1]]",
+                 lambda v, path: (_CELL.load(v[0], f"{path}[0]"),
+                                  _CELL.load(v[1], f"{path}[1]")))
+_STR_LIST = _value(lambda v: type(v) is list and all(type(x) is str for x in v),
+                   "expected a list of strings", lambda v, path: tuple(v))
+_KIND_MAP = _value(lambda v: type(v) is dict, "expected an object",
+                   lambda v, path: {kind: _STR_LIST.load(allowed, f"{path}.{kind}")
+                                    for kind, allowed in v.items()})
+_FACTS = _Conv(_value(lambda v: type(v) is dict, "expected an object",
+                      lambda v, path: tuple(sorted(v.items()))).load, dict)
+_CONDITION = _Conv(_load_condition)
+_ID_PATTERN = re.compile(r"^[a-z][a-z0-9_]*$")
+_ID = _checked(_STR, lambda v: not _ID_PATTERN.match(v),
+               "ids must be lowercase snake_case, got {!r}")
+_IDS = _Conv(lambda value, path: tuple(
+    _ID.load(entry, path) for entry in _STR_LIST.load(value, path)
+))
+_VALENCE = _checked(_STR, lambda v: v not in ("positive", "negative"),
+                    "must be 'positive' or 'negative'")
+_WEIGHT = _checked(_NUMBER, lambda v: v < 0, "must be >= 0")
+_PERIOD = _checked(_INT, lambda v: v < 1, "must be >= 1")
+_KIND = _Field("kind", _STR)
+
+# A location is "scattered" or one of {"cell": [x, y]}, {"slot": ID} and
+# {"fixture": ID}; the spec holds "cell:x,y", "slot:ID" or "fixture:ID".
+_LOCATION_FORM = _Record(
+    dict, _Field("cell", _CELL, _ABSENT), _Field("slot", _STR, _ABSENT),
+    _Field("fixture", _STR, _ABSENT),
+    one_of="location needs exactly one of cell/slot/fixture",
+)
+
+
+def _load_location(value, path: str) -> str:
+    if value == "scattered":
+        return value
+    if not isinstance(value, dict):
+        raise SchemaError(path, "expected 'scattered' or a location object")
+    ((kind, where),) = _LOCATION_FORM.load(value, path).items()
+    return W.cell_loc(where) if kind == "cell" else f"{kind}:{where}"
+
+
+def _dump_location(location: str):
+    if location == "scattered":
+        return location
+    kind, _, where = location.partition(":")
+    return {kind: W.parse_cell(location) if kind == "cell" else where}
+
+
+_LOCATION = _Conv(_load_location, _dump_location)
+_DEFAULT_PROCESSES = (ProcessDecl(id="proc0", rank=0, goal="task"),)
+
+
+def _load_processes(value, path: str) -> tuple[ProcessDecl, ...]:
+    # An agent that declares no process gets a single task process.
+    return _PROCESSES.load(value, path) or _DEFAULT_PROCESSES
+
+
+_META = _Record(
+    Meta,
+    _Field("name", _STR),
+    _Field("description", _STR, ""),
+    _Field("format_version", _checked(_INT, lambda v: v != FORMAT_VERSION,
+                                      "unsupported version: {}")),
+)
+_FIXTURE = _Record(
+    W.Fixture,
+    _Field("id", _ID),
+    _Field("cell", _CELL),
+    _Field("accepts", _STR),
+    _Field("slots", _IDS, ()),
+    _Field("capacity", _OPT_INT, None),
+)
+_ONTOLOGY = _Record(
+    Ontology,
+    _Field("object_kinds", _STR_LIST, ()),
+    _Field("fixtures", _FIXTURE.many(), ()),
+    _Field("relations", _STR_LIST, ()),
+)
+_OBJECT = _Record(
+    ObjectDecl,
+    _Field("id", _ID),
+    _Field("kind", _STR),
+    _Field("location", _LOCATION),
+)
+_STARTING_STATE = _Record(
+    StartingState,
+    _Field("grid", _CELL, DEFAULT_GRID),
+    _Field("agent", _CELL, (0, 0)),
+    _Field("objects", _OBJECT.many(), ()),
+    _Field("facts", _FACTS, ()),
+    _Field("scatter_region", _REGION, _ABSENT),
+)
+# Event effects stay dicts; the fixture and the spawned kind are checked
+# against the ontology once the whole document is parsed.
+_EFFECT = _tagged("effect", {
+    "break_fixture": _Record(dict, _KIND, _Field("fixture", _ANY)),
+    "spawn_object": _Record(dict, _KIND, _Field("object", _Record(
+        dict,
+        _Field("id", _ID),
+        _Field("kind", _ANY),
+        _Field("location", _checked(_LOCATION, lambda v: v == "scattered",
+                                    "spawned objects need a concrete location")),
+    ))),
+    "remove_object": _Record(dict, _KIND, _Field("object_id", _STR)),
+})
+_EVENT = _Record(
+    W.WorldEvent,
+    _Field("fire_tick", _checked(_INT, lambda v: v < 0, "must be non-negative")),
+    _Field("effect", _EFFECT),
+)
+_GOAL = _Record(
+    W.GoalSpec,
+    _Field("strict", _KIND_MAP),
+    _Field("relaxed", _KIND_MAP, lambda got: dict(got["strict"])),
+    _Field("deadline_tick", _OPT_INT, None),
+)
+_OPTION = _Record(
+    ProcessOption,
+    _Field("state", _STR),
+    _Field("action", _STR),
+    _Field("label", _STR, lambda got: got["state"]),
+    _Field("commit_label", _STR, ""),
+    _Field("flips", _STR_LIST, ()),
+    _Field("sustains", _STR_LIST, ()),
+)
+_PROCESSES = _Record(
+    ProcessDecl,
+    _Field("id", _ID),
+    _Field("rank", _INT),
+    _Field("goal", _STR),
+    _Field("urgency", _NUMBER, 0.5),
+    _Field("os", _BOOL, False),
+    _Field("options", _OPTION.many(), ()),
+).many()
+_REACTIVE_RULE = _Record(
+    ReactiveRule,
+    _Field("id", _ID),
+    _Field("when", _CONDITION),
+    _Field("action", _STR),
+    _Field("urgency", _NUMBER),
+    _Field("label", _STR, ""),
+)
+_APPRAISAL_RULE = _Record(
+    AppraisalRule,
+    _Field("id", _ID),
+    _Field("process", _STR),
+    _Field("when", _CONDITION),
+    _Field("subject", _STR),
+    _Field("valence", _VALENCE),
+    _Field("magnitude", _checked(_NUMBER, lambda v: v <= 0, "must be > 0")),
+    _Field("label", _STR, ""),
+)
+# The option-selector forms arguments.build_case understands.
+_SELECTOR = _Record(
+    dict, _Field("option", _STR, _ABSENT), _Field("action", _STR, _ABSENT),
+    _Field("from_process", _STR, _ABSENT), _Field("any", _BOOL, _ABSENT),
+    one_of="option selector needs exactly one of option/action/from_process/any",
+)
+_ARGUMENT_TEMPLATE = _Record(
+    ArgumentTemplate,
+    _Field("id", _ID),
+    _Field("process", _STR),
+    _Field("polarity", _checked(_STR, lambda v: v not in ("pro", "con"),
+                                "must be 'pro' or 'con'")),
+    _Field("weight", _WEIGHT),
+    _Field("options", _SELECTOR, attr="option_selector"),
+    _Field("when", _CONDITION, lambda got: {"const": True}, attr="trigger"),
+    _Field("undercuts", _OPT_STR, _ABSENT, attr="undercuts_template"),
+    _Field("grounds", _STR_LIST, ()),
+)
+_COUNTERMEASURE = _Record(
+    CountermeasureSpec,
+    _Field("id", _ID),
+    _Field("matches", _Record(
+        dict, _Field("kind", _STR, _ABSENT), _Field("atom", _STR, _ABSENT)
+    )),
+    _Field("action", _tagged("countermeasure", {
+        "redescription": _Record(dict, _KIND, _Field("template", _STR)),
+        "replanning": _Record(dict, _KIND, _Field("goal_variant", _STR, _ABSENT)),
+    })),
+)
+_COMMITMENT = _Record(
+    Commitment,
+    _Field("atom", _STR),
+    _Field("valence", _VALENCE, attr="required_valence"),
+    _Field("origin", _STR, "initial_goal"),
+    _Field("weight", _WEIGHT, 1.0),
+)
+_AGENT = _Record(
+    AgentConfig,
+    _Field("processes", _Conv(_load_processes, _PROCESSES.dump), _DEFAULT_PROCESSES),
+    _Field("reactive_rules", _REACTIVE_RULE.many(), ()),
+    _Field("appraisal_rules", _APPRAISAL_RULE.many(), ()),
+    _Field("argument_templates", _ARGUMENT_TEMPLATE.many(), ()),
+    _Field("countermeasures", _COUNTERMEASURE.many(), ()),
+    _Field("commitments", _COMMITMENT.many(), ()),
+    _Field("deliberation_period", _PERIOD, DEFAULT_DELIBERATION_PERIOD),
+    _Field("tendency_ttl", _PERIOD, DEFAULT_TENDENCY_TTL),
+)
+_SCENARIO = _Record(
+    ScenarioSpec,
+    _Field("meta", _META),
+    _Field("ontology", _ONTOLOGY),
+    _Field("starting_state", _STARTING_STATE),
+    _Field("events", _EVENT.many()),
+    _Field("goal", _GOAL),
+    _Field("agent", _AGENT),
+    _Field("bct_profile", _checked(_STR, lambda v: v not in ("prime", "ceos"),
+                                   "must be 'prime' or 'ceos', got {!r}")),
+)
+
+
+# -- parsing and serialization ------------------------------------------------
 
 
 def parse_scenario(document: str) -> ScenarioSpec:
@@ -265,350 +497,26 @@ def parse_scenario(document: str) -> ScenarioSpec:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from None
     if not isinstance(data, dict):
         raise SchemaError("$", "top level must be an object")
-    _check_keys(data, "$", TOP_KEYS)
+    spec = _SCENARIO.walk(data, "$")
 
-    meta_obj = _dict(data, "$", "meta")
-    _check_keys(meta_obj, "meta", ("name", "format_version"), ("description",))
-    version = _int(meta_obj, "meta", "format_version")
-    if version != FORMAT_VERSION:
-        raise SchemaError("meta.format_version", f"unsupported version: {version}")
-    meta = Meta(
-        name=_str(meta_obj, "meta", "name"),
-        description=_str(meta_obj, "meta", "description", default=""),
-        format_version=version,
-    )
-
-    ontology = _parse_ontology(_dict(data, "$", "ontology"))
-    starting = _parse_starting_state(_dict(data, "$", "starting_state"), ontology)
-    events = _parse_events(_list(data, "$", "events"), ontology)
-    goal = _parse_goal(_dict(data, "$", "goal"))
-    agent = _parse_agent(_dict(data, "$", "agent"))
-    profile = _str(data, "$", "bct_profile")
-    if profile not in ("prime", "ceos"):
-        raise SchemaError("bct_profile", f"must be 'prime' or 'ceos', got {profile!r}")
-
-    return ScenarioSpec(
-        meta=meta,
-        ontology=ontology,
-        starting_state=starting,
-        events=events,
-        goal=goal,
-        agent=agent,
-        bct_profile=profile,
-    )
-
-
-def _parse_ontology(obj: dict) -> Ontology:
-    _check_keys(obj, "ontology", (), ("object_kinds", "fixtures", "relations"))
-    kinds = _str_list(obj.get("object_kinds", []), "ontology.object_kinds")
-    fixtures = []
-    for i, f in enumerate(_list(obj, "ontology", "fixtures")):
-        path = f"ontology.fixtures[{i}]"
-        _check_keys(f, path, ("id", "cell", "accepts"), ("slots", "capacity"))
-        capacity = f.get("capacity")
-        if capacity is not None and (
-            not isinstance(capacity, int) or isinstance(capacity, bool)
+    fixtures = [f.id for f in spec.ontology.fixtures]
+    for i, event in enumerate(spec.events):
+        effect = event.effect
+        if effect["kind"] == "break_fixture" and effect["fixture"] not in fixtures:
+            raise SchemaError(f"events[{i}].effect",
+                              f"undeclared fixture: {effect['fixture']}")
+        if (
+            effect["kind"] == "spawn_object"
+            and effect["object"]["kind"] not in spec.ontology.object_kinds
         ):
-            raise SchemaError(f"{path}.capacity", "expected an integer or null")
-        fixtures.append(
-            W.Fixture(
-                id=_id(f, path, "id"),
-                cell=_cell(f["cell"], f"{path}.cell"),
-                accepts=_str(f, path, "accepts"),
-                slots=_ids_list(f.get("slots", []), f"{path}.slots"),
-                capacity=capacity,
-            )
-        )
-    relations = _str_list(obj.get("relations", []), "ontology.relations")
-    return Ontology(object_kinds=kinds, fixtures=tuple(fixtures), relations=relations)
+            raise SchemaError(f"events[{i}].effect.object.kind",
+                              f"undeclared kind: {effect['object']['kind']}")
+    return spec
 
 
-def _parse_location(value, path: str) -> str:
-    if value == "scattered":
-        return "scattered"
-    if isinstance(value, dict):
-        _check_keys(value, path, (), ("cell", "slot", "fixture"))
-        if len(value) != 1:
-            raise SchemaError(path, "location needs exactly one of cell/slot/fixture")
-        if "cell" in value:
-            return W.cell_loc(_cell(value["cell"], f"{path}.cell"))
-        if "slot" in value:
-            return f"slot:{value['slot']}"
-        return f"fixture:{value['fixture']}"
-    raise SchemaError(path, "expected 'scattered' or a location object")
-
-
-def _parse_starting_state(obj: dict, ontology: Ontology) -> StartingState:
-    _check_keys(
-        obj, "starting_state", (),
-        ("grid", "agent", "objects", "scatter_region", "facts"),
-    )
-    grid = _cell(obj["grid"], "starting_state.grid") if "grid" in obj else DEFAULT_GRID
-    agent = _cell(obj["agent"], "starting_state.agent") if "agent" in obj else (0, 0)
-    objects = []
-    for i, o in enumerate(_list(obj, "starting_state", "objects")):
-        path = f"starting_state.objects[{i}]"
-        _check_keys(o, path, ("id", "kind", "location"))
-        objects.append(
-            ObjectDecl(
-                id=_id(o, path, "id"),
-                kind=_str(o, path, "kind"),
-                location=_parse_location(o["location"], f"{path}.location"),
-            )
-        )
-    region = None
-    if "scatter_region" in obj:
-        raw = obj["scatter_region"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise SchemaError("starting_state.scatter_region",
-                              "expected [[x0, y0], [x1, y1]]")
-        region = (
-            _cell(raw[0], "starting_state.scatter_region[0]"),
-            _cell(raw[1], "starting_state.scatter_region[1]"),
-        )
-    facts = _dict(obj, "starting_state", "facts", default={})
-    return StartingState(
-        grid=grid,
-        agent=agent,
-        objects=tuple(objects),
-        scatter_region=region,
-        facts=tuple(sorted(facts.items())),
-    )
-
-
-def _parse_events(raw: list, ontology: Ontology) -> tuple[W.WorldEvent, ...]:
-    declared_fixtures = {f.id for f in ontology.fixtures}
-    events = []
-    for i, e in enumerate(raw):
-        path = f"events[{i}]"
-        _check_keys(e, path, ("fire_tick", "effect"))
-        fire_tick = _int(e, path, "fire_tick")
-        if fire_tick < 0:
-            raise SchemaError(f"{path}.fire_tick", "must be non-negative")
-        effect = _dict(e, path, "effect")
-        kind = _str(effect, f"{path}.effect", "kind")
-        if kind == "break_fixture":
-            _check_keys(effect, f"{path}.effect", ("kind", "fixture"))
-            if effect["fixture"] not in declared_fixtures:
-                raise SchemaError(
-                    f"{path}.effect", f"undeclared fixture: {effect['fixture']}"
-                )
-        elif kind == "spawn_object":
-            _check_keys(effect, f"{path}.effect", ("kind", "object"))
-            spawned = _dict(effect, f"{path}.effect", "object")
-            _check_keys(spawned, f"{path}.effect.object", ("id", "kind", "location"))
-            _id(spawned, f"{path}.effect.object", "id")
-            if spawned["location"] == "scattered":
-                raise SchemaError(
-                    f"{path}.effect.object.location",
-                    "spawned objects need a concrete location",
-                )
-            if spawned["kind"] not in ontology.object_kinds:
-                raise SchemaError(
-                    f"{path}.effect.object.kind",
-                    f"undeclared kind: {spawned['kind']}",
-                )
-            effect = {
-                "kind": "spawn_object",
-                "object": {
-                    "id": spawned["id"],
-                    "kind": spawned["kind"],
-                    "location": _parse_location(
-                        spawned["location"], f"{path}.effect.object.location"
-                    ),
-                },
-            }
-        elif kind == "remove_object":
-            _check_keys(effect, f"{path}.effect", ("kind", "object_id"))
-        else:
-            raise SchemaError(f"{path}.effect.kind", f"unknown effect: {kind}")
-        events.append(W.WorldEvent(fire_tick=fire_tick, effect=dict(effect)))
-    return tuple(events)
-
-
-def _parse_goal(obj: dict) -> W.GoalSpec:
-    _check_keys(obj, "goal", ("strict",), ("relaxed", "deadline_tick"))
-    strict = _dict(obj, "goal", "strict")
-    relaxed = _dict(obj, "goal", "relaxed", default=dict(strict))
-    deadline = obj.get("deadline_tick")
-    if deadline is not None and (
-        not isinstance(deadline, int) or isinstance(deadline, bool)
-    ):
-        raise SchemaError("goal.deadline_tick", "expected an integer or null")
-
-    def as_map(raw: dict, path: str) -> dict[str, tuple[str, ...]]:
-        out = {}
-        for kind, allowed in raw.items():
-            out[kind] = _str_list(allowed, f"{path}.{kind}")
-        return out
-
-    return W.GoalSpec(
-        strict=as_map(strict, "goal.strict"),
-        relaxed=as_map(relaxed, "goal.relaxed"),
-        deadline_tick=deadline,
-    )
-
-
-def _parse_agent(obj: dict) -> AgentConfig:
-    _check_keys(obj, "agent", (), AGENT_KEYS)
-
-    processes = []
-    raw_processes = _list(obj, "agent", "processes")
-    if not raw_processes:
-        raw_processes = [{"id": "proc0", "rank": 0, "goal": "task"}]
-    for i, p in enumerate(raw_processes):
-        path = f"agent.processes[{i}]"
-        _check_keys(p, path, ("id", "rank", "goal"), ("urgency", "os", "options"))
-        options = []
-        for j, opt in enumerate(_list(p, path, "options")):
-            opath = f"{path}.options[{j}]"
-            _check_keys(
-                opt, opath, ("state", "action"),
-                ("label", "commit_label", "flips", "sustains"),
-            )
-            options.append(
-                ProcessOption(
-                    state=_str(opt, opath, "state"),
-                    action=_str(opt, opath, "action"),
-                    label=_str(opt, opath, "label", default=opt["state"]),
-                    commit_label=_str(opt, opath, "commit_label", default=""),
-                    flips=_str_list(opt.get("flips", []), f"{opath}.flips"),
-                    sustains=_str_list(opt.get("sustains", []), f"{opath}.sustains"),
-                )
-            )
-        processes.append(
-            ProcessDecl(
-                id=_id(p, path, "id"),
-                rank=_int(p, path, "rank"),
-                goal=_str(p, path, "goal"),
-                urgency=_number(p, path, "urgency", default=0.5),
-                os=_bool(p, path, "os", default=False),
-                options=tuple(options),
-            )
-        )
-
-    reactive = []
-    for i, r in enumerate(_list(obj, "agent", "reactive_rules")):
-        path = f"agent.reactive_rules[{i}]"
-        _check_keys(r, path, ("id", "when", "action", "urgency"), ("label",))
-        reactive.append(
-            ReactiveRule(
-                id=_id(r, path, "id"),
-                when=_condition(r, path, "when", default={"const": True}),
-                action=_str(r, path, "action"),
-                urgency=_number(r, path, "urgency"),
-                label=_str(r, path, "label", default=""),
-            )
-        )
-
-    appraisal = []
-    for i, a in enumerate(_list(obj, "agent", "appraisal_rules")):
-        path = f"agent.appraisal_rules[{i}]"
-        _check_keys(
-            a, path, ("id", "process", "when", "subject", "valence", "magnitude"),
-            ("label",),
-        )
-        valence = _str(a, path, "valence")
-        if valence not in ("positive", "negative"):
-            raise SchemaError(f"{path}.valence", "must be 'positive' or 'negative'")
-        magnitude = _number(a, path, "magnitude")
-        if magnitude <= 0:
-            raise SchemaError(f"{path}.magnitude", "must be > 0")
-        appraisal.append(
-            AppraisalRule(
-                id=_id(a, path, "id"),
-                process=_str(a, path, "process"),
-                when=_condition(a, path, "when", default={"const": True}),
-                subject=_str(a, path, "subject"),
-                valence=valence,
-                magnitude=magnitude,
-                label=_str(a, path, "label", default=""),
-            )
-        )
-
-    templates = []
-    for i, t in enumerate(_list(obj, "agent", "argument_templates")):
-        path = f"agent.argument_templates[{i}]"
-        _check_keys(
-            t, path, ("id", "process", "polarity", "weight", "options"),
-            ("when", "undercuts", "grounds"),
-        )
-        polarity = _str(t, path, "polarity")
-        if polarity not in ("pro", "con"):
-            raise SchemaError(f"{path}.polarity", "must be 'pro' or 'con'")
-        weight = _number(t, path, "weight")
-        if weight < 0:
-            raise SchemaError(f"{path}.weight", "must be >= 0")
-        templates.append(
-            ArgumentTemplate(
-                id=_id(t, path, "id"),
-                process=_str(t, path, "process"),
-                polarity=polarity,
-                weight=weight,
-                option_selector=_dict(t, path, "options"),
-                trigger=_condition(t, path, "when", default={"const": True}),
-                undercuts_template=t.get("undercuts"),
-                grounds=_str_list(t.get("grounds", []), f"{path}.grounds"),
-            )
-        )
-
-    countermeasures = []
-    for i, c in enumerate(_list(obj, "agent", "countermeasures")):
-        path = f"agent.countermeasures[{i}]"
-        _check_keys(c, path, ("id", "matches", "action"))
-        matches = _dict(c, path, "matches")
-        _check_keys(matches, f"{path}.matches", (), ("kind", "atom"))
-        action = _dict(c, path, "action")
-        kind = _str(action, f"{path}.action", "kind")
-        if kind == "redescription":
-            _check_keys(action, f"{path}.action", ("kind", "template"))
-        elif kind == "replanning":
-            _check_keys(action, f"{path}.action", ("kind",), ("goal_variant",))
-        else:
-            raise SchemaError(f"{path}.action.kind", f"unknown countermeasure: {kind}")
-        countermeasures.append(
-            CountermeasureSpec(
-                id=_id(c, path, "id"), matches=dict(matches), action=dict(action)
-            )
-        )
-
-    commitments = []
-    for i, c in enumerate(_list(obj, "agent", "commitments")):
-        path = f"agent.commitments[{i}]"
-        _check_keys(c, path, ("atom", "valence"), ("origin", "weight"))
-        valence = _str(c, path, "valence")
-        if valence not in ("positive", "negative"):
-            raise SchemaError(f"{path}.valence", "must be 'positive' or 'negative'")
-        weight = _number(c, path, "weight", default=1.0)
-        if weight < 0:
-            raise SchemaError(f"{path}.weight", "must be >= 0")
-        commitments.append(
-            Commitment(
-                atom=_str(c, path, "atom"),
-                required_valence=valence,
-                origin=_str(c, path, "origin", default="initial_goal"),
-                weight=weight,
-            )
-        )
-
-    period = _int(obj, "agent", "deliberation_period",
-                  default=DEFAULT_DELIBERATION_PERIOD)
-    ttl = _int(obj, "agent", "tendency_ttl", default=DEFAULT_TENDENCY_TTL)
-    if period < 1:
-        raise SchemaError("agent.deliberation_period", "must be >= 1")
-    if ttl < 1:
-        raise SchemaError("agent.tendency_ttl", "must be >= 1")
-
-    return AgentConfig(
-        processes=tuple(processes),
-        reactive_rules=tuple(reactive),
-        appraisal_rules=tuple(appraisal),
-        argument_templates=tuple(templates),
-        countermeasures=tuple(countermeasures),
-        commitments=tuple(commitments),
-        deliberation_period=period,
-        tendency_ttl=ttl,
-    )
+def serialize_scenario(spec: ScenarioSpec) -> str:
+    """Render a spec back to document text; parsing it reproduces the spec."""
+    return json.dumps(_SCENARIO.dump(spec), indent=2) + "\n"
 
 
 # -- validation ---------------------------------------------------------------
@@ -872,162 +780,7 @@ def instantiate(spec: ScenarioSpec, seed: int) -> SimulationState:
         goal=spec.goal,
         events=spec.events,
         bct_profile=spec.bct_profile,
-        rng_seed=seed,
     )
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def _location_doc(location: str):
-    if location == "scattered":
-        return "scattered"
-    if location.startswith("cell:"):
-        return {"cell": list(W.parse_cell(location))}
-    if location.startswith("slot:"):
-        return {"slot": location[5:]}
-    return {"fixture": location[8:]}
-
-
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    """Render a spec back to document text; parsing it reproduces the spec."""
-    doc = {
-        "meta": {
-            "name": spec.meta.name,
-            "description": spec.meta.description,
-            "format_version": spec.meta.format_version,
-        },
-        "ontology": {
-            "object_kinds": list(spec.ontology.object_kinds),
-            "fixtures": [
-                {
-                    "id": f.id,
-                    "cell": list(f.cell),
-                    "accepts": f.accepts,
-                    "slots": list(f.slots),
-                    "capacity": f.capacity,
-                }
-                for f in spec.ontology.fixtures
-            ],
-            "relations": list(spec.ontology.relations),
-        },
-        "starting_state": {
-            "grid": list(spec.starting_state.grid),
-            "agent": list(spec.starting_state.agent),
-            "objects": [
-                {"id": o.id, "kind": o.kind, "location": _location_doc(o.location)}
-                for o in spec.starting_state.objects
-            ],
-            "facts": dict(spec.starting_state.facts),
-        },
-        "events": [
-            {"fire_tick": e.fire_tick, "effect": _effect_doc(e.effect)}
-            for e in spec.events
-        ],
-        "goal": {
-            "strict": {k: list(v) for k, v in spec.goal.strict.items()},
-            "relaxed": {k: list(v) for k, v in spec.goal.relaxed.items()},
-            "deadline_tick": spec.goal.deadline_tick,
-        },
-        "agent": {
-            "processes": [
-                {
-                    "id": p.id,
-                    "rank": p.rank,
-                    "goal": p.goal,
-                    "urgency": p.urgency,
-                    "os": p.os,
-                    "options": [
-                        {
-                            "state": o.state,
-                            "action": o.action,
-                            "label": o.label,
-                            "commit_label": o.commit_label,
-                            "flips": list(o.flips),
-                            "sustains": list(o.sustains),
-                        }
-                        for o in p.options
-                    ],
-                }
-                for p in spec.agent.processes
-            ],
-            "reactive_rules": [
-                {
-                    "id": r.id,
-                    "when": r.when,
-                    "action": r.action,
-                    "urgency": r.urgency,
-                    "label": r.label,
-                }
-                for r in spec.agent.reactive_rules
-            ],
-            "appraisal_rules": [
-                {
-                    "id": a.id,
-                    "process": a.process,
-                    "when": a.when,
-                    "subject": a.subject,
-                    "valence": a.valence,
-                    "magnitude": a.magnitude,
-                    "label": a.label,
-                }
-                for a in spec.agent.appraisal_rules
-            ],
-            "argument_templates": [
-                {
-                    "id": t.id,
-                    "process": t.process,
-                    "polarity": t.polarity,
-                    "weight": t.weight,
-                    "options": t.option_selector,
-                    "when": t.trigger,
-                    **(
-                        {"undercuts": t.undercuts_template}
-                        if t.undercuts_template
-                        else {}
-                    ),
-                    "grounds": list(t.grounds),
-                }
-                for t in spec.agent.argument_templates
-            ],
-            "countermeasures": [
-                {"id": c.id, "matches": c.matches, "action": c.action}
-                for c in spec.agent.countermeasures
-            ],
-            "commitments": [
-                {
-                    "atom": c.atom,
-                    "valence": c.required_valence,
-                    "origin": c.origin,
-                    "weight": c.weight,
-                }
-                for c in spec.agent.commitments
-            ],
-            "deliberation_period": spec.agent.deliberation_period,
-            "tendency_ttl": spec.agent.tendency_ttl,
-        },
-        "bct_profile": spec.bct_profile,
-    }
-    if spec.starting_state.scatter_region is not None:
-        doc["starting_state"]["scatter_region"] = [
-            list(spec.starting_state.scatter_region[0]),
-            list(spec.starting_state.scatter_region[1]),
-        ]
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _effect_doc(effect: dict) -> dict:
-    if effect["kind"] == "spawn_object":
-        spawned = effect["object"]
-        return {
-            "kind": "spawn_object",
-            "object": {
-                "id": spawned["id"],
-                "kind": spawned["kind"],
-                "location": _location_doc(spawned["location"]),
-            },
-        }
-    return dict(effect)
 
 
 # -- bundled assets -----------------------------------------------------------

@@ -165,10 +165,6 @@ def parse_cell(location: str) -> tuple[int, int] | None:
     return int(x), int(y)
 
 
-def encode_action(kind: str, arg: str | None = None) -> str:
-    return kind if arg is None else f"{kind}:{arg}"
-
-
 def split_action(action: str) -> tuple[str, str | None]:
     if ":" in action:
         kind, arg = action.split(":", 1)

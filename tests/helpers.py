@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 
 from cogsim.arguments import Argument
+from cogsim.scenario import BUNDLED, bundled_document
 
 
 def brute_force_active_set(args: list[Argument]) -> set[str]:
@@ -82,3 +84,39 @@ def bfs_distance(layout, start, goals) -> int | None:
             seen.add(nxt)
             queue.append((nxt, dist + 1))
     return None
+
+
+# -- single-node mutants of the bundled scenarios ------------------------------
+
+MUTANT_VALUES = (None, True, 0, -1, 2.5, "", "x", [], [1], {}, {"a": 1})
+
+
+def _node_paths(node, prefix: tuple = ()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(
+        node if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+def mutation_sites() -> list[tuple[str, tuple]]:
+    """(bundled scenario, path) for every node of every bundled document,
+    the document root included."""
+    return [
+        (name, path)
+        for name in BUNDLED
+        for path in _node_paths(json.loads(bundled_document(name)))
+    ]
+
+
+def mutant_document(name: str, path: tuple, value) -> str:
+    """The bundled document with the node at ``path`` replaced by ``value``."""
+    doc = json.loads(bundled_document(name))
+    if not path:
+        return json.dumps(value)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)

@@ -38,6 +38,18 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 2
         assert "CYCLIC_UNDERCUT" in capsys.readouterr().out
 
+    def test_malformed_condition_exits_1_before_any_run(self, tmp_path, capsys):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["agent"]["appraisal_rules"][0]["when"] = {}
+        path = tmp_path / "bad_condition.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        code = main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "agent.appraisal_rules[0].when: malformed condition" in err
+
     def test_malformed_json_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cogsim import world as W
 from cogsim.errors import InvalidSpec, ParseError, SchemaError
@@ -15,6 +17,8 @@ from cogsim.scenario import (
     serialize_scenario,
     validate_scenario,
 )
+
+from helpers import MUTANT_VALUES, mutant_document, mutation_sites
 
 MINIMAL = {
     "meta": {"name": "minimal", "format_version": 1},
@@ -256,3 +260,13 @@ class TestRoundTrip:
         spec = load_bundled("room_tidy")
         nobreak = dataclasses.replace(spec, events=())
         assert parse_scenario(serialize_scenario(nobreak)) == nobreak
+
+    @seed(20211015)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(site=st.sampled_from(mutation_sites()), value=st.sampled_from(MUTANT_VALUES))
+    def test_parsed_mutants_round_trip(self, site, value):
+        try:
+            spec = parse_scenario(mutant_document(*site, value))
+        except (ParseError, SchemaError):
+            return
+        assert parse_scenario(serialize_scenario(spec)) == spec
