@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .arguments import Argument
-from .rules import BeliefStore, RuleContext, eval_condition, referenced_atoms
+from .planner import Plan
+from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 PHASES = ("attending", "evaluating", "preparing")
 
@@ -38,7 +39,7 @@ class Appraisal:
 class AppraisalRule:
     id: str
     process: str
-    when: dict
+    when: Condition
     subject: str
     valence: str
     magnitude: float
@@ -120,9 +121,9 @@ def _salience_pick(
     for index, rule in enumerate(proc.rules):
         if not eval_condition(rule.when, ctx):
             continue
-        atoms = referenced_atoms(rule.when)
-        if atoms:
-            atom = max(atoms, key=lambda a: (beliefs.last_changed(a), -atoms.index(a)))
+        if rule.when.atoms:
+            # max keeps the first of equally recent atoms.
+            atom = max(rule.when.atoms, key=beliefs.last_changed)
             recency = beliefs.last_changed(atom)
         else:
             atom = rule.subject
@@ -137,8 +138,7 @@ def _salience_pick(
 def run_affective_cycle(
     proc: AffectiveProcess,
     beliefs: BeliefStore,
-    world_model=None,
-    planner=None,
+    plan: Plan | None = None,
     tick: int = 0,
     commitments: list | None = None,
 ) -> tuple[AffectiveProcess, list[Appraisal], list[ActionTendency]]:
@@ -177,7 +177,7 @@ def run_affective_cycle(
             kept.append(app)
         proc.active_appraisals = kept
         for rule in proc.rules:
-            related = target == rule.subject or target in referenced_atoms(rule.when)
+            related = target == rule.subject or target in rule.when.atoms
             if not related or not eval_condition(rule.when, ctx):
                 continue
             existing = by_rule.get(rule.id)
@@ -204,13 +204,13 @@ def run_affective_cycle(
     if not proc.active_appraisals:
         proc.phase = "attending"
         return proc, [], []
-    new_tendencies = prepare_action(proc, world_model, planner, tick=tick)
+    new_tendencies = prepare_action(proc, plan, tick=tick)
     proc.phase = "attending"
     return proc, [], new_tendencies
 
 
 def prepare_action(
-    proc: AffectiveProcess, world_model=None, planner=None, tick: int = 0
+    proc: AffectiveProcess, plan: Plan | None = None, tick: int = 0
 ) -> list[ActionTendency]:
     """Turn the process's appraisals into concrete action tendencies.
 
@@ -218,6 +218,8 @@ def prepare_action(
     candidate goals, and emit a tendency for each candidate's first
     action with base urgency equal to the strongest triggering
     appraisal.  An empty result is legal when nothing is achievable.
+    The task goal is achievable iff ``plan``, the task plan for the
+    current world, exists: the planner keeps only steps it has applied.
     """
     tendencies: list[ActionTendency] = []
 
@@ -253,25 +255,23 @@ def prepare_action(
             )
         )
 
-    if proc.goal_ref == "task" and planner is not None:
+    if proc.goal_ref == "task" and plan is not None:
         negatives = [a for a in proc.active_appraisals if a.valence == "negative"]
-        if negatives and planner.achievable():
+        if negatives:
             if "task_goal" not in proc.desirable_states:
                 proc.desirable_states.append("task_goal")
             if "task_goal" not in proc.candidate_goals:
                 proc.candidate_goals.append("task_goal")
-            first = planner.first_action()
-            if first is not None:
-                tendencies.append(
-                    ActionTendency(
-                        action=first,
-                        source_process=proc.id,
-                        base_urgency=max(a.magnitude for a in negatives),
-                        created_tick=tick,
-                        label="task_step",
-                        origin="plan",
-                    )
+            tendencies.append(
+                ActionTendency(
+                    action=plan.steps[0],
+                    source_process=proc.id,
+                    base_urgency=max(a.magnitude for a in negatives),
+                    created_tick=tick,
+                    label="task_step",
+                    origin="plan",
                 )
+            )
     return tendencies
 
 

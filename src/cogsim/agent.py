@@ -31,8 +31,8 @@ from .affect import (
 from .arguments import Argument, active_set, build_case
 from .errors import IllegalAction, NoTendency, RoutingViolation
 from .metacog import Commitment, ReasoningTrace, control, monitor
-from .planner import Plan, TaskPlanner, plan_tidy_task
-from .rules import BeliefStore, RuleContext, eval_condition
+from .planner import Plan, plan_tidy_task
+from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scenario import AgentConfig
@@ -43,7 +43,7 @@ class ReactiveRule:
     """Fast rule over current percepts; no hypothetical states."""
 
     id: str
-    when: dict
+    when: Condition
     action: str
     urgency: float
     label: str = ""
@@ -242,7 +242,12 @@ def deliberative_step(state: SimulationState) -> SimulationState:
     priority-rank order), rebuild the argument case over the currently
     proposed options, and generate or repair the task plan."""
     now = state.world.tick
-    planner = TaskPlanner(state.world, state.goal, state.goal_variant, tick=now)
+    # One plan serves the affective processes and the standing intention;
+    # stepping the processes changes neither the world nor the goal.
+    planning = state.task_process() is not None and not state.world.abandoned
+    plan = None
+    if planning:
+        plan = plan_tidy_task(state.world, state.goal, state.goal_variant, now)
     focus: tuple[str, str] | None = None
 
     order = sorted(range(len(state.processes)),
@@ -254,8 +259,7 @@ def deliberative_step(state: SimulationState) -> SimulationState:
         stepped, new_apps, new_tends = run_affective_cycle(
             proc,
             state.beliefs,
-            world_model=state.world,
-            planner=planner,
+            plan=plan,
             tick=now,
             commitments=state.commitments(),
         )
@@ -317,11 +321,11 @@ def deliberative_step(state: SimulationState) -> SimulationState:
             payload={"process": focus[0], "phase": focus[1], "focus": True},
         )
 
-    # Plan generation / repair for the committed task goal, then the
+    # The fresh plan becomes the committed task goal's intention, then the
     # argument case over everything now proposed (the fresh plan step
     # must be covered by the case before selection happens this tick).
-    if state.task_process() is not None and not state.world.abandoned:
-        state.plan = plan_tidy_task(state.world, state.goal, state.goal_variant, now)
+    if planning:
+        state.plan = plan
         state.plan_cursor = 0
         _inject_plan_step(state)
 

@@ -11,10 +11,10 @@ inactive arguments contribute nothing but stay in the explanation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import CyclicUndercut
-from .rules import RuleContext, eval_condition
+from .rules import Condition, RuleContext, eval_condition
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class ArgumentTemplate:
     polarity: str
     weight: float
     option_selector: dict
-    trigger: dict | None = None
+    trigger: Condition | None = None
     undercuts_template: str | None = None
     grounds: tuple[str, ...] = ()
 
@@ -98,16 +98,10 @@ def build_case(
     out: list[Argument] = []
     produced: set[str] = set()
     for template in templates:
+        if template.trigger is not None and not eval_condition(template.trigger, context):
+            continue
         for option in options:
             if not _selector_matches(template.option_selector, option, option_sources):
-                continue
-            ctx = RuleContext(
-                beliefs=context.beliefs,
-                appraisals=context.appraisals,
-                commitments=context.commitments,
-                option=option,
-            )
-            if not eval_condition(template.trigger, ctx):
                 continue
             arg_id = argument_id(template.id, option)
             produced.add(arg_id)
@@ -129,15 +123,7 @@ def build_case(
     # An undercut edge only exists if its target was actually produced.
     return [
         a if (a.undercuts is None or a.undercuts in produced)
-        else Argument(
-            id=a.id,
-            option=a.option,
-            polarity=a.polarity,
-            weight=a.weight,
-            grounds=a.grounds,
-            source_process=a.source_process,
-            undercuts=None,
-        )
+        else replace(a, undercuts=None)
         for a in out
     ]
 
@@ -157,19 +143,28 @@ def active_set(args: list[Argument]) -> set[str]:
 
     status: dict[str, bool] = {}
     visiting: set[str] = set()
+    return {a.id for a in args if _resolve(a.id, undercutters, status, visiting)}
 
-    def resolve(arg_id: str) -> bool:
-        if arg_id in status:
-            return status[arg_id]
-        if arg_id in visiting:
-            raise CyclicUndercut(f"undercut cycle through {arg_id}")
-        visiting.add(arg_id)
-        active = not any(resolve(u) for u in undercutters[arg_id])
-        visiting.discard(arg_id)
-        status[arg_id] = active
-        return active
 
-    return {a.id for a in args if resolve(a.id)}
+def _resolve(
+    arg_id: str,
+    undercutters: dict[str, list[str]],
+    status: dict[str, bool],
+    visiting: set[str],
+) -> bool:
+    """Whether ``arg_id`` is active, memoized in ``status``; ``visiting``
+    holds the ids on the current path, to detect a cycle."""
+    if arg_id in status:
+        return status[arg_id]
+    if arg_id in visiting:
+        raise CyclicUndercut(f"undercut cycle through {arg_id}")
+    visiting.add(arg_id)
+    active = not any(
+        _resolve(u, undercutters, status, visiting) for u in undercutters[arg_id]
+    )
+    visiting.discard(arg_id)
+    status[arg_id] = active
+    return active
 
 
 def aggregate(options: list[str], args: list[Argument]) -> CaseReport:

@@ -210,33 +210,3 @@ def simulate_whatif(
     return PredictedOutcome(
         reachable=True, failing_step=None, final_goal_status=W.evaluate_goal(sim, goal)
     )
-
-
-class TaskPlanner:
-    """Plan oracle bound to one world snapshot and goal variant."""
-
-    def __init__(self, world: W.WorldState, goal: W.GoalSpec, variant: str, tick: int = 0):
-        self._world = world
-        self._goal = goal
-        self._variant = variant
-        self._tick = tick
-        self._plan: Plan | None = None
-        self._planned = False
-
-    def plan(self) -> Plan | None:
-        if not self._planned:
-            self._plan = plan_tidy_task(
-                self._world, self._goal, self._variant, tick=self._tick
-            )
-            self._planned = True
-        return self._plan
-
-    def achievable(self) -> bool:
-        plan = self.plan()
-        if plan is None:
-            return False
-        return simulate_whatif(self._world, plan, self._goal).reachable
-
-    def first_action(self) -> str | None:
-        plan = self.plan()
-        return plan.steps[0] if plan else None

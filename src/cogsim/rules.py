@@ -1,17 +1,25 @@
 """Belief store and the small declarative condition language.
 
-Conditions are plain JSON-style dicts and are evaluated against a
-:class:`RuleContext` (beliefs, active appraisals, commitments, and — when a
-condition is tested for a concrete option — the option id).  The grammar:
+A condition is a JSON object.  :func:`compile_condition` checks it
+against the grammar below, once, and returns a :class:`Condition`;
+:func:`eval_condition` evaluates that against a :class:`RuleContext`
+(beliefs, active appraisals and commitments).  The grammar lists the
+exact key set of every form:
 
     {"const": true|false}
     {"all": [cond, ...]}          {"any": [cond, ...]}          {"not": cond}
+    {"belief": ATOM}                      (truthiness of the stored value)
     {"belief": ATOM, "equals": V}
     {"belief": ATOM, "gt"|"gte"|"lt"|"lte": NUMBER}
     {"belief": ATOM, "in": [V, ...]}
-    {"appraisal": {"atom": ATOM, "valence": "positive"|"negative",
+    {"appraisal": {"atom": ATOM?, "valence": "positive"|"negative"?,
                    "min_magnitude": NUMBER?}}
-    {"commitment": {"atom": ATOM}}
+    {"commitment": {"atom": ATOM?}}
+
+ATOM is a string and ``?`` marks an optional key; an omitted
+``appraisal`` or ``commitment`` key matches anything.  A belief test
+takes at most one comparator.  Any other key, a second form in the same
+object or a value of another type is malformed.
 
 A missing belief atom evaluates as ``None`` so equality checks against
 ``null`` are expressible.
@@ -20,7 +28,7 @@ A missing belief atom evaluates as ``None`` so equality checks against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 class BeliefStore:
@@ -44,18 +52,6 @@ class BeliefStore:
     def last_changed(self, atom: str) -> int:
         return self._changed.get(atom, -1)
 
-    def atoms(self) -> list[str]:
-        return list(self._atoms)
-
-    def items(self) -> list[tuple[str, Any]]:
-        return list(self._atoms.items())
-
-    def copy(self) -> "BeliefStore":
-        dup = BeliefStore()
-        dup._atoms = dict(self._atoms)
-        dup._changed = dict(self._changed)
-        return dup
-
 
 @dataclass
 class RuleContext:
@@ -64,110 +60,137 @@ class RuleContext:
     beliefs: BeliefStore
     appraisals: list = field(default_factory=list)
     commitments: list = field(default_factory=list)
-    option: str | None = None
 
 
-_COMPARATORS = {
-    "equals": lambda a, b: a == b,
-    "gt": lambda a, b: isinstance(a, (int, float)) and a > b,
-    "gte": lambda a, b: isinstance(a, (int, float)) and a >= b,
-    "lt": lambda a, b: isinstance(a, (int, float)) and a < b,
-    "lte": lambda a, b: isinstance(a, (int, float)) and a <= b,
-    "in": lambda a, b: a in b,
-}
+@dataclass(frozen=True)
+class Condition:
+    """A compiled condition: ``doc``, its source, which serialization and
+    equality use; ``atoms``, the belief atoms it reads in first-occurrence
+    order; and ``test(operand, ctx)``, which evaluates the parsed form."""
+
+    doc: dict
+    atoms: tuple[str, ...] = field(compare=False)
+    test: Callable[[Any, RuleContext], bool] = field(compare=False, repr=False)
+    operand: Any = field(compare=False, repr=False)
 
 
-def eval_condition(cond: Any, ctx: RuleContext) -> bool:
-    """Evaluate a condition dict against the context."""
-    if cond is None:
-        return True
-    if isinstance(cond, bool):
-        return cond
-    if not isinstance(cond, dict):
-        raise ValueError(f"malformed condition: {cond!r}")
-
-    if "const" in cond:
-        return bool(cond["const"])
-    if "all" in cond:
-        return all(eval_condition(c, ctx) for c in cond["all"])
-    if "any" in cond:
-        return any(eval_condition(c, ctx) for c in cond["any"])
-    if "not" in cond:
-        return not eval_condition(cond["not"], ctx)
-    if "belief" in cond:
-        value = ctx.beliefs.get(cond["belief"])
-        for op, fn in _COMPARATORS.items():
-            if op in cond:
-                return fn(value, cond[op])
-        # Bare belief test: truthiness of the stored value.
-        return bool(value)
-    if "appraisal" in cond:
-        want = cond["appraisal"]
-        floor = want.get("min_magnitude", 0.0)
-        for app in ctx.appraisals:
-            if app.atom != want.get("atom", app.atom):
-                continue
-            if "valence" in want and app.valence != want["valence"]:
-                continue
-            if app.magnitude >= floor:
-                return True
-        return False
-    if "commitment" in cond:
-        want = cond["commitment"]
-        return any(c.atom == want.get("atom", c.atom) for c in ctx.commitments)
-    raise ValueError(f"unknown condition form: {sorted(cond)}")
+def eval_condition(cond: Condition, ctx: RuleContext) -> bool:
+    """Evaluate a compiled condition against the context."""
+    return cond.test(cond.operand, ctx)
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def referenced_atoms(cond: Any) -> list[str]:
-    """Belief atoms a condition reads, in declaration order, deduplicated.
+def _is_atom(value: Any) -> bool:
+    return isinstance(value, str)
 
-    Raises ValueError on every form :func:`eval_condition` can fail on
-    (and on sub-conditions that are not objects), so a condition that
-    passes here evaluates without error.
+
+# Belief comparators: (comparison of the stored value with the operand,
+# check of the operand at compile time).
+_COMPARATORS = {
+    "equals": (lambda a, b: a == b, lambda b: True),
+    "gt": (lambda a, b: isinstance(a, (int, float)) and a > b, _is_number),
+    "gte": (lambda a, b: isinstance(a, (int, float)) and a >= b, _is_number),
+    "lt": (lambda a, b: isinstance(a, (int, float)) and a < b, _is_number),
+    "lte": (lambda a, b: isinstance(a, (int, float)) and a <= b, _is_number),
+    "in": (lambda a, b: a in b, lambda b: isinstance(b, list)),
+}
+# The optional keys of an appraisal or commitment test, with their checks.
+_WANT_KEYS = {
+    "appraisal": {
+        "atom": _is_atom,
+        "valence": lambda v: v in ("positive", "negative"),
+        "min_magnitude": _is_number,
+    },
+    "commitment": {"atom": _is_atom},
+}
+
+
+def _const(value: bool, ctx: RuleContext) -> bool:
+    return value
+
+
+def _all(parts: tuple[Condition, ...], ctx: RuleContext) -> bool:
+    return all(eval_condition(part, ctx) for part in parts)
+
+
+def _any(parts: tuple[Condition, ...], ctx: RuleContext) -> bool:
+    return any(eval_condition(part, ctx) for part in parts)
+
+
+def _not(part: Condition, ctx: RuleContext) -> bool:
+    return not eval_condition(part, ctx)
+
+
+def _belief(test: tuple, ctx: RuleContext) -> bool:
+    atom, op, operand = test
+    value = ctx.beliefs.get(atom)
+    if op is None:
+        return bool(value)  # a bare belief test
+    return _COMPARATORS[op][0](value, operand)
+
+
+def _appraisal(want: tuple, ctx: RuleContext) -> bool:
+    atom, valence, floor = want
+    return any(
+        (atom is None or app.atom == atom)
+        and (valence is None or app.valence == valence)
+        and app.magnitude >= floor
+        for app in ctx.appraisals
+    )
+
+
+def _commitment(atom: str | None, ctx: RuleContext) -> bool:
+    return any(atom is None or c.atom == atom for c in ctx.commitments)
+
+
+def compile_condition(doc: Any) -> Condition:
+    """Check ``doc`` against the grammar and compile it.
+
+    Raises ValueError on a malformed document, so a compiled condition
+    evaluates without error.
     """
-    out: list[str] = []
-
-    def walk(c: Any) -> None:
-        if not isinstance(c, dict):
-            raise ValueError(f"malformed condition: {c!r}")
-        known = "const" in c
-        if "belief" in c:
-            known = True
-            atom = c["belief"]
-            if not isinstance(atom, str):
-                raise ValueError(f"belief atom must be a string: {atom!r}")
-            for op in ("gt", "gte", "lt", "lte"):
-                if op in c and not _is_number(c[op]):
-                    raise ValueError(f"{op} needs a number: {c[op]!r}")
-            if "in" in c and not isinstance(c["in"], list):
-                raise ValueError(f"in needs a list: {c['in']!r}")
-            if atom not in out:
-                out.append(atom)
-        for key in ("all", "any"):
-            if key in c:
-                known = True
-                subs = c[key]
-                if not isinstance(subs, list):
-                    raise ValueError(f"{key} needs a list: {subs!r}")
-                for sub in subs:
-                    walk(sub)
-        if "not" in c:
-            known = True
-            walk(c["not"])
-        for key in ("appraisal", "commitment"):
-            if key in c:
-                known = True
-                want = c[key]
-                if not isinstance(want, dict):
-                    raise ValueError(f"{key} needs an object: {want!r}")
-                if "min_magnitude" in want and not _is_number(want["min_magnitude"]):
-                    raise ValueError("min_magnitude needs a number")
-        if not known:
-            raise ValueError(f"unknown condition form: {sorted(c)}")
-
-    walk(cond)
-    return out
+    if not isinstance(doc, dict) or not doc:
+        raise ValueError(f"malformed condition: {doc!r}")
+    keys = doc.keys()
+    if keys == {"const"}:
+        if not isinstance(doc["const"], bool):
+            raise ValueError(f"const needs a boolean: {doc['const']!r}")
+        return Condition(doc, (), _const, doc["const"])
+    if keys == {"all"} or keys == {"any"}:
+        (form,) = keys
+        if not isinstance(doc[form], list):
+            raise ValueError(f"{form} needs a list: {doc[form]!r}")
+        parts = tuple(compile_condition(sub) for sub in doc[form])
+        atoms = tuple(dict.fromkeys(atom for part in parts for atom in part.atoms))
+        return Condition(doc, atoms, _all if form == "all" else _any, parts)
+    if keys == {"not"}:
+        part = compile_condition(doc["not"])
+        return Condition(doc, part.atoms, _not, part)
+    if "belief" in keys:
+        atom = doc["belief"]
+        if not _is_atom(atom):
+            raise ValueError(f"belief atom must be a string: {atom!r}")
+        ops = keys - {"belief"}
+        if not ops:
+            return Condition(doc, (atom,), _belief, (atom, None, None))
+        if len(ops) > 1 or not ops <= _COMPARATORS.keys():
+            raise ValueError(f"a belief test takes one comparator: {sorted(ops)}")
+        (op,) = ops
+        if not _COMPARATORS[op][1](doc[op]):
+            raise ValueError(f"malformed {op} operand: {doc[op]!r}")
+        return Condition(doc, (atom,), _belief, (atom, op, doc[op]))
+    if len(keys) == 1 and keys <= _WANT_KEYS.keys():
+        (form,) = keys
+        want, checks = doc[form], _WANT_KEYS[form]
+        if not isinstance(want, dict) or not all(
+            key in checks and checks[key](value) for key, value in want.items()
+        ):
+            raise ValueError(f"malformed {form}: {want!r}")
+        if form == "commitment":
+            return Condition(doc, (), _commitment, want.get("atom"))
+        want = (want.get("atom"), want.get("valence"), want.get("min_magnitude", 0.0))
+        return Condition(doc, (), _appraisal, want)
+    raise ValueError(f"unknown condition form: {sorted(keys)}")

@@ -28,7 +28,7 @@ from .agent import ReactiveRule, SimulationState
 from .arguments import ArgumentTemplate
 from .errors import InvalidSpec, ParseError, SchemaError
 from .metacog import Commitment, CountermeasureSpec, ReasoningTrace
-from .rules import BeliefStore, referenced_atoms
+from .rules import BeliefStore, Condition, compile_condition
 
 FORMAT_VERSION = 1
 DEFAULT_GRID = (8, 8)
@@ -247,14 +247,13 @@ def _value(ok: Callable[[Any], bool], message: str, convert=None) -> _Conv:
     return _Conv(load)
 
 
-def _load_condition(value, path: str) -> dict:
+def _load_condition(value, path: str) -> Condition:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected a condition object")
     try:
-        referenced_atoms(value)
+        return compile_condition(value)
     except ValueError:
         raise SchemaError(path, "malformed condition") from None
-    return value
 
 
 _STR = _value(lambda v: type(v) is str, "expected a string")
@@ -279,7 +278,7 @@ _KIND_MAP = _value(lambda v: type(v) is dict, "expected an object",
                                     for kind, allowed in v.items()})
 _FACTS = _Conv(_value(lambda v: type(v) is dict, "expected an object",
                       lambda v, path: tuple(sorted(v.items()))).load, dict)
-_CONDITION = _Conv(_load_condition)
+_CONDITION = _Conv(_load_condition, lambda cond: cond.doc)
 _ID_PATTERN = re.compile(r"^[a-z][a-z0-9_]*$")
 _ID = _checked(_STR, lambda v: not _ID_PATTERN.match(v),
                "ids must be lowercase snake_case, got {!r}")
@@ -435,7 +434,8 @@ _ARGUMENT_TEMPLATE = _Record(
                                 "must be 'pro' or 'con'")),
     _Field("weight", _WEIGHT),
     _Field("options", _SELECTOR, attr="option_selector"),
-    _Field("when", _CONDITION, lambda got: {"const": True}, attr="trigger"),
+    _Field("when", _CONDITION, lambda got: compile_condition({"const": True}),
+           attr="trigger"),
     _Field("undercuts", _OPT_STR, _ABSENT, attr="undercuts_template"),
     _Field("grounds", _STR_LIST, ()),
 )

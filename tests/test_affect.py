@@ -13,7 +13,7 @@ from cogsim.affect import (
     run_affective_cycle,
 )
 from cogsim.arguments import Argument
-from cogsim.rules import BeliefStore
+from cogsim.rules import BeliefStore, compile_condition
 
 from helpers import bfs_distance
 
@@ -85,7 +85,7 @@ def rule(id, atom, subject, valence, magnitude, label=""):
     return AppraisalRule(
         id=id,
         process="p1",
-        when={"belief": atom, "equals": True},
+        when=compile_condition({"belief": atom, "equals": True}),
         subject=subject,
         valence=valence,
         magnitude=magnitude,
@@ -203,13 +203,13 @@ class TestPrepareAction:
     def test_task_goal_first_action_matches_shortest_path(self, small_world, small_goal):
         # The emitted first action must start a shortest route to the
         # nearest misplaced object (checked against an independent BFS).
-        from cogsim.planner import TaskPlanner
+        from cogsim.planner import plan_tidy_task
 
-        planner = TaskPlanner(small_world, small_goal, "strict")
+        plan = plan_tidy_task(small_world, small_goal, "strict")
         proc = process(goal_ref="task")
         proc.active_appraisals = [Appraisal("situation", "negative", 0.8, "p1", 0)]
         proc.phase = "preparing"
-        tendencies = prepare_action(proc, world_model=small_world, planner=planner)
+        tendencies = prepare_action(proc, plan=plan)
         assert len(tendencies) == 1
         first = tendencies[0].action
         # book_1 at (0,1) is adjacent to the agent: shortest plan starts

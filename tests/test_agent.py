@@ -13,6 +13,7 @@ from cogsim.agent import (
     tick,
 )
 from cogsim.errors import NoTendency
+from cogsim.rules import compile_condition
 from cogsim.runner import RunConfig, run_simulation
 from cogsim.scenario import instantiate, load_bundled
 
@@ -84,13 +85,13 @@ class TestReactive:
         rules = (
             ReactiveRule(
                 id="second",
-                when={"belief": "broken(shelf_1)", "equals": True},
+                when=compile_condition({"belief": "broken(shelf_1)", "equals": True}),
                 action="idle",
                 urgency=0.2,
             ),
             ReactiveRule(
                 id="first",
-                when={"belief": "broken(shelf_1)", "equals": True},
+                when=compile_condition({"belief": "broken(shelf_1)", "equals": True}),
                 action="abandon",
                 urgency=0.4,
             ),

@@ -14,7 +14,7 @@ from cogsim.arguments import (
     build_case,
 )
 from cogsim.errors import CyclicUndercut
-from cogsim.rules import BeliefStore, RuleContext
+from cogsim.rules import BeliefStore, RuleContext, compile_condition
 
 from helpers import brute_force_active_set, brute_force_scores, random_argument_instance
 
@@ -143,7 +143,7 @@ class TestBuildCase:
                 polarity="pro",
                 weight=0.6,
                 option_selector={"option": "smoke"},
-                trigger={"belief": "stressed", "equals": True},
+                trigger=compile_condition({"belief": "stressed", "equals": True}),
             ),
             ArgumentTemplate(
                 id="never",
@@ -151,7 +151,7 @@ class TestBuildCase:
                 polarity="con",
                 weight=1.0,
                 option_selector={"any": True},
-                trigger={"const": False},
+                trigger=compile_condition({"const": False}),
             ),
         ]
         args = build_case(["smoke", "wait"], templates, self._context())
@@ -184,7 +184,7 @@ class TestBuildCase:
                 polarity="pro",
                 weight=1.0,
                 option_selector={"any": True},
-                trigger={"belief": "absent_atom", "equals": True},
+                trigger=compile_condition({"belief": "absent_atom", "equals": True}),
             )
         ]
         assert build_case(["x"], templates, self._context()) == []

@@ -50,6 +50,35 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "agent.appraisal_rules[0].when: malformed condition" in err
 
+    @pytest.mark.parametrize(
+        "name, section, index, when",
+        [
+            # An extra comparator key was ignored: the first one known won.
+            ("office_cake", "appraisal_rules", 0,
+             {"belief": "situation_cake_offer", "equals": True, "eq": 1}),
+            ("room_tidy", "appraisal_rules", 0,
+             {"belief": "misplaced_count", "gt": 0, "equals": 3}),
+            # A non-boolean const was read as its truthiness.
+            ("office_cake", "argument_templates", 3, {"const": "x"}),
+            # Unknown keys inside appraisal and commitment tests were ignored.
+            ("office_cake", "argument_templates", 0,
+             {"appraisal": {"atom": "current_situation", "valence": "negative",
+                            "magnitude": 0.5}}),
+            ("room_tidy", "argument_templates", 0,
+             {"commitment": {"atom": "tidy_room", "valence": "positive"}}),
+        ],
+    )
+    def test_condition_typo_exits_1(self, tmp_path, capsys, name, section, index, when):
+        doc = json.loads(bundled_document(name))
+        doc["agent"][section][index]["when"] = when
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"agent.{section}[{index}].when: malformed condition" in err
+
     def test_malformed_json_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -1,0 +1,189 @@
+"""The condition language: compilation, evaluation and belief atoms.
+
+Generated condition documents are grammar trees and single-key
+perturbations of them.  A tree always compiles; a perturbation either
+fails to compile with ValueError or compiles into a condition that
+evaluates without error.  Every compiled condition evaluates as a
+direct reading of its document does, and lists its belief atoms in
+first-occurrence order.
+"""
+
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from cogsim.affect import Appraisal
+from cogsim.metacog import Commitment
+from cogsim.rules import BeliefStore, RuleContext, compile_condition, eval_condition
+
+ATOMS = ("a", "b", "c")
+VALENCES = ("positive", "negative")
+NUMBERS = st.one_of(st.integers(-2, 2), st.floats(-2, 2, allow_nan=False))
+VALUES = st.one_of(st.none(), st.booleans(), NUMBERS, st.sampled_from(["x", "y"]))
+JUNK = (None, True, 0, 2.5, "", "x", [], [1], {}, {"a": 1}, {"const": True})
+JUNK_KEYS = ("eq", "x", "atom", "valence", "const", "belief", "all", "not", "in", "gt")
+
+atom = st.sampled_from(ATOMS)
+leaf = st.one_of(
+    st.fixed_dictionaries({"const": st.booleans()}),
+    st.fixed_dictionaries({"belief": atom}),
+    st.fixed_dictionaries({"belief": atom, "equals": VALUES}),
+    st.sampled_from(("gt", "gte", "lt", "lte")).flatmap(
+        lambda op: st.fixed_dictionaries({"belief": atom, op: NUMBERS})
+    ),
+    st.fixed_dictionaries({"belief": atom, "in": st.lists(VALUES, max_size=3)}),
+    st.fixed_dictionaries({"appraisal": st.fixed_dictionaries({}, optional={
+        "atom": atom, "valence": st.sampled_from(VALENCES), "min_magnitude": NUMBERS,
+    })}),
+    st.fixed_dictionaries({"commitment": st.fixed_dictionaries({}, optional={
+        "atom": atom,
+    })}),
+)
+trees = st.recursive(
+    leaf,
+    lambda sub: st.one_of(
+        st.fixed_dictionaries({"all": st.lists(sub, max_size=3)}),
+        st.fixed_dictionaries({"any": st.lists(sub, max_size=3)}),
+        st.fixed_dictionaries({"not": sub}),
+    ),
+    max_leaves=8,
+)
+
+
+def nodes(doc):
+    """Every object in the document, the document included, in pre-order."""
+    out = [doc]
+    for value in doc.values():
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, dict):
+                out.extend(nodes(child))
+    return out
+
+
+@st.composite
+def documents(draw):
+    """(a grammar tree, False), or (the tree with one key of one of its
+    objects set to junk or removed, True)."""
+    doc = draw(trees)
+    if draw(st.booleans()):
+        return doc, False
+    node = draw(st.sampled_from(nodes(doc)))
+    key = draw(st.sampled_from(sorted(node) + list(JUNK_KEYS)))
+    if draw(st.booleans()):
+        node.pop(key, None)
+    else:
+        node[key] = draw(st.sampled_from(JUNK))
+    return doc, True
+
+
+contexts = st.fixed_dictionaries({
+    "beliefs": st.dictionaries(atom, VALUES),
+    "appraisals": st.lists(st.tuples(atom, st.sampled_from(VALENCES), NUMBERS),
+                           max_size=3),
+    "commitments": st.lists(atom, max_size=2),
+})
+
+
+def rule_context(drawn) -> RuleContext:
+    beliefs = BeliefStore()
+    for name, value in drawn["beliefs"].items():
+        beliefs.set(name, value, 0)
+    return RuleContext(
+        beliefs=beliefs,
+        appraisals=[Appraisal(a, v, m, "p", 0) for a, v, m in drawn["appraisals"]],
+        commitments=[Commitment(a, "positive") for a in drawn["commitments"]],
+    )
+
+
+def read(doc, drawn) -> bool:
+    """The document's truth value, read directly off the grammar."""
+    if "const" in doc:
+        return doc["const"]
+    if "all" in doc:
+        return all(read(sub, drawn) for sub in doc["all"])
+    if "any" in doc:
+        return any(read(sub, drawn) for sub in doc["any"])
+    if "not" in doc:
+        return not read(doc["not"], drawn)
+    if "belief" in doc:
+        value = drawn["beliefs"].get(doc["belief"])
+        number = isinstance(value, (int, float))
+        if "equals" in doc:
+            return value == doc["equals"]
+        if "in" in doc:
+            return value in doc["in"]
+        for op, holds in (("gt", lambda x, y: x > y), ("gte", lambda x, y: x >= y),
+                          ("lt", lambda x, y: x < y), ("lte", lambda x, y: x <= y)):
+            if op in doc:
+                return number and holds(value, doc[op])
+        return bool(value)
+    if "appraisal" in doc:
+        want = doc["appraisal"]
+        return any(
+            want.get("atom", a) == a and want.get("valence", v) == v
+            and m >= want.get("min_magnitude", 0.0)
+            for a, v, m in drawn["appraisals"]
+        )
+    want = doc["commitment"]
+    return any(want.get("atom", a) == a for a in drawn["commitments"])
+
+
+def belief_atoms(doc) -> list:
+    """Belief atoms in first-occurrence order, deduplicated."""
+    seen = [node["belief"] for node in nodes(doc) if "belief" in node]
+    return list(dict.fromkeys(seen))
+
+
+@seed(20211015)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=documents(), drawn=contexts)
+def test_documents_are_rejected_or_evaluate_as_read(case, drawn):
+    doc, perturbed = case
+    try:
+        cond = compile_condition(doc)
+    except ValueError:
+        assert perturbed
+        return
+    # Parallel callers send parsed scenarios to worker processes.
+    for each in (cond, pickle.loads(pickle.dumps(cond))):
+        assert eval_condition(each, rule_context(drawn)) == read(doc, drawn)
+    assert list(cond.atoms) == belief_atoms(doc)
+    assert cond.doc is doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"const": "x"},
+        {"const": True, "belief": "a"},
+        {"belief": "a", "equals": True, "eq": 1},
+        {"belief": "a", "equals": True, "gt": 0},
+        {"belief": "a", "gt": True},
+        {"belief": "a", "in": "ab"},
+        {"belief": 1},
+        {"all": {"const": True}},
+        {"all": [True]},
+        {"not": None},
+        {"appraisal": {"atom": "a", "magnitude": 1}},
+        {"appraisal": {"valence": "neutral"}},
+        {"appraisal": {"atom": None}},
+        {"appraisal": {"min_magnitude": None}},
+        {"commitment": {"atom": "a", "valence": "positive"}},
+        {"commitment": "a"},
+    ],
+)
+def test_malformed_documents_raise(doc):
+    with pytest.raises(ValueError):
+        compile_condition(doc)
+
+
+def test_equality_uses_the_source_document():
+    doc = {"all": [{"belief": "b"}, {"not": {"belief": "a", "gt": 1}}, {"belief": "b"}]}
+    cond = compile_condition(doc)
+    assert cond == compile_condition(copy.deepcopy(doc))
+    assert cond != compile_condition({"belief": "b"})
+    assert cond.atoms == ("b", "a")

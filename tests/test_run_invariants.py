@@ -1,6 +1,7 @@
 """Whole-run invariants checked over the bundled scenarios."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -8,7 +9,7 @@ from cogsim.affect import ActionTendency
 from cogsim.agent import tick
 from cogsim.metacog import MONITORED_KINDS, _item_from_event, check_consistency
 from cogsim.runner import RunConfig, run_simulation
-from cogsim.scenario import instantiate, load_bundled
+from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +161,16 @@ def test_suppressed_tendency_never_executes():
     }
     assert "abandon" not in executed
     assert not result.state.world.abandoned
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_run_leaves_no_cyclic_garbage(name):
+    # Only the cyclic collector frees a reference cycle, so garbage in
+    # cycles would make memory use depend on when it happens to run.
+    gc.collect()
+    gc.disable()
+    try:
+        run_simulation(load_bundled(name), RunConfig(ticks=60, seed=1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
