@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check a scenario document")
     p_validate.add_argument("scenario")
-    p_validate.set_defaults(func=cmd_validate)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario")
@@ -198,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--trace", default=None)
     p_run.add_argument("--metrics", default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run once per weight for one template")
     common(p_sweep)
@@ -206,15 +204,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--weights", required=True,
                          help="comma-separated non-negative weights")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+# Built once: a parser holds reference cycles, so one built per call
+# would leave garbage for the cyclic collector on every in-process run.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # Looked up at call time, so a rebinding of a cmd_* name takes effect.
+    command = {"validate": cmd_validate, "run": cmd_run, "sweep": cmd_sweep}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except CogsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,15 @@ reproducible plan is.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import world as W
 from .errors import IllegalAction
 
 _NEIGHBOR_ORDER = ("north", "east", "south", "west")
+# (action, dx, dy) per direction, in expansion order.
+_NEIGHBOR_STEPS = tuple((f"move:{d}", *W.DIRECTIONS[d]) for d in _NEIGHBOR_ORDER)
+_MOVE_DELTAS = {action: (dx, dy) for action, dx, dy in _NEIGHBOR_STEPS}
 
 
 @dataclass(frozen=True)
@@ -42,24 +45,56 @@ def bfs_path(
     """Moves from start to the first reachable goal cell, or None.
 
     Neighbor expansion order is fixed, so equal inputs give equal paths.
+    Each discovered cell records the cell and move it was reached by;
+    only the winning path is rebuilt from those parent pointers.
     """
     if start in goals:
         return []
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], list[str]]] = deque([(start, [])])
+    width, height = layout.width, layout.height
+    blocked = layout.fixture_cells()
+    parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
+    queue = deque([start])
     while queue:
-        cell, path = queue.popleft()
-        for direction in _NEIGHBOR_ORDER:
-            dx, dy = W.DIRECTIONS[direction]
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if nxt in seen or not layout.passable(nxt):
+        cell = queue.popleft()
+        x, y = cell
+        for action, dx, dy in _NEIGHBOR_STEPS:
+            nx, ny = x + dx, y + dy
+            if not (0 <= nx < width and 0 <= ny < height):
                 continue
-            step_path = path + [f"move:{direction}"]
+            nxt = (nx, ny)
+            if nxt in parents or nxt in blocked:
+                continue
+            parents[nxt] = (cell, action)
             if nxt in goals:
-                return step_path
-            seen.add(nxt)
-            queue.append((nxt, step_path))
+                return _path_to(parents, nxt)
+            queue.append(nxt)
     return None
+
+
+def _path_to(parents: dict, cell: tuple[int, int]) -> list[str]:
+    path = []
+    link = parents[cell]
+    while link is not None:
+        cell, action = link
+        path.append(action)
+        link = parents[cell]
+    path.reverse()
+    return path
+
+
+def _walk(sim: W.WorldState, path: list[str]) -> W.WorldState:
+    """The world after a BFS path's moves, built in one step.
+
+    Every move of a BFS path stays in bounds and off fixtures, so the
+    moves change only the tick and the agent's cell.  An abandoned world
+    is walked too: the ``pick_up``/``place`` that ends each leg raises
+    :class:`IllegalAction` there, and the caller drops the whole leg.
+    """
+    x, y = sim.agent_pos
+    for action in path:
+        dx, dy = _MOVE_DELTAS[action]
+        x, y = x + dx, y + dy
+    return replace(sim, tick=sim.tick + len(path), agent_pos=(x, y))
 
 
 def _adjacent_cells(layout: W.RoomLayout, cell: tuple[int, int]) -> set[tuple[int, int]]:
@@ -144,11 +179,9 @@ def plan_tidy_task(
             break
         candidates.sort(key=lambda c: (c[0], c[1]))
         _, obj_id, path, obj = candidates[0]
-        trial = sim
-        trial_steps = list(path) + [f"pick_up:{obj_id}"]
+        pick_up = f"pick_up:{obj_id}"
         try:
-            for action in trial_steps:
-                trial = W.apply_action(trial, action)
+            trial = W.apply_action(_walk(sim, path), pick_up)
         except IllegalAction:
             handled.add(obj_id)
             continue
@@ -157,7 +190,8 @@ def plan_tidy_task(
             handled.add(obj_id)
             continue
         sim, extra = delivered
-        steps.extend(trial_steps)
+        steps.extend(path)
+        steps.append(pick_up)
         steps.extend(extra)
         handled.add(obj_id)
 
@@ -179,13 +213,13 @@ def _deliver(
     path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, fixture.cell))
     if path is None:
         return None
-    steps = path + [f"place:{target}"]
+    place = f"place:{target}"
     try:
-        for action in steps:
-            sim = W.apply_action(sim, action)
+        sim = W.apply_action(_walk(sim, path), place)
     except IllegalAction:
         return None
-    return sim, steps
+    path.append(place)
+    return sim, path
 
 
 def simulate_whatif(

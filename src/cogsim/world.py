@@ -20,6 +20,7 @@ an abstract (non-spatial) act and leaves the grid untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import IllegalAction, UnknownEntity
 
@@ -51,7 +52,12 @@ class Fixture:
 
 @dataclass(frozen=True)
 class RoomLayout:
-    """Static room geometry: grid size and fixture placement."""
+    """Static room geometry: grid size and fixture placement.
+
+    The fixture cells are computed once per layout and cached on the
+    instance (outside the dataclass fields, so equality, hashing and
+    ``replace`` ignore the cache).
+    """
 
     width: int
     height: int
@@ -72,15 +78,24 @@ class RoomLayout:
                 return f
         return None
 
-    def fixture_cells(self) -> set[tuple[int, int]]:
-        return {f.cell for f in self.fixtures}
+    @cached_property
+    def _fixture_cells(self) -> frozenset[tuple[int, int]]:
+        return frozenset(f.cell for f in self.fixtures)
+
+    def fixture_cells(self) -> frozenset[tuple[int, int]]:
+        return self._fixture_cells
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
     def passable(self, cell: tuple[int, int]) -> bool:
-        return self.in_bounds(cell) and cell not in self.fixture_cells()
+        x, y = cell
+        return (
+            0 <= x < self.width
+            and 0 <= y < self.height
+            and cell not in self._fixture_cells
+        )
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,36 @@ def bfs_distance(layout, start, goals) -> int | None:
     return None
 
 
+def reference_bfs_path(layout, start, goals) -> list[str] | None:
+    """Breadth-first search that copies the move list for every cell it
+    discovers, with its own passability test: the planner's ``bfs_path``
+    must return exactly the same moves."""
+    blocked = {f.cell for f in layout.fixtures}
+
+    def passable(cell):
+        x, y = cell
+        return 0 <= x < layout.width and 0 <= y < layout.height and cell not in blocked
+
+    if start in goals:
+        return []
+    seen = {start}
+    queue = deque([(start, [])])
+    while queue:
+        cell, path = queue.popleft()
+        for direction, (dx, dy) in (
+            ("north", (0, -1)), ("east", (1, 0)), ("south", (0, 1)), ("west", (-1, 0))
+        ):
+            nxt = (cell[0] + dx, cell[1] + dy)
+            if nxt in seen or not passable(nxt):
+                continue
+            step_path = path + [f"move:{direction}"]
+            if nxt in goals:
+                return step_path
+            seen.add(nxt)
+            queue.append((nxt, step_path))
+    return None
+
+
 # -- single-node mutants of the bundled scenarios ------------------------------
 
 MUTANT_VALUES = (None, True, 0, -1, 2.5, "", "x", [], [1], {}, {"a": 1})

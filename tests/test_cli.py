@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cogsim import cli
 from cogsim.cli import main
 from cogsim.scenario import bundled_document
 
@@ -132,6 +133,20 @@ class TestRunCommand:
              "--trace", str(tmp_path / "t.jsonl"), "--metrics", str(tmp_path / "m.csv")]
         )
         assert code == 2
+
+    def test_set_weight_lists_are_not_shared_between_calls(
+        self, room_tidy_path, monkeypatch
+    ):
+        # The parser is built once; each call must still get its own list.
+        # cmd_run is looked up when main runs, so the stand-in is used.
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args) or 0)
+        for pairs in (["a=1"], ["b=2", "c=3"], []):
+            argv = ["run", room_tidy_path]
+            for pair in pairs:
+                argv += ["--set-weight", pair]
+            assert main(argv) == 0
+        assert [args.set_weight for args in seen] == [["a=1"], ["b=2", "c=3"], []]
 
     def test_bad_ticks_exit_2(self, room_tidy_path):
         assert main(["run", room_tidy_path, "--ticks", "0"]) == 2

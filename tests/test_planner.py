@@ -1,10 +1,14 @@
 import dataclasses
 import random
 
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+
 from cogsim import world as W
 from cogsim.planner import Plan, bfs_path, plan_tidy_task, simulate_whatif
+from cogsim.scenario import instantiate, load_bundled
 
-from helpers import bfs_distance
+from helpers import bfs_distance, reference_bfs_path
 
 
 def test_bfs_path_matches_independent_distance_oracle():
@@ -35,6 +39,83 @@ def test_bfs_path_matches_independent_distance_oracle():
                 pos = (pos[0] + dx, pos[1] + dy)
                 assert layout.passable(pos)
             assert pos == goal
+
+
+def _room(width, height, *cells):
+    return W.RoomLayout(width, height, tuple(
+        W.Fixture(f"f{i}", cell, "book") for i, cell in enumerate(cells)
+    ))
+
+
+@st.composite
+def grid_searches(draw):
+    """A room with random fixtures, a start cell, and a goal set whose
+    cells may lie on fixtures or outside the room.  Cells come from a
+    drawn ``Random``, so start and goals do not both crowd the origin."""
+    rng = draw(st.randoms(use_true_random=False))
+    width, height = rng.randint(1, 8), rng.randint(1, 8)
+    inside = [(x, y) for x in range(width) for y in range(height)]
+    around = [(x, y) for x in range(-1, width + 1) for y in range(-1, height + 1)]
+    cells = set(rng.sample(inside, rng.randint(0, len(inside) // 2)))
+    start = rng.choice(inside)
+    goals = {rng.choice(inside if rng.random() < 0.8 else around)
+             for _ in range(rng.randint(1, 4))}
+    extra = rng.choice(("none", "none", "start", "fixture"))
+    if extra == "start":
+        goals.add(start)
+    elif extra == "fixture" and cells:
+        goals.add(rng.choice(sorted(cells)))
+    return _room(width, height, *sorted(cells)), start, goals
+
+
+@seed(20211015)
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=grid_searches())
+# start in goals; a goal on a fixture; a goal out of bounds; a multi-cell
+# goal set with equal-length routes; a goal walled off.
+@example(case=(_room(3, 3, (1, 1)), (0, 0), {(0, 0), (2, 2)}))
+@example(case=(_room(3, 3, (1, 1)), (0, 0), {(1, 1)}))
+@example(case=(_room(3, 3), (0, 0), {(3, 0), (0, -1)}))
+@example(case=(_room(3, 3, (1, 1)), (0, 0), {(2, 2), (1, 2), (2, 1)}))
+@example(case=(_room(4, 3, (2, 0), (2, 1), (2, 2)), (0, 1), {(3, 1)}))
+def test_bfs_path_gives_the_reference_moves(case):
+    layout, start, goals = case
+    assert bfs_path(layout, start, goals) == reference_bfs_path(layout, start, goals)
+
+
+def test_plan_applies_only_its_pick_ups_and_places(monkeypatch):
+    # Moves along a searched path are applied in one step; only the
+    # pick-up and place at the end of each leg go through apply_action.
+    state = instantiate(load_bundled("room_tidy"), 1)
+    world, goal = state.world, state.goal
+    calls = []
+    apply_action = W.apply_action
+
+    def counting(sim, action):
+        calls.append(action)
+        return apply_action(sim, action)
+
+    monkeypatch.setattr(W, "apply_action", counting)
+    plan = plan_tidy_task(world, goal, "strict")
+    monkeypatch.undo()
+    assert plan is not None
+    non_moves = [s for s in plan.steps if not s.startswith("move:")]
+    assert len(non_moves) > 0
+    assert calls == non_moves
+    assert simulate_whatif(world, plan, goal).reachable
+
+
+def test_abandoned_world_still_gives_no_plan():
+    # Every leg ends in a pick-up or place, which an abandoned world
+    # refuses, so no leg survives: with or without an object in hand.
+    state = instantiate(load_bundled("room_tidy"), 1)
+    book = next(o for o in state.world.objects.values() if o.kind == "book")
+    objects = {**state.world.objects, book.id: dataclasses.replace(book, location="held")}
+    holding = dataclasses.replace(state.world, agent_holding=book.id, objects=objects)
+    for world in (state.world, holding):
+        assert plan_tidy_task(world, state.goal, "strict") is not None
+        abandoned = dataclasses.replace(world, abandoned=True)
+        assert plan_tidy_task(abandoned, state.goal, "strict") is None
 
 
 def test_plan_reaches_strict_goal(small_world, small_goal):
@@ -116,8 +197,6 @@ def test_plans_are_deterministic(small_world, small_goal):
 
 
 def test_bundled_grid_first_leg_is_shortest_route_to_nearest_object():
-    from cogsim.scenario import instantiate, load_bundled
-
     state = instantiate(load_bundled("room_tidy"), 1)
     world = state.world
     plan = plan_tidy_task(world, state.goal, "strict")

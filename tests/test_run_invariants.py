@@ -1,15 +1,18 @@
 """Whole-run invariants checked over the bundled scenarios."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 
 import pytest
 
+from cogsim import cli
 from cogsim.affect import ActionTendency
 from cogsim.agent import tick
 from cogsim.metacog import MONITORED_KINDS, _item_from_event, check_consistency
 from cogsim.runner import RunConfig, run_simulation
-from cogsim.scenario import BUNDLED, instantiate, load_bundled
+from cogsim.scenario import BUNDLED, bundled_document, instantiate, load_bundled
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +177,22 @@ def test_a_run_leaves_no_cyclic_garbage(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_an_in_process_cli_run_leaves_no_cyclic_garbage(name, tmp_path):
+    # The first call warms up; the second must free everything it made
+    # by reference counting alone, argument parsing included.
+    path = tmp_path / f"{name}.json"
+    path.write_text(bundled_document(name), encoding="utf-8")
+    argv = ["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+            "--metrics", str(tmp_path / "m.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -297,3 +297,17 @@ def test_monotone_breakage(small_world):
     event = W.WorldEvent(0, {"kind": "break_fixture", "fixture": "shelf_1"})
     broken, _ = W.step_events(small_world, [event])
     assert small_world.broken_fixtures <= broken.broken_fixtures
+
+
+def test_cached_fixture_cells_follow_the_fields(small_layout):
+    # The cache lives outside the dataclass fields: equality and hashing
+    # ignore it, and a replaced layout computes its own.
+    fresh = dataclasses.replace(small_layout)
+    assert not small_layout.passable((0, 0)) and small_layout.passable((1, 0))
+    assert small_layout == fresh and hash(small_layout) == hash(fresh)
+    moved = dataclasses.replace(
+        small_layout, fixtures=(W.Fixture("box_1", (1, 0), "toy"),)
+    )
+    assert moved.fixture_cells() == {(1, 0)}
+    assert moved.passable((0, 0)) and not moved.passable((1, 0))
+    assert small_layout.fixture_cells() == {(0, 0), (2, 0)}
