@@ -17,7 +17,7 @@ degrades to idle and is traced, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -67,6 +67,8 @@ class SimulationState:
     goal_variant: str = "strict"
     plan: Plan | None = None
     plan_cursor: int = 0
+    # The world, goal variant and plan of the last plan_tidy_task call.
+    plan_memo: tuple[W.WorldState, str, Plan | None] | None = None
     monitor_cursor: tuple[int, int] = (-1, -1)
     pending_deliberation: bool = False
     metacognition_enabled: bool = True
@@ -245,9 +247,7 @@ def deliberative_step(state: SimulationState) -> SimulationState:
     # One plan serves the affective processes and the standing intention;
     # stepping the processes changes neither the world nor the goal.
     planning = state.task_process() is not None and not state.world.abandoned
-    plan = None
-    if planning:
-        plan = plan_tidy_task(state.world, state.goal, state.goal_variant, now)
+    plan = _task_plan(state) if planning else None
     focus: tuple[str, str] | None = None
 
     order = sorted(range(len(state.processes)),
@@ -332,6 +332,26 @@ def deliberative_step(state: SimulationState) -> SimulationState:
     _rebuild_case(state)
 
     return state
+
+
+def _task_plan(state: SimulationState) -> Plan | None:
+    """``plan_tidy_task`` for the current world and goal variant.
+
+    The planner reads the tick only to stamp the plan, and the goal never
+    changes during a run, so when the world equals the last planned one
+    in every field but ``tick`` and the variant is the same, the last
+    plan is restamped instead of searched again.
+    """
+    world, variant, now = state.world, state.goal_variant, state.world.tick
+    if state.plan_memo is not None:
+        planned, planned_variant, plan = state.plan_memo
+        if planned_variant == variant and replace(world, tick=planned.tick) == planned:
+            if plan is None:
+                return None
+            return replace(plan, id=f"tidy@{now}", valid_from_tick=now)
+    plan = plan_tidy_task(world, state.goal, variant, now)
+    state.plan_memo = (world, variant, plan)
+    return plan
 
 
 def _option_for_state(proc: AffectiveProcess, state_atom: str) -> str:

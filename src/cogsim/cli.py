@@ -7,6 +7,7 @@ configuration problem.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -65,8 +66,8 @@ def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
         except ValueError:
             print(f"error: weight is not a number: {raw!r}", file=sys.stderr)
             return None
-        if weight < 0:
-            print("error: weights must be >= 0", file=sys.stderr)
+        if not math.isfinite(weight) or weight < 0:
+            print("error: weights must be finite and >= 0", file=sys.stderr)
             return None
         if template not in known:
             print(f"error: unknown argument template: {template}", file=sys.stderr)
@@ -133,8 +134,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: malformed --weights: {args.weights!r}", file=sys.stderr)
         return 2
-    if not weights or any(w < 0 for w in weights):
-        print("error: weights must be non-negative", file=sys.stderr)
+    if not weights or any(not math.isfinite(w) or w < 0 for w in weights):
+        print("error: weights must be finite and non-negative", file=sys.stderr)
         return 2
     if args.template not in {t.id for t in spec.agent.argument_templates}:
         print(f"error: unknown argument template: {args.template}", file=sys.stderr)

@@ -6,6 +6,11 @@ pick it up, walk to the first legal fixture that still has room, and
 place it.  The table is considered for books only once the relaxed
 goal variant is active.  Optimality is not the point — a monitorable,
 reproducible plan is.
+
+Each leg searches its candidates nearest-bound first: an object's path
+is at least its Manhattan distance minus one (its goal cells lie within
+one step of it), so objects are searched in ``(bound, id)`` order and
+the search stops once no later bound can beat the best ``(length, id)``.
 """
 
 from __future__ import annotations
@@ -162,23 +167,10 @@ def plan_tidy_task(
         handled.add(held_id)
 
     while True:
-        candidates = []
-        for obj in sim.objects.values():
-            if obj.id in handled:
-                continue
-            if W.placed_ok(sim, obj, _target_allowance(goal, obj.kind, variant)):
-                continue
-            cell = W.parse_cell(obj.location)
-            if cell is None:
-                continue  # already in some fixture; leave it be
-            path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell))
-            if path is None:
-                continue
-            candidates.append((len(path), obj.id, path, obj))
-        if not candidates:
+        found = _nearest_object(sim, goal, variant, handled)
+        if found is None:
             break
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        _, obj_id, path, obj = candidates[0]
+        obj_id, path = found
         pick_up = f"pick_up:{obj_id}"
         try:
             trial = W.apply_action(_walk(sim, path), pick_up)
@@ -200,6 +192,38 @@ def plan_tidy_task(
     return Plan(
         id=f"tidy@{tick}", goal_ref="task", steps=tuple(steps), valid_from_tick=tick
     )
+
+
+def _nearest_object(
+    sim: W.WorldState, goal: W.GoalSpec, variant: str, handled: set[str]
+) -> tuple[str, list[str]] | None:
+    """The loose misplaced object with the least ``(path length, id)``
+    and its path, or None when none is reachable.
+
+    ``max(manhattan - 1, 0)`` bounds a path length from below, so once
+    the next ``(bound, id)`` exceeds the best ``(length, id)``, no later
+    object can win.
+    """
+    candidates = []
+    for obj in sim.objects.values():
+        if obj.id in handled:
+            continue
+        if W.placed_ok(sim, obj, _target_allowance(goal, obj.kind, variant)):
+            continue
+        cell = W.parse_cell(obj.location)
+        if cell is None:
+            continue  # already in some fixture; leave it be
+        bound = max(W.manhattan(sim.agent_pos, cell) - 1, 0)
+        candidates.append((bound, obj.id, cell))
+    candidates.sort()
+    best_key, best_path = None, None
+    for bound, obj_id, cell in candidates:
+        if best_key is not None and (bound, obj_id) > best_key:
+            break
+        path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell))
+        if path is not None and (best_key is None or (len(path), obj_id) < best_key):
+            best_key, best_path = (len(path), obj_id), path
+    return None if best_key is None else (best_key[1], best_path)
 
 
 def _deliver(

@@ -72,30 +72,31 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
     return RunResult(state=state, metrics=metrics, summary=summary)
 
 
+# One encoder for every trace line; json.dumps with these options would
+# build a new one per call.
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def trace_lines(state: SimulationState) -> list[str]:
-    lines = []
-    for event in state.trace.events:
-        lines.append(
-            json.dumps(
-                {
-                    "tick": event.tick,
-                    "seq": event.seq,
-                    "layer": event.layer,
-                    "kind": event.kind,
-                    "payload": event.payload,
-                    "reasons": list(event.reasons),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+    encode = _TRACE_ENCODER.encode
+    return [
+        encode(
+            {
+                "tick": event.tick,
+                "seq": event.seq,
+                "layer": event.layer,
+                "kind": event.kind,
+                "payload": event.payload,
+                "reasons": list(event.reasons),
+            }
         )
-    return lines
+        for event in state.trace.events
+    ]
 
 
 def write_trace(state: SimulationState, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trace_lines(state):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in trace_lines(state))
 
 
 def metrics_header(state: SimulationState) -> list[str]:

@@ -16,6 +16,7 @@ pure function of the seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -256,10 +257,16 @@ def _load_condition(value, path: str) -> Condition:
         raise SchemaError(path, "malformed condition") from None
 
 
+def _to_float(value, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(path, "number out of range") from None
+
+
 _STR = _value(lambda v: type(v) is str, "expected a string")
 _INT = _value(lambda v: type(v) is int, "expected an integer")
-_NUMBER = _value(lambda v: type(v) in (int, float), "expected a number",
-                 lambda v, path: float(v))
+_NUMBER = _value(lambda v: type(v) in (int, float), "expected a number", _to_float)
 _BOOL = _value(lambda v: type(v) is bool, "expected a boolean")
 _OPT_INT = _value(lambda v: v is None or type(v) is int, "expected an integer or null")
 _OPT_STR = _value(lambda v: v is None or type(v) is str, "expected a string or null")
@@ -484,17 +491,50 @@ _SCENARIO = _Record(
 # -- parsing and serialization ------------------------------------------------
 
 
+class _NonFinite(Exception):
+    """A number literal that is not a finite float: ``NaN``, ``Infinity``,
+    ``-Infinity`` (which Python's JSON reader accepts) or an overflow."""
+
+
+def _finite_float(token: str) -> float:
+    """A JSON float literal or constant, which must be finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise _NonFinite(token)
+    return value
+
+
+def _literal_position(document: str, token: str) -> int:
+    """Offset of the first bare ``token`` outside any JSON string."""
+    pattern = r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])' + re.escape(token) + r"(?![\w.+-])"
+    for match in re.finditer(pattern, document):
+        if not match.group().startswith('"'):
+            return match.start()
+    return 0
+
+
 def parse_scenario(document: str) -> ScenarioSpec:
     """Parse a scenario document into a spec, applying defaults.
 
-    Malformed JSON raises ParseError with the line and column; schema
-    problems (wrong types, unknown keys, undeclared entities in an
-    event) raise SchemaError with the offending path.
+    Malformed JSON, a non-finite number included, raises ParseError with
+    the line and column; schema problems (wrong types, unknown keys,
+    undeclared entities in an event) raise SchemaError with the
+    offending path.
     """
     try:
-        data = json.loads(document)
+        data = json.loads(
+            document, parse_constant=_finite_float, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    except _NonFinite as exc:
+        token = exc.args[0]
+        at = json.JSONDecodeError(
+            f"non-finite number {token} is not allowed",
+            document,
+            _literal_position(document, token),
+        )
+        raise ParseError(at.lineno, at.colno, at.msg) from None
     if not isinstance(data, dict):
         raise SchemaError("$", "top level must be an object")
     spec = _SCENARIO.walk(data, "$")

@@ -7,7 +7,17 @@ import json
 import random
 from collections import deque
 
+from cogsim import world as W
 from cogsim.arguments import Argument
+from cogsim.errors import IllegalAction
+from cogsim.planner import (
+    Plan,
+    _adjacent_cells,
+    _deliver,
+    _target_allowance,
+    _walk,
+    bfs_path,
+)
 from cogsim.scenario import BUNDLED, bundled_document
 
 
@@ -114,6 +124,58 @@ def reference_bfs_path(layout, start, goals) -> list[str] | None:
             seen.add(nxt)
             queue.append((nxt, step_path))
     return None
+
+
+def reference_plan_tidy_task(start, goal, variant="strict", tick=0):
+    """The tidy planner with an exhaustive candidate loop: every leg
+    searches a path to every remaining object, then takes the least
+    ``(length, id)``.  ``plan_tidy_task`` must return the same plan."""
+    sim = start
+    steps: list[str] = []
+    handled: set[str] = set()
+    if sim.agent_holding is not None:
+        held_id = sim.agent_holding
+        delivered = _deliver(sim, sim.object(held_id), goal, variant)
+        if delivered is None:
+            return None
+        sim, extra = delivered
+        steps.extend(extra)
+        handled.add(held_id)
+    while True:
+        candidates = []
+        for obj in sim.objects.values():
+            if obj.id in handled:
+                continue
+            if W.placed_ok(sim, obj, _target_allowance(goal, obj.kind, variant)):
+                continue
+            cell = W.parse_cell(obj.location)
+            if cell is None:
+                continue
+            path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell))
+            if path is not None:
+                candidates.append((len(path), obj.id, path))
+        if not candidates:
+            break
+        _, obj_id, path = min(candidates, key=lambda c: (c[0], c[1]))
+        pick_up = f"pick_up:{obj_id}"
+        try:
+            trial = W.apply_action(_walk(sim, path), pick_up)
+        except IllegalAction:
+            handled.add(obj_id)
+            continue
+        delivered = _deliver(trial, trial.object(obj_id), goal, variant)
+        handled.add(obj_id)
+        if delivered is None:
+            continue
+        sim, extra = delivered
+        steps.extend(path)
+        steps.append(pick_up)
+        steps.extend(extra)
+    if not steps:
+        return None
+    return Plan(
+        id=f"tidy@{tick}", goal_ref="task", steps=tuple(steps), valid_from_tick=tick
+    )
 
 
 # -- single-node mutants of the bundled scenarios ------------------------------

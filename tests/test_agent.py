@@ -3,16 +3,19 @@ import dataclasses
 import pytest
 
 import cogsim
+from cogsim import agent
 from cogsim import world as W
 from cogsim.affect import ActionTendency
 from cogsim.agent import (
     SimulationState,
+    deliberative_step,
     perceive,
     reactive_step,
     select_action,
     tick,
 )
 from cogsim.errors import NoTendency
+from cogsim.planner import plan_tidy_task
 from cogsim.rules import compile_condition
 from cogsim.runner import RunConfig, run_simulation
 from cogsim.scenario import instantiate, load_bundled
@@ -217,6 +220,101 @@ class TestTick:
         )
         assert outcome.reachable
         assert state.world == snapshot
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return plan_tidy_task(*args)
+
+    monkeypatch.setattr(agent, "plan_tidy_task", counting)
+    return calls
+
+
+def _held(world):
+    obj = next(o for o in world.objects.values() if o.location.startswith("cell:"))
+    objects = {**world.objects, obj.id: dataclasses.replace(obj, location="held")}
+    return dataclasses.replace(world, agent_holding=obj.id, objects=objects)
+
+
+def _stepped(world):
+    x, y = world.agent_pos
+    cell = next(c for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                if world.layout.passable(c))
+    return dataclasses.replace(world, agent_pos=cell)
+
+
+def _one_object_fewer(world):
+    objects = dict(world.objects)
+    del objects[min(objects)]
+    return dataclasses.replace(world, objects=objects)
+
+
+class TestPlanReuse:
+    """A deliberation reuses the standing plan when the world is the same
+    apart from ``tick`` and the goal variant is the same; the reused plan
+    is what the planner would return for the new tick."""
+
+    def _deliberate_at(self, state, tick_, world=None):
+        state.world = dataclasses.replace(world or state.world, tick=tick_)
+        deliberative_step(state)
+        fresh = plan_tidy_task(state.world, state.goal, state.goal_variant, tick_)
+        assert state.plan == fresh
+        return state.plan
+
+    def test_unchanged_world_is_planned_once(self, room_state, plan_calls):
+        perceive(room_state)
+        first = self._deliberate_at(room_state, 0)
+        second = self._deliberate_at(room_state, 3)
+        assert len(plan_calls) == 1
+        assert first is not None and second.steps == first.steps
+        assert (second.id, second.valid_from_tick) == ("tidy@3", 3)
+
+    def test_no_plan_is_reused_as_no_plan(self, room_state, plan_calls):
+        room_state.world = dataclasses.replace(room_state.world, objects={})
+        perceive(room_state)
+        assert self._deliberate_at(room_state, 0) is None
+        assert self._deliberate_at(room_state, 3) is None
+        assert len(plan_calls) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            _stepped,
+            _held,
+            _one_object_fewer,
+            lambda w: dataclasses.replace(w, broken_fixtures=frozenset({"shelf_1"})),
+        ],
+        ids=["agent_pos", "holding", "objects", "broken_fixtures"],
+    )
+    def test_a_changed_world_is_replanned(self, room_state, plan_calls, change):
+        perceive(room_state)
+        first = self._deliberate_at(room_state, 0)
+        second = self._deliberate_at(room_state, 3, change(room_state.world))
+        assert len(plan_calls) == 2
+        assert second != dataclasses.replace(first, id="tidy@3", valid_from_tick=3)
+
+    def test_a_changed_goal_variant_is_replanned(self, room_state, plan_calls):
+        perceive(room_state)
+        broken = dataclasses.replace(
+            room_state.world, broken_fixtures=frozenset({"shelf_1"})
+        )
+        strict = self._deliberate_at(room_state, 0, broken)
+        room_state.goal_variant = "relaxed"
+        relaxed = self._deliberate_at(room_state, 3)
+        assert len(plan_calls) == 2
+        assert relaxed.steps != strict.steps
+
+    def test_abandonment_is_part_of_the_reused_world(self, room_state, plan_calls):
+        # A deliberation never plans an abandoned world, so ask directly.
+        perceive(room_state)
+        self._deliberate_at(room_state, 0)
+        room_state.world = dataclasses.replace(room_state.world, abandoned=True)
+        assert agent._task_plan(room_state) is None
+        assert len(plan_calls) == 2
 
 
 class TestThresholdMonotonicity:

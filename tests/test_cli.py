@@ -80,6 +80,49 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert f"agent.{section}[{index}].when: malformed condition" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "record, key",
+        [(("argument_templates", 0), "weight"), (("processes", 0), "urgency")],
+    )
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, record, key, literal):
+        # Python's JSON reader takes these (1e999 as infinity); the trace
+        # lines of a run would then not be JSON.  The same word earlier in
+        # a string must not be taken for the literal's position.
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["meta"]["description"] = f"{literal} in text"
+        section, index = record
+        doc["agent"][section][index][key] = "@"
+        text = json.dumps(doc, indent=2).replace('"@"', literal)
+        line = text.count("\n", 0, text.index(f": {literal}")) + 1
+        path = tmp_path / "non_finite.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert f"line {line}, column " in capsys.readouterr().err
+        trace = tmp_path / "t.jsonl"
+        code = main(["run", str(path), "--trace", str(trace),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert not trace.exists()
+        err = capsys.readouterr().err
+        assert f"non-finite number {literal} is not allowed" in err
+
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["agent"]["processes"][0]["urgency"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "agent.processes[0].urgency: number out of range" in err
+
+    def test_non_finite_words_inside_strings_are_text(self, tmp_path):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["meta"]["description"] = "NaN Infinity -Infinity 1e999"
+        path = tmp_path / "words.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+
     def test_malformed_json_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -133,6 +176,16 @@ class TestRunCommand:
              "--trace", str(tmp_path / "t.jsonl"), "--metrics", str(tmp_path / "m.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_weight_override_exits_2(self, room_tidy_path, tmp_path, raw):
+        trace = tmp_path / "t.jsonl"
+        code = main(
+            ["run", room_tidy_path, "--set-weight", f"serves_tidy_goal={raw}",
+             "--trace", str(trace), "--metrics", str(tmp_path / "m.csv")]
+        )
+        assert code == 2
+        assert not trace.exists()
 
     def test_set_weight_lists_are_not_shared_between_calls(
         self, room_tidy_path, monkeypatch
@@ -194,6 +247,28 @@ class TestSweepCommand:
         code = main(
             ["sweep", redescription_path, "--template", "commitment_guard",
              "--weights", "", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["nan", "0.5,inf", "1e999,1.0"])
+    def test_non_finite_weights_exit_2_and_no_file(
+        self, redescription_path, tmp_path, weights
+    ):
+        out = tmp_path / "non_finite.csv"
+        code = main(
+            ["sweep", redescription_path, "--template", "commitment_guard",
+             "--weights", weights, "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_finite_base_weight_exits_2(self, redescription_path, tmp_path):
+        out = tmp_path / "non_finite.csv"
+        code = main(
+            ["sweep", redescription_path, "--template", "commitment_guard",
+             "--weights", "0.5", "--set-weight", "commitment_guard=nan",
+             "--out", str(out)]
         )
         assert code == 2
         assert not out.exists()

@@ -8,7 +8,7 @@ from cogsim import world as W
 from cogsim.planner import Plan, bfs_path, plan_tidy_task, simulate_whatif
 from cogsim.scenario import instantiate, load_bundled
 
-from helpers import bfs_distance, reference_bfs_path
+from helpers import bfs_distance, reference_bfs_path, reference_plan_tidy_task
 
 
 def test_bfs_path_matches_independent_distance_oracle():
@@ -233,3 +233,89 @@ def test_nearest_object_first():
     plan = plan_tidy_task(world, goal, "strict")
     picks = [s for s in plan.steps if s.startswith("pick_up")]
     assert picks == ["pick_up:toy_near", "pick_up:toy_far"]
+
+
+def _tidy_world(rng):
+    """A room with random shelves, boxes, tables and walls, loose objects
+    whose ids do not follow their order in the world, perhaps one held
+    object, broken fixtures, an abandoned flag and a goal variant.
+    Crowded rooms give equal-length routes and walled-off objects."""
+    width, height = rng.randint(1, 7), rng.randint(1, 7)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    rng.shuffle(cells)
+    fixture_count = rng.randint(0, len(cells) // 2)
+    fixtures = []
+    for i, cell in enumerate(cells[:fixture_count]):
+        kind = ("shelf", "box")[i] if i < 2 else rng.choice(
+            ("shelf", "box", "table", "wall", "wall", "wall"))
+        if kind == "shelf":
+            slots = tuple(f"s{i}_{j}" for j in range(rng.randint(1, 2)))
+            fixtures.append(W.Fixture(f"shelf_{i}", cell, "book", slots=slots))
+        elif kind == "box":
+            capacity = rng.choice((None, 1, 2))
+            fixtures.append(W.Fixture(f"box_{i}", cell, "toy", capacity=capacity))
+        else:
+            accepts = "book" if kind == "table" else "wall"
+            fixtures.append(W.Fixture(f"{kind}_{i}", cell, accepts))
+    layout = W.RoomLayout(width, height, tuple(fixtures))
+    free = cells[fixture_count:] or cells
+    targets = [f"fixture:{f.id}" for f in fixtures if not f.slots]
+    targets += [f"slot:{s}" for f in fixtures for s in f.slots]
+    objects = {}
+    for n in rng.sample(range(20), rng.randint(0, 9)):
+        kind = rng.choice(("book", "toy"))
+        roll = rng.random()
+        if roll < 0.1 and targets:
+            location = rng.choice(targets)
+        elif roll < 0.15:
+            location = W.cell_loc(rng.choice(cells))
+        else:
+            location = W.cell_loc(rng.choice(free))
+        objects[f"{kind}_{n}"] = W.ObjectState(f"{kind}_{n}", kind, location)
+    holding = None
+    if objects and rng.random() < 0.3:
+        holding = rng.choice(sorted(objects))
+        objects[holding] = dataclasses.replace(objects[holding], location="held")
+    ids = [f.id for f in fixtures]
+    world = W.WorldState(
+        tick=rng.randint(0, 50),
+        layout=layout,
+        agent_pos=rng.choice(free),
+        agent_holding=holding,
+        objects=objects,
+        broken_fixtures=frozenset(i for i in ids if rng.random() < 0.2),
+        abandoned=rng.random() < 0.05,
+    )
+    shelves = tuple(i for i in ids if i.startswith("shelf"))
+    tables = tuple(i for i in ids if i.startswith("table"))
+    boxes = tuple(i for i in ids if i.startswith("box"))
+    goal = W.GoalSpec(
+        strict={"book": shelves, "toy": boxes},
+        relaxed={"book": shelves + tables, "toy": boxes},
+    )
+    return world, goal, rng.choice(("strict", "relaxed"))
+
+
+def _detour_tie():
+    # toy_2 is nearer by Manhattan distance, but a wall at (1, 0) makes
+    # its route as long as toy_1's straight one: the tie goes to toy_1,
+    # which is searched only because its bound equals the best length.
+    layout = W.RoomLayout(3, 5, (
+        W.Fixture("box_1", (2, 4), "toy"), W.Fixture("wall_1", (1, 0), "wall"),
+    ))
+    world = W.WorldState(tick=0, layout=layout, agent_pos=(0, 0), objects={
+        "toy_2": W.ObjectState("toy_2", "toy", "cell:2,0"),
+        "toy_1": W.ObjectState("toy_1", "toy", "cell:0,4"),
+    })
+    goal = W.GoalSpec(strict={"toy": ("box_1",)}, relaxed={"toy": ("box_1",)})
+    return world, goal, "strict"
+
+
+@seed(20211016)
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=st.randoms(use_true_random=False).map(_tidy_world))
+@example(case=_detour_tie())
+def test_plan_matches_the_exhaustive_candidate_search(case):
+    world, goal, variant = case
+    expected = reference_plan_tidy_task(world, goal, variant, world.tick)
+    assert plan_tidy_task(world, goal, variant, world.tick) == expected
