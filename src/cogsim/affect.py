@@ -13,9 +13,11 @@ arguments about its option — is what competes at the moment of action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .arguments import Argument
+from .errors import NonFiniteForce
 from .planner import Plan
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
@@ -280,13 +282,19 @@ def compute_force(tendency: ActionTendency, active_args) -> float:
 
     ``active_args`` holds the currently active arguments; only those
     about this tendency's option count.  Pure, and rounded so repeated
-    runs serialize identically.
+    runs serialize identically.  A sum that overflows raises
+    :class:`NonFiniteForce`, so no infinite force reaches the trace.
     """
     net = tendency.base_urgency
     for arg in active_args:
         if arg.option != tendency.option:
             continue
         net += arg.weight if arg.polarity == "pro" else -arg.weight
+    if not math.isfinite(net):
+        raise NonFiniteForce(
+            f"force on option {tendency.option!r} overflows: its urgency and "
+            "argument weights sum past the largest float"
+        )
     return round(max(0.0, net), 9)
 
 

@@ -13,6 +13,12 @@ tick's biased tendencies before anything is executed; control may
 request a same-tick second deliberation for replanning.  Exactly one
 world action is applied per tick — an illegal or absent selection
 degrades to idle and is traced, never raised.
+
+Deliberation and the purge each ask for the argument case.  It is built
+again only when the live options and their sources, the templates or
+the truth of a trigger, the sticky arguments or the weight overrides
+differ from the last build; otherwise the last case and its active set are
+reused and no new OptionSet is traced.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .affect import (
     run_affective_cycle,
     supporting_argument_ids,
 )
-from .arguments import Argument, active_set, build_case
+from .arguments import Argument, active_set, build_case, triggered
 from .errors import IllegalAction, NoTendency, RoutingViolation
 from .metacog import Commitment, ReasoningTrace, control, monitor
 from .planner import Plan, plan_tidy_task
@@ -69,6 +75,10 @@ class SimulationState:
     plan_cursor: int = 0
     # The world, goal variant and plan of the last plan_tidy_task call.
     plan_memo: tuple[W.WorldState, str, Plan | None] | None = None
+    # The (sources, templates, triggers) key, sticky arguments and weight
+    # overrides of the last build_case call, then its case and active ids.
+    case_memo: tuple[tuple, list[Argument], dict[str, float],
+                     list[Argument], set[str]] | None = None
     monitor_cursor: tuple[int, int] = (-1, -1)
     pending_deliberation: bool = False
     metacognition_enabled: bool = True
@@ -372,36 +382,55 @@ def _appraisal_payload(appraisal, active: bool) -> dict:
     }
 
 
-def _rebuild_case(state: SimulationState) -> None:
-    now = state.world.tick
-    live = [t for t in state.tendency_pool
-            if not t.expired(now, state.config.tendency_ttl)]
-    options = sorted({t.option for t in live})
+def _rebuild_case(state: SimulationState) -> set[str]:
+    """Build the argument case over the live options; return its active ids.
+
+    The options are the keys of ``sources``, so the memo key need not
+    hold them apart.  On a reuse no OptionSet is traced: the last build
+    traced the same signature.
+    """
+    now, ttl = state.world.tick, state.config.tendency_ttl
     sources: dict[str, set[str]] = {}
-    for t in live:
-        sources.setdefault(t.option, set()).add(t.source_process)
+    for t in state.tendency_pool:
+        if not t.expired(now, ttl):
+            sources.setdefault(t.option, set()).add(t.source_process)
     ctx = RuleContext(
         beliefs=state.beliefs,
         appraisals=_all_appraisals(state),
         commitments=state.commitments(),
     )
+    templates = state.config.argument_templates
+    fired = triggered(templates, ctx)
+    key = (sources, templates, fired)
+    if state.case_memo is not None:
+        built, sticky, overrides, args, active = state.case_memo
+        if (built == key and sticky == state.sticky_arguments
+                and overrides == state.weight_overrides):
+            state.arguments = args
+            return active
+    options = sorted(sources)
     args = build_case(
         options,
-        list(state.config.argument_templates),
+        templates,
         ctx,
         weight_overrides=state.weight_overrides,
         option_sources=sources,
+        fired=fired,
     )
     fresh_ids = {a.id for a in args}
     for sticky in state.sticky_arguments:
         if sticky.id not in fresh_ids:
             args.append(sticky)
+    active = active_set(args)
+    state.case_memo = (key, list(state.sticky_arguments),
+                       dict(state.weight_overrides), args, active)
     state.arguments = args
-    _emit_option_set(state, options)
+    _emit_option_set(state, options, active)
+    return active
 
 
-def _emit_option_set(state: SimulationState, options: list[str]) -> None:
-    active = active_set(state.arguments)
+def _emit_option_set(state: SimulationState, options: list[str],
+                     active: set[str]) -> None:
     rows = tuple(
         (a.id, a.option, a.polarity, a.weight, a.id in active)
         for a in state.arguments
@@ -447,8 +476,7 @@ def _purge_and_recompute(state: SimulationState) -> None:
     state.tendency_pool = kept
     # The moment of action judges the pool against the current case:
     # options injected since the last deliberation must be covered too.
-    _rebuild_case(state)
-    ids = active_set(state.arguments)
+    ids = _rebuild_case(state)
     active_args = [a for a in state.arguments if a.id in ids]
     for tendency in state.tendency_pool:
         tendency.force = compute_force(tendency, active_args)
@@ -456,6 +484,13 @@ def _purge_and_recompute(state: SimulationState) -> None:
 
 
 def _select_tendency(state: SimulationState) -> ActionTendency:
+    """The moment of action: pick the maximal-force pooled tendency.
+
+    Only tendencies with strictly positive force can drive behaviour; a
+    fully suppressed pool raises :class:`NoTendency` just like an empty
+    one.  Ties break to the more committed (lower-rank) source process,
+    then to the lexicographically smallest action encoding.
+    """
     candidates = [t for t in state.tendency_pool if t.force > 0]
     if not candidates:
         raise NoTendency("no tendency with positive force")
@@ -476,18 +511,6 @@ def _select_tendency(state: SimulationState) -> ActionTendency:
         reasons=best.supporting_arguments,
     )
     return best
-
-
-def select_action(state: SimulationState) -> tuple[str, str]:
-    """The moment of action: pick the maximal-force pooled tendency.
-
-    Only tendencies with strictly positive force can drive behaviour; a
-    fully suppressed pool raises :class:`NoTendency` just like an empty
-    one.  Ties break to the more committed (lower-rank) source process,
-    then to the lexicographically smallest action encoding.
-    """
-    best = _select_tendency(state)
-    return best.action, best.source_process
 
 
 def _profile_note(state: SimulationState, tendency: ActionTendency | None) -> dict:

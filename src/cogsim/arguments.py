@@ -81,24 +81,37 @@ def _selector_matches(
     return False
 
 
+def triggered(templates: list[ArgumentTemplate], context: RuleContext) -> list[bool]:
+    """Whether each template's trigger holds, in template order; a
+    template without a trigger always holds."""
+    # A list: tuple() over a generator sizes its tuple by a guess and
+    # shrinks it, parking one tuple per call in CPython's free lists.
+    return [t.trigger is None or eval_condition(t.trigger, context) for t in templates]
+
+
 def build_case(
     options: list[str],
     templates: list[ArgumentTemplate],
     context: RuleContext,
     weight_overrides: dict[str, float] | None = None,
     option_sources: dict[str, set[str]] | None = None,
+    fired: list[bool] | None = None,
 ) -> list[Argument]:
     """Instantiate every (template, option) pair whose trigger holds.
 
-    Argument ids are deterministic functions of (template id, option
-    id), so rebuilding the case over the same inputs reproduces the
-    same arguments in the same order.
+    ``fired`` is :func:`triggered` of ``templates`` when the caller has
+    already evaluated it against ``context``.  Argument ids are
+    deterministic functions of (template id, option id), so rebuilding
+    the case over the same inputs reproduces the same arguments in the
+    same order.
     """
+    if fired is None:
+        fired = triggered(templates, context)
     overrides = weight_overrides or {}
     out: list[Argument] = []
     produced: set[str] = set()
-    for template in templates:
-        if template.trigger is not None and not eval_condition(template.trigger, context):
+    for template, holds in zip(templates, fired):
+        if not holds:
             continue
         for option in options:
             if not _selector_matches(template.option_selector, option, option_sources):

@@ -48,6 +48,11 @@ class CyclicUndercut(CogsimError):
     """The undercut relation over an argument set contains a cycle."""
 
 
+class NonFiniteForce(CogsimError):
+    """A tendency's force overflowed: its urgency and argument weights
+    sum past the largest float."""
+
+
 class NoTendency(CogsimError):
     """No selectable action tendency exists at the moment of action."""
 

@@ -5,20 +5,20 @@ import pytest
 import cogsim
 from cogsim import agent
 from cogsim import world as W
-from cogsim.affect import ActionTendency
+from cogsim.affect import ActionTendency, Appraisal
 from cogsim.agent import (
     SimulationState,
     deliberative_step,
     perceive,
     reactive_step,
-    select_action,
     tick,
 )
+from cogsim.arguments import Argument, active_set, build_case
 from cogsim.errors import NoTendency
 from cogsim.planner import plan_tidy_task
-from cogsim.rules import compile_condition
+from cogsim.rules import RuleContext, compile_condition
 from cogsim.runner import RunConfig, run_simulation
-from cogsim.scenario import instantiate, load_bundled
+from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
 
 @pytest.fixture
@@ -109,39 +109,54 @@ class TestReactive:
 
 
 class TestSelectAction:
+    """The moment of action as ``tick`` performs it, over a pool holding
+    only the tendencies a test puts there: no argument templates, no
+    reactive rules, no metacognition, and an off-cadence tick."""
+
+    def _select(self, state):
+        state.config = dataclasses.replace(
+            state.config, argument_templates=(), reactive_rules=()
+        )
+        state.metacognition_enabled = False
+        state.world = dataclasses.replace(state.world, tick=1)
+        tick(state)
+        return [e for e in state.trace.events
+                if e.kind in ("OptionSelected", "NoTendency")]
+
+    def _winner(self, state):
+        [selected] = self._select(state)
+        assert selected.kind == "OptionSelected"
+        return selected.payload["option"], selected.payload["process"]
+
     def test_maximal_force_wins(self, room_state):
         pooled(room_state, base=0.9, action="abandon", process="proc1")
         pooled(room_state, base=0.3, action="move:north", process="proc0")
-        for t in room_state.tendency_pool:
-            t.force = t.base_urgency
-        action, winner = select_action(room_state)
-        assert (action, winner) == ("abandon", "proc1")
+        assert self._winner(room_state) == ("abandon", "proc1")
 
     def test_tie_breaks_by_process_rank(self, room_state):
         pooled(room_state, base=0.9, action="abandon", process="proc1")
         pooled(room_state, base=0.9, action="move:north", process="proc0")
-        for t in room_state.tendency_pool:
-            t.force = t.base_urgency
-        action, winner = select_action(room_state)
-        assert (action, winner) == ("move:north", "proc0")
+        assert self._winner(room_state) == ("move:north", "proc0")
 
     def test_equal_rank_breaks_by_action_encoding(self, room_state):
         pooled(room_state, base=0.9, action="move:south", process="proc0")
         pooled(room_state, base=0.9, action="move:east", process="proc0")
-        for t in room_state.tendency_pool:
-            t.force = t.base_urgency
-        action, _ = select_action(room_state)
-        assert action == "move:east"
+        assert self._winner(room_state) == ("move:east", "proc0")
 
     def test_empty_pool_raises(self, room_state):
+        # tick catches the NoTendency and degrades to a traced idle.
         with pytest.raises(NoTendency):
-            select_action(room_state)
+            agent._select_tendency(room_state)
+        assert [e.kind for e in self._select(room_state)] == ["NoTendency"]
+        assert room_state.last_tick_stats["executed_action"] == "idle"
 
     def test_fully_suppressed_pool_raises(self, room_state):
-        pooled(room_state, base=0.5)
-        room_state.tendency_pool[0].force = 0.0
+        pooled(room_state, base=0.0)
+        assert [e.kind for e in self._select(room_state)] == ["NoTendency"]
+        assert room_state.last_tick_stats["executed_action"] == "idle"
+        assert [t.force for t in room_state.tendency_pool] == [0.0]
         with pytest.raises(NoTendency):
-            select_action(room_state)
+            agent._select_tendency(room_state)
 
 
 class TestTick:
@@ -315,6 +330,149 @@ class TestPlanReuse:
         room_state.world = dataclasses.replace(room_state.world, abandoned=True)
         assert agent._task_plan(room_state) is None
         assert len(plan_calls) == 2
+
+
+@pytest.fixture
+def case_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_case(*args, **kwargs)
+
+    monkeypatch.setattr(agent, "build_case", counting)
+    return calls
+
+
+def _fresh_case(state):
+    """The case and active ids built from scratch for the current state."""
+    now = state.world.tick
+    sources: dict[str, set[str]] = {}
+    for t in state.tendency_pool:
+        if not t.expired(now, state.config.tendency_ttl):
+            sources.setdefault(t.option, set()).add(t.source_process)
+    ctx = RuleContext(
+        beliefs=state.beliefs,
+        appraisals=agent._all_appraisals(state),
+        commitments=state.commitments(),
+    )
+    args = build_case(sorted(sources), list(state.config.argument_templates), ctx,
+                      weight_overrides=state.weight_overrides, option_sources=sources)
+    fresh_ids = {a.id for a in args}
+    args += [a for a in state.sticky_arguments if a.id not in fresh_ids]
+    return args, active_set(args)
+
+
+def _appraise(state):
+    proc = state.processes[1]
+    appraisal = Appraisal(atom="current_situation", valence="negative",
+                          magnitude=0.5, source_process=proc.id, tick=0)
+    state.processes[1] = dataclasses.replace(
+        proc, active_appraisals=[*proc.active_appraisals, appraisal]
+    )
+
+
+def _reweigh_template(state):
+    first, *rest = state.config.argument_templates
+    templates = (dataclasses.replace(first, weight=first.weight + 1.0), *rest)
+    state.config = dataclasses.replace(state.config, argument_templates=templates)
+
+
+class TestCaseReuse:
+    """The moment of action reuses the argument case when the live
+    options, their sources, the template triggers, the sticky arguments
+    and the weight overrides are all unchanged; the reused case is the
+    one a fresh ``build_case`` would give."""
+
+    # Live options that some template argues about, or would once an
+    # input changes.
+    POOLS = {
+        "room_tidy": (("abandon", "proc1"), ("move:north", "proc0")),
+        "non_smoking": (("smoke", "proc1"),),
+    }
+
+    def _ready(self, name="room_tidy"):
+        state = instantiate(load_bundled(name), seed=1)
+        perceive(state)
+        for action, process in self.POOLS[name]:
+            pooled(state, action=action, process=process)
+        return state
+
+    def _rebuild(self, state):
+        active = agent._rebuild_case(state)
+        args, fresh_active = _fresh_case(state)
+        assert state.arguments == args
+        assert active == fresh_active
+        return list(state.arguments)
+
+    def test_a_deliberation_and_the_purge_build_once(self, room_state, case_calls):
+        perceive(room_state)
+        deliberative_step(room_state)
+        agent._purge_and_recompute(room_state)
+        assert len(case_calls) == 1
+        assert room_state.arguments == _fresh_case(room_state)[0]
+
+    def test_unchanged_inputs_reuse_the_case(self, case_calls):
+        state = self._ready()
+        first = self._rebuild(state)
+        events = len(state.trace.events)
+        assert self._rebuild(state) == first
+        assert len(case_calls) == 1
+        assert len(state.trace.events) == events  # no second OptionSet
+
+    def test_a_reupserted_argument_is_put_back_in_case_order(self, case_calls):
+        # upsert_argument moves its argument to the end of the case; the
+        # next rebuild puts the case back in build order.
+        state = self._ready()
+        state.beliefs.set("broken(shelf_1)", True, 0)
+        head = self._rebuild(state)[0]
+        state.upsert_argument(head)
+        order = self._rebuild(state)
+        state.upsert_argument(head)
+        assert state.arguments[-1] == head != order[-1]
+        assert self._rebuild(state) == order
+        assert len(case_calls) == 2
+
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("room_tidy", lambda s: pooled(s, action="idle", process="proc0")),
+            ("room_tidy", lambda s: pooled(s, action="abandon", process="proc0")),
+            ("room_tidy", lambda s: s.beliefs.set("broken(shelf_1)", True, 0)),
+            ("non_smoking", _appraise),
+            ("room_tidy", lambda s: s.upsert_argument(
+                Argument(id="extra@abandon", option="abandon", polarity="con",
+                         weight=0.4))),
+            ("room_tidy", lambda s: s.weight_overrides.update(serves_tidy_goal=0.7)),
+            ("room_tidy", _reweigh_template),
+        ],
+        ids=["options", "sources", "belief_trigger", "appraisal_trigger",
+             "sticky", "weight_override", "templates"],
+    )
+    def test_a_changed_input_is_rebuilt(self, case_calls, name, change):
+        state = self._ready(name)
+        before = self._rebuild(state)
+        change(state)
+        after = self._rebuild(state)
+        assert len(case_calls) == 2
+        assert after != before
+
+    def test_no_duplicate_option_set_is_traced(self):
+        for name in BUNDLED:
+            result = run_simulation(load_bundled(name), RunConfig(ticks=60, seed=1))
+            sets = [e.payload for e in result.state.trace.events
+                    if e.kind == "OptionSet"]
+            assert sets and all(a != b for a, b in zip(sets, sets[1:])), name
+
+    def test_builds_do_not_grow_with_the_horizon(self, case_calls):
+        spec = load_bundled("non_smoking")
+        counts = []
+        for ticks in (60, 600):
+            case_calls.clear()
+            result = run_simulation(spec, RunConfig(ticks=ticks, seed=1))
+            assert result.summary["ticks_executed"] == ticks
+            counts.append(len(case_calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestThresholdMonotonicity:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import cogsim
 from cogsim import cli
 from cogsim.cli import main
 from cogsim.scenario import bundled_document
+
+ASSETS = Path(cogsim.__file__).parent / "assets"
 
 
 @pytest.fixture
@@ -186,6 +190,24 @@ class TestRunCommand:
         )
         assert code == 2
         assert not trace.exists()
+
+    def test_overflowing_force_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Each weight is finite; the two pro arguments for "smoke" sum past
+        # the largest float.  The outputs go to the working directory.
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["run", str(ASSETS / "non_smoking.json"),
+             "--set-weight", "relief_appeal=1.7e308",
+             "--set-weight", "calming_now=1.7e308"]
+        )
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert not any(
+            "Infinity" in p.read_text() or "inf" in p.read_text() for p in written
+        )
 
     def test_set_weight_lists_are_not_shared_between_calls(
         self, room_tidy_path, monkeypatch
