@@ -14,7 +14,7 @@ arguments about its option — is what competes at the moment of action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .arguments import Argument
 from .errors import NonFiniteForce
@@ -105,7 +105,11 @@ class AffectiveProcess:
     os_role: bool = False
 
     def copy(self) -> "AffectiveProcess":
-        dup = replace(self)
+        """A copy sharing no list with this process.  The instance dict is
+        copied directly: ``dataclasses.replace`` walks ``fields()`` and
+        runs ``__init__``, and every deliberation copies every process."""
+        dup = object.__new__(AffectiveProcess)
+        dup.__dict__.update(self.__dict__)
         dup.active_appraisals = list(self.active_appraisals)
         dup.desirable_states = list(self.desirable_states)
         dup.candidate_goals = list(self.candidate_goals)
@@ -302,9 +306,11 @@ def supporting_argument_ids(tendency: ActionTendency, active_args) -> tuple[str,
     """Active pro arguments for the tendency's option (falling back to
     any active argument about it, so explanations are never empty when
     the case mentions the option at all)."""
-    pro = tuple(
+    # tuple() of a list: tuple() over a generator sizes its tuple by a guess
+    # and shrinks it, parking one tuple per call in CPython's free lists.
+    pro = tuple([
         a.id for a in active_args if a.option == tendency.option and a.polarity == "pro"
-    )
+    ])
     if pro:
         return pro
-    return tuple(a.id for a in active_args if a.option == tendency.option)
+    return tuple([a.id for a in active_args if a.option == tendency.option])

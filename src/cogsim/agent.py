@@ -14,11 +14,14 @@ request a same-tick second deliberation for replanning.  Exactly one
 world action is applied per tick — an illegal or absent selection
 degrades to idle and is traced, never raised.
 
-Deliberation and the purge each ask for the argument case.  It is built
-again only when the live options and their sources, the templates or
-the truth of a trigger, the sticky arguments or the weight overrides
-differ from the last build; otherwise the last case and its active set are
-reused and no new OptionSet is traced.
+Deliberation and the purge each ask for the argument case.  The
+template triggers are evaluated again only when a belief value (the
+belief store's version) or an active appraisal changed since their last
+evaluation.  The case is built again only when the live options and
+their sources, the templates or the truth of a trigger, the sticky
+arguments or the weight overrides differ from the last build; otherwise
+the last case and its active set are reused and no new OptionSet is
+traced.
 """
 
 from __future__ import annotations
@@ -79,6 +82,9 @@ class SimulationState:
     # overrides of the last build_case call, then its case and active ids.
     case_memo: tuple[tuple, list[Argument], dict[str, float],
                      list[Argument], set[str]] | None = None
+    # The (config, belief version, active appraisals) key of the last
+    # triggered call, then its result.
+    fired_memo: tuple[tuple, list[bool]] | None = None
     monitor_cursor: tuple[int, int] = (-1, -1)
     pending_deliberation: bool = False
     metacognition_enabled: bool = True
@@ -355,7 +361,7 @@ def _task_plan(state: SimulationState) -> Plan | None:
     world, variant, now = state.world, state.goal_variant, state.world.tick
     if state.plan_memo is not None:
         planned, planned_variant, plan = state.plan_memo
-        if planned_variant == variant and replace(world, tick=planned.tick) == planned:
+        if planned_variant == variant and world._replace(tick=planned.tick) == planned:
             if plan is None:
                 return None
             return replace(plan, id=f"tidy@{now}", valid_from_tick=now)
@@ -387,7 +393,10 @@ def _rebuild_case(state: SimulationState) -> set[str]:
 
     The options are the keys of ``sources``, so the memo key need not
     hold them apart.  On a reuse no OptionSet is traced: the last build
-    traced the same signature.
+    traced the same signature.  A trigger reads only the beliefs, the
+    active appraisals and the config's commitments, so the last trigger
+    values stand while the config, the belief version and the appraisals
+    do.
     """
     now, ttl = state.world.tick, state.config.tendency_ttl
     sources: dict[str, set[str]] = {}
@@ -400,7 +409,12 @@ def _rebuild_case(state: SimulationState) -> set[str]:
         commitments=state.commitments(),
     )
     templates = state.config.argument_templates
-    fired = triggered(templates, ctx)
+    fired_key = (state.config, state.beliefs.version, ctx.appraisals)
+    if state.fired_memo is not None and state.fired_memo[0] == fired_key:
+        fired = state.fired_memo[1]
+    else:
+        fired = triggered(templates, ctx)
+        state.fired_memo = (fired_key, fired)
     key = (sources, templates, fired)
     if state.case_memo is not None:
         built, sticky, overrides, args, active = state.case_memo

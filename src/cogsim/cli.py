@@ -144,27 +144,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if base_overrides is None:
         return 2
 
-    rows = []
-    for weight in weights:
-        overrides = dict(base_overrides)
-        overrides[args.template] = weight
-        config = RunConfig(
-            ticks=args.ticks,
-            seed=args.seed,
-            bct_profile=args.bct,
-            metacognition_enabled=not args.no_metacog,
-            weight_overrides=overrides,
-        )
-        result = run_simulation(spec, config)
-        rows.append(
-            {
-                "weight": weight,
-                "final_strict": result.summary["final_strict"],
-                "final_relaxed": result.summary["final_relaxed"],
-                "abandoned": result.summary["abandoned"],
-                "countermeasures_fired": result.summary["countermeasures_fired"],
-            }
-        )
+    rows = [_sweep_row(args, spec, base_overrides, weight) for weight in weights]
     try:
         write_sweep(rows, args.out)
     except OSError as exc:
@@ -172,6 +152,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 1
     print(f"{spec.meta.name}: swept {args.template} over {len(rows)} weight(s)")
     return 0
+
+
+def _sweep_row(args: argparse.Namespace, spec, base_overrides: dict[str, float],
+               weight: float) -> dict:
+    """Run the sweep at one weight and return its CSV row.  Only the row
+    outlives the call, so the run's state is freed before the next run."""
+    overrides = dict(base_overrides)
+    overrides[args.template] = weight
+    config = RunConfig(
+        ticks=args.ticks,
+        seed=args.seed,
+        bct_profile=args.bct,
+        metacognition_enabled=not args.no_metacog,
+        weight_overrides=overrides,
+    )
+    summary = run_simulation(spec, config).summary
+    return {
+        "weight": weight,
+        "final_strict": summary["final_strict"],
+        "final_relaxed": summary["final_relaxed"],
+        "abandoned": summary["abandoned"],
+        "countermeasures_fired": summary["countermeasures_fired"],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ the search stops once no later bound can beat the best ``(length, id)``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import world as W
 from .errors import IllegalAction
@@ -99,7 +99,7 @@ def _walk(sim: W.WorldState, path: list[str]) -> W.WorldState:
     for action in path:
         dx, dy = _MOVE_DELTAS[action]
         x, y = x + dx, y + dy
-    return replace(sim, tick=sim.tick + len(path), agent_pos=(x, y))
+    return sim._replace(tick=sim.tick + len(path), agent_pos=(x, y))
 
 
 def _adjacent_cells(layout: W.RoomLayout, cell: tuple[int, int]) -> set[tuple[int, int]]:

@@ -32,11 +32,16 @@ from typing import Any, Callable
 
 
 class BeliefStore:
-    """Atoms with values and the tick at which each last changed."""
+    """Atoms with values and the tick at which each last changed.
+
+    ``version`` counts the changes of value, so two reads of the store
+    under the same version see the same values.
+    """
 
     def __init__(self) -> None:
         self._atoms: dict[str, Any] = {}
         self._changed: dict[str, int] = {}
+        self.version = 0
 
     def get(self, atom: str, default: Any = None) -> Any:
         return self._atoms.get(atom, default)
@@ -47,6 +52,7 @@ class BeliefStore:
             return False
         self._atoms[atom] = value
         self._changed[atom] = tick
+        self.version += 1
         return True
 
     def last_changed(self, atom: str) -> int:

@@ -19,7 +19,7 @@ an abstract (non-spatial) act and leaves the grid untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from .errors import IllegalAction, UnknownEntity
@@ -130,6 +130,23 @@ class WorldState:
         except KeyError:
             raise UnknownEntity(f"unknown object: {object_id}") from None
 
+    def _replace(self, **changes) -> "WorldState":
+        """``dataclasses.replace(self, **changes)``, by copying the
+        instance dict: ``replace`` walks ``fields()`` and runs
+        ``__init__`` on every call, and every tick and rollout step makes
+        a successor world."""
+        if not _WORLD_FIELDS.issuperset(changes):
+            unknown = sorted(changes.keys() - _WORLD_FIELDS)
+            raise TypeError(f"WorldState has no field {unknown[0]!r}")
+        new = object.__new__(WorldState)
+        attrs = new.__dict__
+        attrs.update(self.__dict__)
+        attrs.update(changes)
+        return new
+
+
+_WORLD_FIELDS = frozenset(f.name for f in fields(WorldState))
+
 
 @dataclass(frozen=True)
 class WorldEvent:
@@ -234,10 +251,10 @@ def apply_action(world: WorldState, action: str) -> WorldState:
         raise IllegalAction("task abandoned: only idle is legal")
 
     if kind == "idle":
-        return replace(world, tick=world.tick + 1)
+        return world._replace(tick=world.tick + 1)
 
     if kind == "abandon":
-        return replace(world, tick=world.tick + 1, abandoned=True)
+        return world._replace(tick=world.tick + 1, abandoned=True)
 
     if kind == "move":
         if arg not in DIRECTIONS:
@@ -248,7 +265,7 @@ def apply_action(world: WorldState, action: str) -> WorldState:
             raise IllegalAction("move out of bounds")
         if dest in world.layout.fixture_cells():
             raise IllegalAction("cell occupied by fixture")
-        return replace(world, tick=world.tick + 1, agent_pos=dest)
+        return world._replace(tick=world.tick + 1, agent_pos=dest)
 
     if kind == "pick_up":
         if world.agent_holding is not None:
@@ -268,8 +285,8 @@ def apply_action(world: WorldState, action: str) -> WorldState:
             raise IllegalAction("object not adjacent")
         objects = dict(world.objects)
         objects[obj.id] = replace(obj, location="held")
-        return replace(
-            world, tick=world.tick + 1, agent_holding=obj.id, objects=objects
+        return world._replace(
+            tick=world.tick + 1, agent_holding=obj.id, objects=objects
         )
 
     # place
@@ -293,7 +310,7 @@ def apply_action(world: WorldState, action: str) -> WorldState:
     location = f"slot:{slot}" if slot is not None else f"fixture:{fixture.id}"
     objects = dict(world.objects)
     objects[held.id] = replace(held, location=location)
-    return replace(world, tick=world.tick + 1, agent_holding=None, objects=objects)
+    return world._replace(tick=world.tick + 1, agent_holding=None, objects=objects)
 
 
 def step_events(
@@ -320,8 +337,8 @@ def _apply_effect(world: WorldState, effect: dict) -> WorldState:
         fixture_id = effect["fixture"]
         if not world.layout.has_fixture(fixture_id):
             raise UnknownEntity(f"unknown fixture: {fixture_id}")
-        return replace(
-            world, broken_fixtures=world.broken_fixtures | {fixture_id}
+        return world._replace(
+            broken_fixtures=world.broken_fixtures | {fixture_id}
         )
     if kind == "spawn_object":
         decl = effect["object"]
@@ -329,7 +346,7 @@ def _apply_effect(world: WorldState, effect: dict) -> WorldState:
         objects[decl["id"]] = ObjectState(
             id=decl["id"], kind=decl["kind"], location=decl["location"]
         )
-        return replace(world, objects=objects)
+        return world._replace(objects=objects)
     if kind == "remove_object":
         object_id = effect["object_id"]
         if object_id not in world.objects:
@@ -339,7 +356,7 @@ def _apply_effect(world: WorldState, effect: dict) -> WorldState:
         holding = world.agent_holding
         if holding == object_id:
             holding = None
-        return replace(world, objects=objects, agent_holding=holding)
+        return world._replace(objects=objects, agent_holding=holding)
     raise UnknownEntity(f"unknown event effect: {kind}")
 
 

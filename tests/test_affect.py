@@ -93,6 +93,24 @@ def rule(id, atom, subject, valence, magnitude, label=""):
     )
 
 
+def test_process_copy_equals_and_shares_no_list():
+    proc = process(rules=[rule("r1", "upset", "current_situation", "negative", 0.6)])
+    proc.active_appraisals.append(
+        Appraisal(atom="current_situation", valence="negative", magnitude=0.6,
+                  source_process="p1", tick=0, rule_id="r1")
+    )
+    proc.desirable_states.append("calm")
+    proc.candidate_goals.append("calm")
+    dup = proc.copy()
+    assert type(dup) is AffectiveProcess and dup == proc
+    for name in ("active_appraisals", "desirable_states", "candidate_goals"):
+        assert getattr(dup, name) is not getattr(proc, name)
+    dup.active_appraisals.clear()
+    dup.desirable_states.clear()
+    dup.candidate_goals.clear()
+    assert proc.active_appraisals and proc.desirable_states and proc.candidate_goals
+
+
 class TestAffectiveCycle:
     def test_phase_alternation_never_evaluates_twice_in_a_row(self):
         beliefs = BeliefStore()

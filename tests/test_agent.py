@@ -13,7 +13,7 @@ from cogsim.agent import (
     reactive_step,
     tick,
 )
-from cogsim.arguments import Argument, active_set, build_case
+from cogsim.arguments import Argument, active_set, build_case, triggered
 from cogsim.errors import NoTendency
 from cogsim.planner import plan_tidy_task
 from cogsim.rules import RuleContext, compile_condition
@@ -344,6 +344,14 @@ def case_calls(monkeypatch):
     return calls
 
 
+def _context(state):
+    return RuleContext(
+        beliefs=state.beliefs,
+        appraisals=agent._all_appraisals(state),
+        commitments=state.commitments(),
+    )
+
+
 def _fresh_case(state):
     """The case and active ids built from scratch for the current state."""
     now = state.world.tick
@@ -351,12 +359,8 @@ def _fresh_case(state):
     for t in state.tendency_pool:
         if not t.expired(now, state.config.tendency_ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
-    ctx = RuleContext(
-        beliefs=state.beliefs,
-        appraisals=agent._all_appraisals(state),
-        commitments=state.commitments(),
-    )
-    args = build_case(sorted(sources), list(state.config.argument_templates), ctx,
+    args = build_case(sorted(sources), list(state.config.argument_templates),
+                      _context(state),
                       weight_overrides=state.weight_overrides, option_sources=sources)
     fresh_ids = {a.id for a in args}
     args += [a for a in state.sticky_arguments if a.id not in fresh_ids]
@@ -473,6 +477,95 @@ class TestCaseReuse:
             assert result.summary["ticks_executed"] == ticks
             counts.append(len(case_calls))
         assert counts[0] == counts[1] > 0
+
+
+@pytest.fixture
+def trigger_calls(monkeypatch):
+    calls = []
+
+    def counting(templates, ctx):
+        calls.append(templates)
+        return triggered(templates, ctx)
+
+    monkeypatch.setattr(agent, "triggered", counting)
+    return calls
+
+
+def _fresh_fired(state):
+    return triggered(state.config.argument_templates, _context(state))
+
+
+def _drop_appraisal(state):
+    proc = state.processes[1]
+    state.processes[1] = dataclasses.replace(
+        proc, active_appraisals=proc.active_appraisals[:-1]
+    )
+
+
+def _untrigger_templates(state):
+    templates = tuple(dataclasses.replace(t, trigger=None)
+                      for t in state.config.argument_templates)
+    state.config = dataclasses.replace(state.config, argument_templates=templates)
+
+
+class TestTriggerReuse:
+    """The template triggers are evaluated again only when a belief value
+    or an active appraisal changed since their last evaluation; the
+    reused values are the ones a fresh ``triggered`` would give."""
+
+    def _ready(self, name="non_smoking"):
+        state = instantiate(load_bundled(name), seed=1)
+        perceive(state)
+        pooled(state, action="smoke", process="proc1")
+        return state
+
+    def test_evaluations_do_not_grow_with_the_horizon(self, trigger_calls):
+        for name in BUNDLED:
+            counts = []
+            for ticks in (60, 600):
+                trigger_calls.clear()
+                run_simulation(load_bundled(name), RunConfig(ticks=ticks, seed=1))
+                counts.append(len(trigger_calls))
+            assert counts[0] == counts[1] > 0, name
+
+    @pytest.mark.parametrize("value, changed", [(False, True), (True, False)],
+                             ids=["changed", "unchanged"])
+    def test_only_a_changed_belief_value_is_re_evaluated(self, trigger_calls,
+                                                         value, changed):
+        state = self._ready()
+        agent._rebuild_case(state)
+        assert state.set_belief("situation_office_row", value) == changed
+        agent._rebuild_case(state)
+        assert len(trigger_calls) == 1 + changed
+
+    @pytest.mark.parametrize(
+        "change", [_appraise, _drop_appraisal, _untrigger_templates],
+        ids=["new_appraisal", "dropped_appraisal", "templates"],
+    )
+    def test_a_changed_input_is_re_evaluated(self, trigger_calls, change):
+        state = self._ready()
+        _appraise(state)
+        agent._rebuild_case(state)
+        change(state)
+        agent._rebuild_case(state)
+        assert len(trigger_calls) == 2
+        assert state.fired_memo[1] == _fresh_fired(state)
+
+    def test_reused_triggers_match_a_fresh_evaluation(self, monkeypatch):
+        rebuild = agent._rebuild_case
+        checked = []
+
+        def checking(state):
+            active = rebuild(state)
+            assert state.fired_memo[1] == _fresh_fired(state)
+            checked.append(state.world.tick)
+            return active
+
+        monkeypatch.setattr(agent, "_rebuild_case", checking)
+        for name in BUNDLED:
+            checked.clear()
+            run_simulation(load_bundled(name), RunConfig(ticks=60, seed=1))
+            assert len(checked) > 60, name
 
 
 class TestThresholdMonotonicity:

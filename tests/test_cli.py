@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,26 @@ class TestSweepCommand:
         assert weights == ["0.0", "0.5", "1.0", "1.5"]
         abandoned = [int(line.split(",")[3]) for line in lines[1:]]
         assert abandoned == sorted(abandoned, reverse=True)
+
+    def test_each_run_is_freed_before_the_next_starts(
+        self, redescription_path, tmp_path, monkeypatch
+    ):
+        run_simulation = cli.run_simulation
+        states = []
+
+        def spying(spec, config):
+            assert all(ref() is None for ref in states)
+            result = run_simulation(spec, config)
+            states.append(weakref.ref(result.state))
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", spying)
+        code = main(
+            ["sweep", redescription_path, "--template", "commitment_guard",
+             "--weights", "0.0,1.0,2.0", "--ticks", "10",
+             "--out", str(tmp_path / "sweep.csv")]
+        )
+        assert code == 0 and len(states) == 3
 
     def test_single_default_weight_matches_run_outcome(
         self, redescription_path, tmp_path, capsys

@@ -311,3 +311,36 @@ def test_cached_fixture_cells_follow_the_fields(small_layout):
     assert moved.fixture_cells() == {(1, 0)}
     assert moved.passable((0, 0)) and not moved.passable((1, 0))
     assert small_layout.fixture_cells() == {(0, 0), (2, 0)}
+
+
+# One new value per WorldState field, each unequal to small_world's.
+WORLD_CHANGES = {
+    "tick": 7,
+    "layout": W.RoomLayout(width=4, height=4),
+    "agent_pos": (2, 2),
+    "agent_holding": "book_1",
+    "objects": {},
+    "broken_fixtures": frozenset({"shelf_1"}),
+    "abandoned": True,
+    "facts": {"situation_office_row": True},
+}
+
+
+def test_replace_matches_dataclasses_replace_on_every_field(small_world):
+    assert WORLD_CHANGES.keys() == {f.name for f in dataclasses.fields(W.WorldState)}
+    before = dict(small_world.__dict__)
+    for name, value in WORLD_CHANGES.items():
+        changed = small_world._replace(**{name: value})
+        assert changed == dataclasses.replace(small_world, **{name: value})
+        assert changed != small_world and getattr(changed, name) is value
+    both = small_world._replace(tick=3, abandoned=True)
+    assert both == dataclasses.replace(small_world, tick=3, abandoned=True)
+    assert small_world.__dict__.keys() == before.keys()
+    assert all(getattr(small_world, k) is v for k, v in before.items())
+
+
+def test_replace_rejects_an_unknown_field(small_world):
+    with pytest.raises(TypeError):
+        dataclasses.replace(small_world, holding="book_1")
+    with pytest.raises(TypeError):
+        small_world._replace(tick=1, holding="book_1")
