@@ -14,6 +14,13 @@ request a same-tick second deliberation for replanning.  Exactly one
 world action is applied per tick — an illegal or absent selection
 degrades to idle and is traced, never raised.
 
+Perception is skipped when the world apart from its tick, the goal and
+the goal variant are those it last perceived and no belief changed
+since: every belief already holds what it would set.  The goal is
+evaluated once per distinct world: perception and the end-of-tick stats
+share one evaluation, kept until the world (apart from its tick) or the
+goal changes.
+
 Deliberation and the purge each ask for the argument case.  The
 template triggers are evaluated again only when a belief value (the
 belief store's version) or an active appraisal changed since their last
@@ -78,6 +85,11 @@ class SimulationState:
     plan_cursor: int = 0
     # The world, goal variant and plan of the last plan_tidy_task call.
     plan_memo: tuple[W.WorldState, str, Plan | None] | None = None
+    # The world and goal of the last evaluate_goal call, then its status.
+    goal_memo: tuple[W.WorldState, W.GoalSpec, W.GoalStatus] | None = None
+    # The world, goal, goal variant and belief version after the last
+    # perceive.
+    perceive_memo: tuple[W.WorldState, W.GoalSpec, str, int] | None = None
     # The (sources, templates, triggers) key, sticky arguments and weight
     # overrides of the last build_case call, then its case and active ids.
     case_memo: tuple[tuple, list[Argument], dict[str, float],
@@ -117,8 +129,8 @@ class SimulationState:
     def config_weight(self, template_id: str, default: float) -> float:
         return self.weight_overrides.get(template_id, default)
 
-    def commitments(self) -> list[Commitment]:
-        return list(self.config.commitments)
+    def commitments(self) -> tuple[Commitment, ...]:
+        return self.config.commitments
 
     def process_rank(self, process_id: str) -> int:
         for proc in self.processes:
@@ -149,8 +161,19 @@ class SimulationState:
 
 
 def perceive(state: SimulationState) -> SimulationState:
-    """Refresh beliefs from the world; every change is traced."""
-    world = state.world
+    """Refresh beliefs from the world; every change is traced.
+
+    The perceived values depend only on the world apart from its tick,
+    the goal and the goal variant.  When those are as the last perceive
+    saw them and no belief changed since, every belief already holds its
+    value, so nothing is done.
+    """
+    world, goal, variant = state.world, state.goal, state.goal_variant
+    memo = state.perceive_memo
+    if (memo is not None and memo[3] == state.beliefs.version
+            and memo[2] == variant and memo[1] is goal
+            and W.same_but_tick(memo[0], world)):
+        return state
     snapshot: list[tuple[str, object]] = []
     for obj_id in sorted(world.objects):
         snapshot.append((f"location({obj_id})", world.objects[obj_id].location))
@@ -159,16 +182,29 @@ def perceive(state: SimulationState) -> SimulationState:
     snapshot.append(("agent_pos", W.cell_loc(world.agent_pos)))
     snapshot.append(("holding", world.agent_holding))
     snapshot.append(("abandoned", world.abandoned))
-    status = W.evaluate_goal(world, state.goal)
+    status = _goal_status(state)
     snapshot.append(("misplaced_count", status.misplaced_count))
     snapshot.append(("strict_tidy", status.strict))
     snapshot.append(("relaxed_tidy", status.relaxed))
-    snapshot.append(("goal_variant", state.goal_variant))
+    snapshot.append(("goal_variant", variant))
     for atom in sorted(world.facts):
         snapshot.append((atom, world.facts[atom]))
     for atom, value in snapshot:
         state.set_belief(atom, value)
+    state.perceive_memo = (world, goal, variant, state.beliefs.version)
     return state
+
+
+def _goal_status(state: SimulationState) -> W.GoalStatus:
+    """``evaluate_goal`` of the current world, reused while the world
+    apart from its tick and the goal are those of the last evaluation."""
+    world, goal = state.world, state.goal
+    memo = state.goal_memo
+    if memo is not None and memo[1] is goal and W.same_but_tick(memo[0], world):
+        return memo[2]
+    status = W.evaluate_goal(world, goal)
+    state.goal_memo = (world, goal, status)
+    return status
 
 
 def reactive_step(state: SimulationState) -> list[ActionTendency]:
@@ -361,7 +397,7 @@ def _task_plan(state: SimulationState) -> Plan | None:
     world, variant, now = state.world, state.goal_variant, state.world.tick
     if state.plan_memo is not None:
         planned, planned_variant, plan = state.plan_memo
-        if planned_variant == variant and world._replace(tick=planned.tick) == planned:
+        if planned_variant == variant and W.same_but_tick(world, planned):
             if plan is None:
                 return None
             return replace(plan, id=f"tidy@{now}", valid_from_tick=now)
@@ -403,16 +439,14 @@ def _rebuild_case(state: SimulationState) -> set[str]:
     for t in state.tendency_pool:
         if not t.expired(now, ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
-    ctx = RuleContext(
-        beliefs=state.beliefs,
-        appraisals=_all_appraisals(state),
-        commitments=state.commitments(),
-    )
+    appraisals = _all_appraisals(state)
+    ctx = None
     templates = state.config.argument_templates
-    fired_key = (state.config, state.beliefs.version, ctx.appraisals)
+    fired_key = (state.config, state.beliefs.version, appraisals)
     if state.fired_memo is not None and state.fired_memo[0] == fired_key:
         fired = state.fired_memo[1]
     else:
+        ctx = RuleContext(state.beliefs, appraisals, state.commitments())
         fired = triggered(templates, ctx)
         state.fired_memo = (fired_key, fired)
     key = (sources, templates, fired)
@@ -426,7 +460,7 @@ def _rebuild_case(state: SimulationState) -> set[str]:
     args = build_case(
         options,
         templates,
-        ctx,
+        ctx or RuleContext(state.beliefs, appraisals, state.commitments()),
         weight_overrides=state.weight_overrides,
         option_sources=sources,
         fired=fired,
@@ -582,7 +616,7 @@ def tick(state: SimulationState) -> SimulationState:
             goal=state.goal,
         )
         for finding in findings:
-            control(finding, list(state.config.countermeasures), state)
+            control(finding, state.config.countermeasures, state)
         state.monitor_cursor = state.trace.head()
 
     if state.pending_deliberation:
@@ -658,7 +692,7 @@ def tick(state: SimulationState) -> SimulationState:
     ):
         state.plan_cursor += 1
 
-    status = W.evaluate_goal(state.world, state.goal)
+    status = _goal_status(state)
     state.last_tick_stats = {
         "tick": now,
         "selected_action": selected_action if tendency is not None else "idle",

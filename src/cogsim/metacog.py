@@ -12,7 +12,7 @@ replanning against the relaxed goal variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -23,7 +23,7 @@ from .affect import ActionTendency, Appraisal
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .agent import SimulationState
 
-LAYERS = ("world", "reactive", "deliberative", "metacognitive")
+LAYERS = frozenset({"world", "reactive", "deliberative", "metacognitive"})
 
 EVENT_KINDS = frozenset(
     {
@@ -47,8 +47,15 @@ EVENT_KINDS = frozenset(
 MONITORED_KINDS = ("AppraisalChange", "GoalChange", "TendencyInjected")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
+    """One traced mental event; a run appends thousands.
+
+    Slotted, so an event is one object with no instance dict, and not
+    frozen: a frozen ``__init__`` sets every field through
+    ``object.__setattr__``.  Nothing mutates an event once appended.
+    """
+
     tick: int
     seq: int
     layer: str
@@ -67,6 +74,8 @@ class ReasoningTrace:
                reasons: tuple[str, ...] = ()) -> TraceEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind: {kind}")
+        if layer not in LAYERS:
+            raise ValueError(f"unknown trace layer: {layer}")
         if self.events:
             last = self.events[-1]
             if tick < last.tick:
@@ -74,10 +83,7 @@ class ReasoningTrace:
             seq = last.seq + 1 if tick == last.tick else 0
         else:
             seq = 0
-        event = TraceEvent(
-            tick=tick, seq=seq, layer=layer, kind=kind, payload=payload,
-            reasons=tuple(reasons),
-        )
+        event = TraceEvent(tick, seq, layer, kind, payload, tuple(reasons))
         self.events.append(event)
         return event
 
@@ -278,7 +284,7 @@ def monitor(
         finding = replace(finding, source_event=(event.tick, event.seq))
         findings.append(finding)
         trace.append(
-            tick=trace.head()[0] if trace.events else event.tick,
+            tick=trace.head()[0],
             layer="metacognitive",
             kind="InconsistencyDetected",
             payload={

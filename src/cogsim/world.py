@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import IllegalAction, UnknownEntity
 
@@ -146,6 +147,13 @@ class WorldState:
 
 
 _WORLD_FIELDS = frozenset(f.name for f in fields(WorldState))
+_ALL_BUT_TICK = attrgetter(*(f.name for f in fields(WorldState) if f.name != "tick"))
+
+
+def same_but_tick(a: WorldState, b: WorldState) -> bool:
+    """Whether two worlds agree on every field except ``tick``: what a
+    plan, a goal evaluation or a perception of them reads is the same."""
+    return _ALL_BUT_TICK(a) == _ALL_BUT_TICK(b)
 
 
 @dataclass(frozen=True)

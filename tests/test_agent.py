@@ -17,7 +17,7 @@ from cogsim.arguments import Argument, active_set, build_case, triggered
 from cogsim.errors import NoTendency
 from cogsim.planner import plan_tidy_task
 from cogsim.rules import RuleContext, compile_condition
-from cogsim.runner import RunConfig, run_simulation
+from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
 
@@ -566,6 +566,125 @@ class TestTriggerReuse:
             checked.clear()
             run_simulation(load_bundled(name), RunConfig(ticks=60, seed=1))
             assert len(checked) > 60, name
+
+
+def _without_memos(monkeypatch):
+    """Perceive and evaluate the goal from scratch on every call."""
+    perceive_, goal_status = agent.perceive, agent._goal_status
+
+    def fresh_perceive(state):
+        state.perceive_memo = state.goal_memo = None
+        return perceive_(state)
+
+    def fresh_goal_status(state):
+        state.goal_memo = None
+        return goal_status(state)
+
+    monkeypatch.setattr(agent, "perceive", fresh_perceive)
+    monkeypatch.setattr(agent, "_goal_status", fresh_goal_status)
+
+
+# One change of every WorldState field but tick.
+WORLD_CHANGES = {
+    "layout": lambda w: dataclasses.replace(w.layout, width=w.layout.width + 1),
+    "agent_pos": lambda w: (w.agent_pos[0] + 1, w.agent_pos[1]),
+    "agent_holding": lambda w: min(w.objects),
+    "objects": lambda w: {},
+    "broken_fixtures": lambda w: frozenset({"shelf_1"}),
+    "abandoned": lambda w: not w.abandoned,
+    "facts": lambda w: {**w.facts, "extra": True},
+}
+
+
+def _new_beliefs(state):
+    """The beliefs one perceive changes, as traced."""
+    before = len(state.trace.events)
+    perceive(state)
+    return [(e.kind, e.payload["atom"], e.payload["value"])
+            for e in state.trace.events[before:]]
+
+
+class TestSteadyState:
+    """Perception is skipped while the world apart from its tick, the
+    goal, the goal variant and the beliefs are as the last perceive left
+    them, and the goal is evaluated once per distinct world; a run gives
+    what it gives when both start from scratch on every call."""
+
+    @pytest.mark.parametrize("metacog", [True, False], ids=["metacog", "no_metacog"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_the_memos_change_no_output(self, monkeypatch, name, metacog):
+        config = RunConfig(ticks=200, seed=1, metacognition_enabled=metacog)
+
+        def outputs():
+            result = run_simulation(load_bundled(name), config)
+            return trace_lines(result.state), result.metrics
+
+        memoized = outputs()
+        _without_memos(monkeypatch)
+        assert outputs() == memoized
+
+    def test_every_field_but_tick_is_compared(self, room_state):
+        world = room_state.world
+        names = {f.name for f in dataclasses.fields(W.WorldState)} - {"tick"}
+        assert WORLD_CHANGES.keys() == names
+        assert W.same_but_tick(world, dataclasses.replace(world, tick=9))
+        for name, change in WORLD_CHANGES.items():
+            changed = dataclasses.replace(world, **{name: change(world)})
+            assert not W.same_but_tick(world, changed), name
+            assert not W.same_but_tick(changed, world), name
+
+    def test_a_belief_changed_from_outside_is_restored(self):
+        state = instantiate(load_bundled("non_smoking"), seed=1)
+        for _ in range(5):
+            tick(state)
+        value = state.beliefs.get("agent_pos")
+        state.beliefs.set("agent_pos", "cell:9,9", state.world.tick)
+        assert _new_beliefs(state) == [("BeliefChange", "agent_pos", value)]
+        assert state.beliefs.get("agent_pos") == value
+
+    def test_a_changed_goal_variant_is_perceived(self, room_state):
+        perceive(room_state)
+        room_state.goal_variant = "relaxed"
+        assert _new_beliefs(room_state) == [
+            ("BeliefChange", "goal_variant", "relaxed")
+        ]
+
+    def test_a_changed_goal_is_re_evaluated(self, room_state):
+        world, goal = room_state.world, room_state.goal
+        obj = world.objects[min(world.objects)]
+        placed = dataclasses.replace(
+            obj, location=f"fixture:{goal.strict[obj.kind][0]}"
+        )
+        room_state.world = dataclasses.replace(
+            world, objects={**world.objects, obj.id: placed}
+        )
+        perceive(room_state)
+        misplaced = room_state.beliefs.get("misplaced_count")
+        room_state.goal = dataclasses.replace(
+            goal, strict={**goal.strict, obj.kind: ()}
+        )
+        assert _new_beliefs(room_state) == [
+            ("BeliefChange", "misplaced_count", misplaced + 1)
+        ]
+
+    def test_goal_evaluations_do_not_grow_with_the_horizon(self, monkeypatch):
+        evaluate_goal = W.evaluate_goal
+        calls = []
+
+        def counting(world, goal):
+            calls.append(world.tick)
+            return evaluate_goal(world, goal)
+
+        monkeypatch.setattr(W, "evaluate_goal", counting)
+        for name in ("non_smoking", "office_cake"):
+            counts = []
+            for ticks in (60, 600):
+                calls.clear()
+                result = run_simulation(load_bundled(name),
+                                        RunConfig(ticks=ticks, seed=1))
+                assert result.summary["ticks_executed"] == ticks
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0, name
 
 
 class TestThresholdMonotonicity:

@@ -40,6 +40,21 @@ class TestTrace:
         with pytest.raises(OutOfOrder):
             trace.append(4, "world", "BeliefChange", {})
 
+    def test_unknown_layer_rejected(self):
+        trace = ReasoningTrace()
+        with pytest.raises(ValueError, match="unknown trace layer"):
+            trace.append(0, "limbic", "BeliefChange", {})
+        assert trace.events == []
+
+    def test_appended_event_is_a_slotted_record(self):
+        trace = ReasoningTrace()
+        payload = {"option": "smoke"}
+        event = trace.append(2, "deliberative", "OptionSelected", payload,
+                             reasons=["a1"])
+        assert event == TraceEvent(2, 0, "deliberative", "OptionSelected",
+                                   payload, ("a1",))
+        assert not hasattr(event, "__dict__")
+
     def test_record_assigns_seq_and_appends(self):
         trace = ReasoningTrace()
         record(trace, TraceEvent(0, 99, "world", "BeliefChange", {"atom": "x"}))
