@@ -26,9 +26,8 @@ from .metacog import (
     check_consistency,
     control,
     monitor,
-    record,
 )
-from .planner import Plan, PredictedOutcome, plan_tidy_task, simulate_whatif
+from .planner import plan_tidy_task
 from .runner import RunConfig, RunResult, run_simulation
 from .scenario import (
     AgentConfig,
@@ -67,8 +66,6 @@ __all__ = [
     "GoalStatus",
     "Inconsistency",
     "ObjectState",
-    "Plan",
-    "PredictedOutcome",
     "ReactiveRule",
     "ReasoningTrace",
     "RunConfig",
@@ -96,11 +93,9 @@ __all__ = [
     "plan_tidy_task",
     "prepare_action",
     "reactive_step",
-    "record",
     "run_affective_cycle",
     "run_simulation",
     "serialize_scenario",
-    "simulate_whatif",
     "step_events",
     "tick",
     "validate_scenario",

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .arguments import Argument
 from .errors import NonFiniteForce
-from .planner import Plan
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 PHASES = ("attending", "evaluating", "preparing")
@@ -144,7 +143,7 @@ def _salience_pick(
 def run_affective_cycle(
     proc: AffectiveProcess,
     beliefs: BeliefStore,
-    plan: Plan | None = None,
+    plan: tuple[str, ...] | None = None,
     tick: int = 0,
     commitments: list | None = None,
 ) -> tuple[AffectiveProcess, list[Appraisal], list[ActionTendency]]:
@@ -216,7 +215,7 @@ def run_affective_cycle(
 
 
 def prepare_action(
-    proc: AffectiveProcess, plan: Plan | None = None, tick: int = 0
+    proc: AffectiveProcess, plan: tuple[str, ...] | None = None, tick: int = 0
 ) -> list[ActionTendency]:
     """Turn the process's appraisals into concrete action tendencies.
 
@@ -270,7 +269,7 @@ def prepare_action(
                 proc.candidate_goals.append("task_goal")
             tendencies.append(
                 ActionTendency(
-                    action=plan.steps[0],
+                    action=plan[0],
                     source_process=proc.id,
                     base_urgency=max(a.magnitude for a in negatives),
                     created_tick=tick,

@@ -14,12 +14,13 @@ request a same-tick second deliberation for replanning.  Exactly one
 world action is applied per tick — an illegal or absent selection
 degrades to idle and is traced, never raised.
 
-Perception is skipped when the world apart from its tick, the goal and
-the goal variant are those it last perceived and no belief changed
-since: every belief already holds what it would set.  The goal is
-evaluated once per distinct world: perception and the end-of-tick stats
-share one evaluation, kept until the world (apart from its tick) or the
-goal changes.
+What the engine derives from the world is kept in one memo while the
+world (apart from its tick) and the goal stay the same: the goal status
+that perception and the end-of-tick stats share, the task plan of each
+goal variant, and the goal variant and belief version perception last
+saw.  Perception is skipped when those are unchanged: every belief
+already holds what it would set.  A reused plan is the same steps; no
+tick is stamped on it.
 
 Deliberation and the purge each ask for the argument case.  The
 template triggers are evaluated again only when a belief value (the
@@ -33,7 +34,7 @@ traced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -46,8 +47,8 @@ from .affect import (
 )
 from .arguments import Argument, active_set, build_case, triggered
 from .errors import IllegalAction, NoTendency, RoutingViolation
-from .metacog import Commitment, ReasoningTrace, control, monitor
-from .planner import Plan, plan_tidy_task
+from .metacog import ReasoningTrace, control, monitor
+from .planner import plan_tidy_task
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +67,20 @@ class ReactiveRule:
 
 
 @dataclass
+class WorldMemo:
+    """What the engine derived from one world, apart from its tick, and
+    one goal."""
+
+    world: W.WorldState
+    goal: W.GoalSpec
+    status: W.GoalStatus
+    # Goal variant -> plan_tidy_task of the world for that variant.
+    plans: dict[str, tuple[str, ...] | None] = field(default_factory=dict)
+    # The goal variant and belief version after the last perceive.
+    perceived: tuple[str, int] | None = None
+
+
+@dataclass
 class SimulationState:
     """Complete state of one simulation instance."""
 
@@ -81,15 +96,9 @@ class SimulationState:
     arguments: list[Argument] = field(default_factory=list)
     sticky_arguments: list[Argument] = field(default_factory=list)
     goal_variant: str = "strict"
-    plan: Plan | None = None
+    plan: tuple[str, ...] | None = None
     plan_cursor: int = 0
-    # The world, goal variant and plan of the last plan_tidy_task call.
-    plan_memo: tuple[W.WorldState, str, Plan | None] | None = None
-    # The world and goal of the last evaluate_goal call, then its status.
-    goal_memo: tuple[W.WorldState, W.GoalSpec, W.GoalStatus] | None = None
-    # The world, goal, goal variant and belief version after the last
-    # perceive.
-    perceive_memo: tuple[W.WorldState, W.GoalSpec, str, int] | None = None
+    world_memo: WorldMemo | None = None
     # The (sources, templates, triggers) key, sticky arguments and weight
     # overrides of the last build_case call, then its case and active ids.
     case_memo: tuple[tuple, list[Argument], dict[str, float],
@@ -125,12 +134,6 @@ class SimulationState:
         self.sticky_arguments.append(arg)
         self.arguments = [a for a in self.arguments if a.id != arg.id]
         self.arguments.append(arg)
-
-    def config_weight(self, template_id: str, default: float) -> float:
-        return self.weight_overrides.get(template_id, default)
-
-    def commitments(self) -> tuple[Commitment, ...]:
-        return self.config.commitments
 
     def process_rank(self, process_id: str) -> int:
         for proc in self.processes:
@@ -168,11 +171,9 @@ def perceive(state: SimulationState) -> SimulationState:
     saw them and no belief changed since, every belief already holds its
     value, so nothing is done.
     """
-    world, goal, variant = state.world, state.goal, state.goal_variant
-    memo = state.perceive_memo
-    if (memo is not None and memo[3] == state.beliefs.version
-            and memo[2] == variant and memo[1] is goal
-            and W.same_but_tick(memo[0], world)):
+    world, variant = state.world, state.goal_variant
+    memo = _world_memo(state)
+    if memo.perceived == (variant, state.beliefs.version):
         return state
     snapshot: list[tuple[str, object]] = []
     for obj_id in sorted(world.objects):
@@ -182,7 +183,7 @@ def perceive(state: SimulationState) -> SimulationState:
     snapshot.append(("agent_pos", W.cell_loc(world.agent_pos)))
     snapshot.append(("holding", world.agent_holding))
     snapshot.append(("abandoned", world.abandoned))
-    status = _goal_status(state)
+    status = memo.status
     snapshot.append(("misplaced_count", status.misplaced_count))
     snapshot.append(("strict_tidy", status.strict))
     snapshot.append(("relaxed_tidy", status.relaxed))
@@ -191,20 +192,19 @@ def perceive(state: SimulationState) -> SimulationState:
         snapshot.append((atom, world.facts[atom]))
     for atom, value in snapshot:
         state.set_belief(atom, value)
-    state.perceive_memo = (world, goal, variant, state.beliefs.version)
+    memo.perceived = (variant, state.beliefs.version)
     return state
 
 
-def _goal_status(state: SimulationState) -> W.GoalStatus:
-    """``evaluate_goal`` of the current world, reused while the world
-    apart from its tick and the goal are those of the last evaluation."""
+def _world_memo(state: SimulationState) -> WorldMemo:
+    """The memo of the current world and goal, started afresh (with the
+    goal evaluated) when the world apart from its tick or the goal
+    differs from the memo's."""
     world, goal = state.world, state.goal
-    memo = state.goal_memo
-    if memo is not None and memo[1] is goal and W.same_but_tick(memo[0], world):
-        return memo[2]
-    status = W.evaluate_goal(world, goal)
-    state.goal_memo = (world, goal, status)
-    return status
+    memo = state.world_memo
+    if memo is None or memo.goal is not goal or not W.same_but_tick(memo.world, world):
+        memo = state.world_memo = WorldMemo(world, goal, W.evaluate_goal(world, goal))
+    return memo
 
 
 def reactive_step(state: SimulationState) -> list[ActionTendency]:
@@ -218,7 +218,7 @@ def reactive_step(state: SimulationState) -> list[ActionTendency]:
     ctx = RuleContext(
         beliefs=state.beliefs,
         appraisals=_all_appraisals(state),
-        commitments=state.commitments(),
+        commitments=state.config.commitments,
     )
     out: list[ActionTendency] = []
     for rule in state.config.reactive_rules:
@@ -272,7 +272,7 @@ def _drop_plan_tendencies(state: SimulationState) -> None:
 def _inject_plan_step(state: SimulationState) -> None:
     if state.world.abandoned or state.plan is None:
         return
-    if state.plan_cursor >= len(state.plan.steps):
+    if state.plan_cursor >= len(state.plan):
         return
     task_proc = state.task_process()
     if task_proc is None:
@@ -281,7 +281,7 @@ def _inject_plan_step(state: SimulationState) -> None:
     _inject(
         state,
         ActionTendency(
-            action=state.plan.steps[state.plan_cursor],
+            action=state.plan[state.plan_cursor],
             source_process=task_proc.id,
             base_urgency=task_proc.urgency,
             created_tick=state.world.tick,
@@ -313,7 +313,7 @@ def deliberative_step(state: SimulationState) -> SimulationState:
             state.beliefs,
             plan=plan,
             tick=now,
-            commitments=state.commitments(),
+            commitments=state.config.commitments,
         )
         state.processes[index] = stepped
 
@@ -386,24 +386,13 @@ def deliberative_step(state: SimulationState) -> SimulationState:
     return state
 
 
-def _task_plan(state: SimulationState) -> Plan | None:
-    """``plan_tidy_task`` for the current world and goal variant.
-
-    The planner reads the tick only to stamp the plan, and the goal never
-    changes during a run, so when the world equals the last planned one
-    in every field but ``tick`` and the variant is the same, the last
-    plan is restamped instead of searched again.
-    """
-    world, variant, now = state.world, state.goal_variant, state.world.tick
-    if state.plan_memo is not None:
-        planned, planned_variant, plan = state.plan_memo
-        if planned_variant == variant and W.same_but_tick(world, planned):
-            if plan is None:
-                return None
-            return replace(plan, id=f"tidy@{now}", valid_from_tick=now)
-    plan = plan_tidy_task(world, state.goal, variant, now)
-    state.plan_memo = (world, variant, plan)
-    return plan
+def _task_plan(state: SimulationState) -> tuple[str, ...] | None:
+    """``plan_tidy_task`` for the current world and goal variant, searched
+    once per variant of each world in the memo."""
+    plans, variant = _world_memo(state).plans, state.goal_variant
+    if variant not in plans:
+        plans[variant] = plan_tidy_task(state.world, state.goal, variant)
+    return plans[variant]
 
 
 def _option_for_state(proc: AffectiveProcess, state_atom: str) -> str:
@@ -446,7 +435,7 @@ def _rebuild_case(state: SimulationState) -> set[str]:
     if state.fired_memo is not None and state.fired_memo[0] == fired_key:
         fired = state.fired_memo[1]
     else:
-        ctx = RuleContext(state.beliefs, appraisals, state.commitments())
+        ctx = RuleContext(state.beliefs, appraisals, state.config.commitments)
         fired = triggered(templates, ctx)
         state.fired_memo = (fired_key, fired)
     key = (sources, templates, fired)
@@ -460,7 +449,7 @@ def _rebuild_case(state: SimulationState) -> set[str]:
     args = build_case(
         options,
         templates,
-        ctx or RuleContext(state.beliefs, appraisals, state.commitments()),
+        ctx or RuleContext(state.beliefs, appraisals, state.config.commitments),
         weight_overrides=state.weight_overrides,
         option_sources=sources,
         fired=fired,
@@ -585,7 +574,7 @@ def tick(state: SimulationState) -> SimulationState:
     """Advance the simulation by exactly one world action."""
     now = state.world.tick
 
-    new_world, fired = W.step_events(state.world, list(state.events))
+    new_world, fired = W.step_events(state.world, state.events)
     state.world = new_world
     for event in fired:
         state.trace.append(
@@ -610,7 +599,7 @@ def tick(state: SimulationState) -> SimulationState:
     if state.metacognition_enabled:
         findings = monitor(
             state.trace,
-            state.commitments(),
+            state.config.commitments,
             state.monitor_cursor,
             world=state.world,
             goal=state.goal,
@@ -686,13 +675,13 @@ def tick(state: SimulationState) -> SimulationState:
 
     if (
         state.plan is not None
-        and state.plan_cursor < len(state.plan.steps)
+        and state.plan_cursor < len(state.plan)
         and not fallback
-        and executed == state.plan.steps[state.plan_cursor]
+        and executed == state.plan[state.plan_cursor]
     ):
         state.plan_cursor += 1
 
-    status = _goal_status(state)
+    status = _world_memo(state).status
     state.last_tick_stats = {
         "tick": now,
         "selected_action": selected_action if tendency is not None else "idle",

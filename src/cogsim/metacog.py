@@ -12,7 +12,7 @@ replanning against the relaxed goal variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -98,12 +98,6 @@ class ReasoningTrace:
         return (last.tick, last.seq)
 
 
-def record(trace: ReasoningTrace, event: TraceEvent) -> ReasoningTrace:
-    """Append a pre-built event, assigning its within-tick ordinal."""
-    trace.append(event.tick, event.layer, event.kind, event.payload, event.reasons)
-    return trace
-
-
 @dataclass(frozen=True)
 class Commitment:
     """A fixed valence requirement on an evaluation atom.
@@ -140,7 +134,6 @@ class Inconsistency:
     atom: str
     option: str
     detail: str
-    source_event: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -281,7 +274,6 @@ def monitor(
         finding = check_consistency(item, commitments, world=world, goal=goal)
         if finding is None:
             continue
-        finding = replace(finding, source_event=(event.tick, event.seq))
         findings.append(finding)
         trace.append(
             tick=trace.head()[0],
@@ -294,7 +286,7 @@ def monitor(
                 "atom": finding.atom,
                 "option": finding.option,
                 "detail": finding.detail,
-                "source_event": list(finding.source_event),
+                "source_event": [event.tick, event.seq],
             },
         )
     return findings
@@ -351,7 +343,7 @@ def control(
         template = next(
             t for t in state.config.argument_templates if t.id == template_id
         )
-        weight = state.config_weight(template_id, default=finding.commitment.weight)
+        weight = state.weight_overrides.get(template_id, finding.commitment.weight)
         option = _violating_option(finding, state)
         new_arg = Argument(
             id=argument_id(template_id, option),

@@ -1,4 +1,4 @@
-"""Deterministic task planning and hypothetical rollout.
+"""Deterministic task planning.
 
 The tidy planner is greedy: repeatedly pick the nearest misplaced
 object (breadth-first-search distance, ties by object id), walk to it,
@@ -16,7 +16,6 @@ the search stops once no later bound can beat the best ``(length, id)``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import world as W
 from .errors import IllegalAction
@@ -25,21 +24,6 @@ _NEIGHBOR_ORDER = ("north", "east", "south", "west")
 # (action, dx, dy) per direction, in expansion order.
 _NEIGHBOR_STEPS = tuple((f"move:{d}", *W.DIRECTIONS[d]) for d in _NEIGHBOR_ORDER)
 _MOVE_DELTAS = {action: (dx, dy) for action, dx, dy in _NEIGHBOR_STEPS}
-
-
-@dataclass(frozen=True)
-class Plan:
-    id: str
-    goal_ref: str
-    steps: tuple[str, ...]
-    valid_from_tick: int
-
-
-@dataclass(frozen=True)
-class PredictedOutcome:
-    reachable: bool
-    failing_step: int | None
-    final_goal_status: W.GoalStatus
 
 
 def bfs_path(
@@ -56,7 +40,7 @@ def bfs_path(
     if start in goals:
         return []
     width, height = layout.width, layout.height
-    blocked = layout.fixture_cells()
+    blocked = layout.fixture_cells
     parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
     queue = deque([start])
     while queue:
@@ -145,9 +129,9 @@ def _target_allowance(goal: W.GoalSpec, kind: str, variant: str) -> tuple[str, .
 
 
 def plan_tidy_task(
-    start: W.WorldState, goal: W.GoalSpec, variant: str = "strict", tick: int = 0
-) -> Plan | None:
-    """Plan to put every plannable misplaced object somewhere allowed.
+    start: W.WorldState, goal: W.GoalSpec, variant: str = "strict"
+) -> tuple[str, ...] | None:
+    """The steps that put every plannable misplaced object somewhere allowed.
 
     Objects with no reachable legal target are skipped rather than
     failing the whole plan.  Returns None when no step can be planned.
@@ -189,9 +173,7 @@ def plan_tidy_task(
 
     if not steps:
         return None
-    return Plan(
-        id=f"tidy@{tick}", goal_ref="task", steps=tuple(steps), valid_from_tick=tick
-    )
+    return tuple(steps)
 
 
 def _nearest_object(
@@ -245,26 +227,3 @@ def _deliver(
     path.append(place)
     return sim, path
 
-
-def simulate_whatif(
-    world: W.WorldState, plan: Plan | tuple[str, ...], goal: W.GoalSpec
-) -> PredictedOutcome:
-    """Apply plan steps to a copy of the world, never the live one.
-
-    An illegal step does not raise: it marks the plan unreachable at
-    that index, and the status reflects the world reached so far.
-    """
-    steps = plan.steps if isinstance(plan, Plan) else tuple(plan)
-    sim = world
-    for index, action in enumerate(steps):
-        try:
-            sim = W.apply_action(sim, action)
-        except IllegalAction:
-            return PredictedOutcome(
-                reachable=False,
-                failing_step=index,
-                final_goal_status=W.evaluate_goal(sim, goal),
-            )
-    return PredictedOutcome(
-        reachable=True, failing_step=None, final_goal_status=W.evaluate_goal(sim, goal)
-    )

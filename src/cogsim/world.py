@@ -80,11 +80,8 @@ class RoomLayout:
         return None
 
     @cached_property
-    def _fixture_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(f.cell for f in self.fixtures)
-
     def fixture_cells(self) -> frozenset[tuple[int, int]]:
-        return self._fixture_cells
+        return frozenset(f.cell for f in self.fixtures)
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         x, y = cell
@@ -95,7 +92,7 @@ class RoomLayout:
         return (
             0 <= x < self.width
             and 0 <= y < self.height
-            and cell not in self._fixture_cells
+            and cell not in self.fixture_cells
         )
 
 
@@ -271,7 +268,7 @@ def apply_action(world: WorldState, action: str) -> WorldState:
         dest = (world.agent_pos[0] + dx, world.agent_pos[1] + dy)
         if not world.layout.in_bounds(dest):
             raise IllegalAction("move out of bounds")
-        if dest in world.layout.fixture_cells():
+        if dest in world.layout.fixture_cells:
             raise IllegalAction("cell occupied by fixture")
         return world._replace(tick=world.tick + 1, agent_pos=dest)
 
@@ -322,7 +319,7 @@ def apply_action(world: WorldState, action: str) -> WorldState:
 
 
 def step_events(
-    world: WorldState, schedule: list[WorldEvent]
+    world: WorldState, schedule: tuple[WorldEvent, ...]
 ) -> tuple[WorldState, list[WorldEvent]]:
     """Fire every event scheduled for the world's current tick.
 

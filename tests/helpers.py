@@ -11,7 +11,6 @@ from cogsim import world as W
 from cogsim.arguments import Argument
 from cogsim.errors import IllegalAction
 from cogsim.planner import (
-    Plan,
     _adjacent_cells,
     _deliver,
     _target_allowance,
@@ -126,7 +125,7 @@ def reference_bfs_path(layout, start, goals) -> list[str] | None:
     return None
 
 
-def reference_plan_tidy_task(start, goal, variant="strict", tick=0):
+def reference_plan_tidy_task(start, goal, variant="strict"):
     """The tidy planner with an exhaustive candidate loop: every leg
     searches a path to every remaining object, then takes the least
     ``(length, id)``.  ``plan_tidy_task`` must return the same plan."""
@@ -173,9 +172,15 @@ def reference_plan_tidy_task(start, goal, variant="strict", tick=0):
         steps.extend(extra)
     if not steps:
         return None
-    return Plan(
-        id=f"tidy@{tick}", goal_ref="task", steps=tuple(steps), valid_from_tick=tick
-    )
+    return tuple(steps)
+
+
+def replay(world, steps, goal):
+    """``apply_action`` over the steps, then ``evaluate_goal`` of the world
+    they reach; an illegal step raises ``IllegalAction``."""
+    for action in steps:
+        world = W.apply_action(world, action)
+    return W.evaluate_goal(world, goal)
 
 
 # -- single-node mutants of the bundled scenarios ------------------------------

@@ -12,7 +12,6 @@ from cogsim.metacog import (
     TraceEvent,
     check_consistency,
     monitor,
-    record,
 )
 
 
@@ -54,12 +53,6 @@ class TestTrace:
         assert event == TraceEvent(2, 0, "deliberative", "OptionSelected",
                                    payload, ("a1",))
         assert not hasattr(event, "__dict__")
-
-    def test_record_assigns_seq_and_appends(self):
-        trace = ReasoningTrace()
-        record(trace, TraceEvent(0, 99, "world", "BeliefChange", {"atom": "x"}))
-        record(trace, TraceEvent(0, 99, "world", "BeliefChange", {"atom": "y"}))
-        assert [(e.tick, e.seq) for e in trace.events] == [(0, 0), (0, 1)]
 
     def test_append_only_prefix_property(self):
         trace = ReasoningTrace()
@@ -164,9 +157,9 @@ class TestMonitor:
         )
         findings = monitor(trace, [commitment()], (-1, -1))
         assert len(findings) == 1
-        assert findings[0].source_event == (4, 0)
         detected = [e for e in trace.events if e.kind == "InconsistencyDetected"]
         assert len(detected) == 1
+        assert detected[0].payload["source_event"] == [4, 0]
 
     def test_withdrawn_appraisals_are_not_flagged(self):
         trace = self._trace_with(
@@ -219,7 +212,7 @@ class TestControl:
         state = instantiate(load_bundled("non_smoking"), seed=1)
         finding = check_consistency(
             Appraisal("smoke", "positive", 0.8, "proc1", 0),
-            state.commitments(),
+            state.config.commitments,
         )
         pool_before = list(state.tendency_pool)
         args_before = list(state.arguments)
@@ -254,7 +247,7 @@ class TestControl:
         ]
         finding = check_consistency(
             Appraisal("smoke", "positive", 0.8, "proc1", 0),
-            state.commitments(),
+            state.config.commitments,
         )
         control(finding, library, state)
         applied = [

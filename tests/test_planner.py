@@ -5,10 +5,10 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cogsim import world as W
-from cogsim.planner import Plan, bfs_path, plan_tidy_task, simulate_whatif
+from cogsim.planner import bfs_path, plan_tidy_task
 from cogsim.scenario import instantiate, load_bundled
 
-from helpers import bfs_distance, reference_bfs_path, reference_plan_tidy_task
+from helpers import bfs_distance, reference_bfs_path, reference_plan_tidy_task, replay
 
 
 def test_bfs_path_matches_independent_distance_oracle():
@@ -99,10 +99,10 @@ def test_plan_applies_only_its_pick_ups_and_places(monkeypatch):
     plan = plan_tidy_task(world, goal, "strict")
     monkeypatch.undo()
     assert plan is not None
-    non_moves = [s for s in plan.steps if not s.startswith("move:")]
+    non_moves = [s for s in plan if not s.startswith("move:")]
     assert len(non_moves) > 0
     assert calls == non_moves
-    assert simulate_whatif(world, plan, goal).reachable
+    assert replay(world, plan, goal).strict
 
 
 def test_abandoned_world_still_gives_no_plan():
@@ -121,9 +121,7 @@ def test_abandoned_world_still_gives_no_plan():
 def test_plan_reaches_strict_goal(small_world, small_goal):
     plan = plan_tidy_task(small_world, small_goal, "strict")
     assert plan is not None
-    outcome = simulate_whatif(small_world, plan, small_goal)
-    assert outcome.reachable
-    assert outcome.final_goal_status.strict
+    assert replay(small_world, plan, small_goal).strict
 
 
 def test_plan_skips_unreachable_objects(small_world, small_goal):
@@ -133,10 +131,8 @@ def test_plan_skips_unreachable_objects(small_world, small_goal):
     plan = plan_tidy_task(broken, small_goal, "strict")
     # the book cannot be shelved; only the toy is planned
     assert plan is not None
-    assert not any("book" in step for step in plan.steps)
-    outcome = simulate_whatif(broken, plan, small_goal)
-    assert outcome.reachable
-    assert outcome.final_goal_status.misplaced_count == 1
+    assert not any("book" in step for step in plan)
+    assert replay(broken, plan, small_goal).misplaced_count == 1
 
 
 def test_relaxed_variant_uses_fallback_fixture():
@@ -160,40 +156,17 @@ def test_relaxed_variant_uses_fallback_fixture():
     )
     assert plan_tidy_task(world, goal, "strict") is None
     plan = plan_tidy_task(world, goal, "relaxed")
-    assert plan is not None and plan.steps[-1] == "place:table_1"
-    outcome = simulate_whatif(world, plan, goal)
-    assert outcome.reachable
-    assert outcome.final_goal_status.relaxed
-    assert not outcome.final_goal_status.strict
-
-
-def test_whatif_never_mutates_live_world(small_world, small_goal):
-    snapshot = dataclasses.replace(small_world)
-    plan = plan_tidy_task(small_world, small_goal, "strict")
-    simulate_whatif(small_world, plan, small_goal)
-    assert small_world == snapshot
-
-
-def test_whatif_reports_failing_step(small_world, small_goal):
-    broken = dataclasses.replace(small_world, broken_fixtures=frozenset({"shelf_1"}))
-    steps = ("pick_up:book_1", "move:north", "place:shelf_slot_1")
-    outcome = simulate_whatif(broken, steps, small_goal)
-    assert not outcome.reachable
-    assert outcome.failing_step == 2
-
-
-def test_whatif_idle_plan_is_identity(small_world, small_goal):
-    outcome = simulate_whatif(small_world, ("idle", "idle"), small_goal)
-    assert outcome.reachable
-    assert outcome.final_goal_status == W.evaluate_goal(small_world, small_goal)
+    assert plan is not None and plan[-1] == "place:table_1"
+    status = replay(world, plan, goal)
+    assert status.relaxed
+    assert not status.strict
 
 
 def test_plans_are_deterministic(small_world, small_goal):
-    first = plan_tidy_task(small_world, small_goal, "strict", tick=4)
-    second = plan_tidy_task(small_world, small_goal, "strict", tick=4)
+    first = plan_tidy_task(small_world, small_goal, "strict")
+    second = plan_tidy_task(small_world, small_goal, "strict")
     assert first == second
-    assert isinstance(first, Plan)
-    assert first.valid_from_tick == 4
+    assert isinstance(first, tuple)
 
 
 def test_bundled_grid_first_leg_is_shortest_route_to_nearest_object():
@@ -209,11 +182,11 @@ def test_bundled_grid_first_leg_is_shortest_route_to_nearest_object():
         }
         goals = {c for c in goals if world.layout.passable(c)}
         approach[obj.id] = bfs_distance(world.layout, world.agent_pos, goals)
-    first_pick = next(s for s in plan.steps if s.startswith("pick_up"))
+    first_pick = next(s for s in plan if s.startswith("pick_up"))
     picked = first_pick.split(":")[1]
     assert approach[picked] == min(approach.values())
     # the leg before the first pick-up is exactly that shortest distance
-    assert plan.steps.index(first_pick) == approach[picked]
+    assert plan.index(first_pick) == approach[picked]
 
 
 def test_nearest_object_first():
@@ -231,7 +204,7 @@ def test_nearest_object_first():
     )
     goal = W.GoalSpec(strict={"toy": ("box_1",)}, relaxed={"toy": ("box_1",)})
     plan = plan_tidy_task(world, goal, "strict")
-    picks = [s for s in plan.steps if s.startswith("pick_up")]
+    picks = [s for s in plan if s.startswith("pick_up")]
     assert picks == ["pick_up:toy_near", "pick_up:toy_far"]
 
 
@@ -317,5 +290,5 @@ def _detour_tie():
 @example(case=_detour_tie())
 def test_plan_matches_the_exhaustive_candidate_search(case):
     world, goal, variant = case
-    expected = reference_plan_tidy_task(world, goal, variant, world.tick)
-    assert plan_tidy_task(world, goal, variant, world.tick) == expected
+    expected = reference_plan_tidy_task(world, goal, variant)
+    assert plan_tidy_task(world, goal, variant) == expected

@@ -35,7 +35,7 @@ def test_monitoring_soundness_no_spurious_findings(countermeasure_run, non_smoki
         for event in detected:
             source = by_pos[tuple(event.payload["source_event"])]
             item = _item_from_event(source)
-            finding = check_consistency(item, result.state.commitments())
+            finding = check_consistency(item, result.state.config.commitments)
             assert finding is not None
             assert finding.commitment.atom == event.payload["commitment_atom"]
 
@@ -52,7 +52,7 @@ def test_monitoring_completeness_no_missed_findings(countermeasure_run, non_smok
             item = _item_from_event(event)
             if item is None:
                 continue
-            if check_consistency(item, result.state.commitments()) is not None:
+            if check_consistency(item, result.state.config.commitments) is not None:
                 expected.add((event.tick, event.seq))
         recorded = {
             tuple(e.payload["source_event"])
@@ -82,10 +82,10 @@ def test_causality_chain_detection_before_countermeasure_before_action(
 
 def test_commitments_identical_at_every_tick():
     state = instantiate(load_bundled("room_tidy"), seed=1)
-    initial = state.commitments()
+    initial = state.config.commitments
     for _ in range(20):
         tick(state)
-        assert state.commitments() == initial
+        assert state.config.commitments == initial
 
 
 def test_competing_appraisals_are_distinct_per_process(non_smoking_run):

@@ -220,7 +220,7 @@ class TestInstantiate:
         ]
         cells = [W.parse_cell(o.location) for o in scattered]
         assert len(set(cells)) == len(cells)
-        blocked = state.world.layout.fixture_cells()
+        blocked = state.world.layout.fixture_cells
         for cell in cells:
             assert cell is not None and cell not in blocked
         # draw is without replacement from the declared region

@@ -308,9 +308,9 @@ def test_cached_fixture_cells_follow_the_fields(small_layout):
     moved = dataclasses.replace(
         small_layout, fixtures=(W.Fixture("box_1", (1, 0), "toy"),)
     )
-    assert moved.fixture_cells() == {(1, 0)}
+    assert moved.fixture_cells == {(1, 0)}
     assert moved.passable((0, 0)) and not moved.passable((1, 0))
-    assert small_layout.fixture_cells() == {(0, 0), (2, 0)}
+    assert small_layout.fixture_cells == {(0, 0), (2, 0)}
 
 
 # One new value per WorldState field, each unequal to small_world's.
