@@ -44,7 +44,7 @@ EVENT_KINDS = frozenset(
     }
 )
 
-MONITORED_KINDS = ("AppraisalChange", "GoalChange", "TendencyInjected")
+MONITORED_KINDS = frozenset({"AppraisalChange", "GoalChange", "TendencyInjected"})
 
 
 @dataclass(slots=True)
@@ -88,8 +88,18 @@ class ReasoningTrace:
         return event
 
     def since(self, cursor: tuple[int, int]) -> list[TraceEvent]:
-        """Events strictly after the (tick, seq) cursor."""
-        return [e for e in self.events if (e.tick, e.seq) > cursor]
+        """Events strictly after the (tick, seq) cursor, in trace order.
+
+        One pass that reads every event and tests only its tick; the
+        few events at or after the cursor's tick are then cut at its
+        seq.  The pass stays a full read, not a bisection, while
+        ``bench/test_bench.py::test_events_scanned_counts_the_events_monitor_reads``
+        asserts that the unpatched scan doubles with the horizon
+        (ROADMAP item 1, step 1 moves that control).
+        """
+        tick, seq = cursor
+        recent = [e for e in self.events if e.tick >= tick]
+        return [e for e in recent if e.tick > tick or e.seq > seq]
 
     def head(self) -> tuple[int, int]:
         if not self.events:

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal
@@ -13,6 +15,8 @@ from cogsim.metacog import (
     check_consistency,
     monitor,
 )
+from cogsim.runner import RunConfig, run_simulation, trace_lines
+from cogsim.scenario import load_bundled
 
 
 def commitment(atom="smoke", valence="negative", weight=1.2):
@@ -62,6 +66,30 @@ class TestTrace:
             snapshots.append(list(trace.events))
         for earlier, later in zip(snapshots, snapshots[1:]):
             assert later[: len(earlier)] == earlier
+
+    @seed(20211015)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(first=st.integers(0, 3),
+           gaps=st.lists(st.integers(0, 3), max_size=40))
+    def test_since_is_the_events_after_the_cursor_in_tuple_order(self, first, gaps):
+        # One event per gap; a gap of 0 puts several events on one tick.
+        trace = ReasoningTrace()
+        tick = first
+        for gap in gaps:
+            tick += gap
+            trace.append(tick, "world", "BeliefChange", {})
+        events = list(trace.events)
+        ids = list(map(id, events))
+        last_seq = {e.tick: e.seq for e in events}
+        head_tick = trace.head()[0]
+        cursors = {(-1, -1), trace.head(), (head_tick + 1, -1), (head_tick + 1, 0)}
+        cursors.update((e.tick, e.seq) for e in events)
+        for t, s in last_seq.items():
+            cursors.update({(t, -1), (t, s + 1), (t + 1, -1), (t + 1, 0)})
+        for cursor in sorted(cursors):
+            want = [e for e in events if (e.tick, e.seq) > cursor]
+            assert list(map(id, trace.since(cursor))) == list(map(id, want)), cursor
+            assert list(map(id, trace.events)) == ids
 
 
 class TestCheckConsistency:
@@ -254,3 +282,33 @@ class TestControl:
             e for e in state.trace.events if e.kind == "CountermeasureApplied"
         ]
         assert applied[0].payload["countermeasure"] == "broad"
+
+
+@pytest.mark.parametrize("name", ["room_tidy_redescription", "non_smoking"])
+def test_long_runs_match_a_tuple_order_since(monkeypatch, name):
+    """600 ticks with metacognition on give the same trace and metrics as
+    with the reference ``since``, which compares whole (tick, seq) pairs,
+    and ``since`` agrees with it at every cursor the run reaches.  Control
+    appends after the monitor, so the cursor often stops in the middle of
+    a tick; the reference counts the calls where it does."""
+    spec = load_bundled(name)
+    config = RunConfig(ticks=600, seed=1)
+    fast = run_simulation(spec, config)
+
+    since = ReasoningTrace.since
+    mid_tick = 0
+
+    def reference(self, cursor):
+        nonlocal mid_tick
+        after = [e for e in self.events if (e.tick, e.seq) > cursor]
+        assert since(self, cursor) == after, cursor
+        mid_tick += bool(after) and after[0].tick == cursor[0]
+        return after
+
+    monkeypatch.setattr(ReasoningTrace, "since", reference)
+    slow = run_simulation(spec, config)
+    assert len(slow.metrics) == 600
+    assert mid_tick > 0
+    assert trace_lines(fast.state) == trace_lines(slow.state)
+    assert fast.metrics == slow.metrics
+    assert fast.summary == slow.summary
