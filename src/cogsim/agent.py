@@ -46,7 +46,7 @@ from .affect import (
     supporting_argument_ids,
 )
 from .arguments import Argument, active_set, build_case, triggered
-from .errors import IllegalAction, NoTendency, RoutingViolation
+from .errors import IllegalAction, NoTendency
 from .metacog import ReasoningTrace, control, monitor
 from .planner import plan_tidy_task
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
@@ -111,7 +111,6 @@ class SimulationState:
     metacognition_enabled: bool = True
     weight_overrides: dict[str, float] = field(default_factory=dict)
     countermeasures_fired: int = 0
-    routing_violations: int = 0
     last_option_set: tuple = ()
     last_tick_stats: dict = field(default_factory=dict)
     _tendency_counter: int = 0
@@ -558,18 +557,6 @@ def _profile_note(state: SimulationState, tendency: ActionTendency | None) -> di
     return {"momentary_need": tendency.force}
 
 
-def _verify_routing(state: SimulationState, tendency: ActionTendency) -> bool:
-    pooled = any(t.id == tendency.id for t in state.tendency_pool)
-    if pooled:
-        return True
-    state.routing_violations += 1
-    if state.bct_profile == "ceos":
-        raise RoutingViolation(
-            f"tendency {tendency.id} executed without pool membership"
-        )
-    return False
-
-
 def tick(state: SimulationState) -> SimulationState:
     """Advance the simulation by exactly one world action."""
     now = state.world.tick
@@ -635,7 +622,6 @@ def tick(state: SimulationState) -> SimulationState:
         )
 
     if tendency is not None:
-        routed = _verify_routing(state, tendency)
         executed = selected_action
         world_action = executed if W.is_world_action(executed) else "idle"
         try:
@@ -654,8 +640,6 @@ def tick(state: SimulationState) -> SimulationState:
         }
         if error is not None:
             payload["error"] = error
-        if not routed:
-            payload["routing_warning"] = True
         payload.update(_profile_note(state, tendency))
     else:
         state.world = W.apply_action(state.world, "idle")

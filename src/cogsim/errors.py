@@ -56,6 +56,3 @@ class NonFiniteForce(CogsimError):
 class NoTendency(CogsimError):
     """No selectable action tendency exists at the moment of action."""
 
-
-class RoutingViolation(CogsimError):
-    """An action reached execution without a pooled tendency backing it."""

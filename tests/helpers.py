@@ -183,6 +183,30 @@ def replay(world, steps, goal):
     return W.evaluate_goal(world, goal)
 
 
+# -- trace encoding ------------------------------------------------------------
+
+_REFERENCE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def reference_trace_lines(state) -> list[str]:
+    """Each event as one dict, encoded whole with sorted keys: the lines
+    ``runner.trace_lines`` must return."""
+    encode = _REFERENCE_ENCODER.encode
+    return [
+        encode(
+            {
+                "tick": event.tick,
+                "seq": event.seq,
+                "layer": event.layer,
+                "kind": event.kind,
+                "payload": event.payload,
+                "reasons": list(event.reasons),
+            }
+        )
+        for event in state.trace.events
+    ]
+
+
 # -- single-node mutants of the bundled scenarios ------------------------------
 
 MUTANT_VALUES = (None, True, 0, -1, 2.5, "", "x", [], [1], {}, {"a": 1})

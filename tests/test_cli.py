@@ -339,3 +339,59 @@ class TestSweepCommand:
         ]
         assert abandoned == sorted(abandoned, reverse=True)
         assert abandoned[0] == 1 and abandoned[-1] == 0
+
+
+class TestOutputFiles:
+    """Outputs replace whatever the paths held, byte for byte."""
+
+    JUNK = bytes(range(256)) * 4096  # 1 MB, every byte value, "\r" included
+
+    @staticmethod
+    def run_argv(scenario, trace, metrics, ticks=60):
+        return ["run", scenario, "--ticks", str(ticks), "--seed", "3",
+                "--trace", str(trace), "--metrics", str(metrics)]
+
+    @staticmethod
+    def sweep_argv(scenario, out):
+        return ["sweep", scenario, "--template", "commitment_guard",
+                "--weights", "0.0,1.0", "--ticks", "20", "--out", str(out)]
+
+    def test_outputs_over_junk_equal_fresh_outputs(self, redescription_path, tmp_path):
+        fresh = [tmp_path / name for name in ("t.jsonl", "m.csv", "s.csv")]
+        reused = [tmp_path / f"old_{name}" for name in ("t.jsonl", "m.csv", "s.csv")]
+        for path in reused:
+            path.write_bytes(self.JUNK)
+        inodes = [path.stat().st_ino for path in reused]
+        for trace, metrics, sweep in (fresh, reused):
+            assert main(self.run_argv(redescription_path, trace, metrics)) == 0
+            assert main(self.sweep_argv(redescription_path, sweep)) == 0
+        for new, old in zip(fresh, reused):
+            assert old.read_bytes() == new.read_bytes()
+            assert b"\r" not in new.read_bytes()
+        assert [path.stat().st_ino for path in reused] == inodes
+
+    def test_shorter_rerun_leaves_no_old_tail(self, room_tidy_path, tmp_path):
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.csv"
+        assert main(self.run_argv(room_tidy_path, trace, metrics, ticks=60)) == 0
+        long_size = trace.stat().st_size
+        assert main(self.run_argv(room_tidy_path, trace, metrics, ticks=5)) == 0
+        fresh_trace, fresh_metrics = tmp_path / "ft.jsonl", tmp_path / "fm.csv"
+        assert main(self.run_argv(room_tidy_path, fresh_trace, fresh_metrics, ticks=5)) == 0
+        assert trace.read_bytes() == fresh_trace.read_bytes()
+        assert metrics.read_bytes() == fresh_metrics.read_bytes()
+        assert trace.stat().st_size < long_size
+        assert len(metrics.read_text().splitlines()) == 6
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_run_to_dev_null(self, room_tidy_path):
+        assert main(self.run_argv(room_tidy_path, "/dev/null", "/dev/null")) == 0
+
+    @pytest.mark.parametrize("target", ["missing_dir/out", "."])
+    def test_unwritable_path_exits_1(self, room_tidy_path, redescription_path,
+                                     tmp_path, capsys, target):
+        # A path under a missing directory, and a directory itself.
+        bad = tmp_path / target
+        assert main(self.run_argv(room_tidy_path, bad, tmp_path / "m.csv")) == 1
+        assert "error: cannot write outputs: " in capsys.readouterr().err
+        assert main(self.sweep_argv(redescription_path, bad)) == 1
+        assert f"error: cannot write {bad}: " in capsys.readouterr().err
