@@ -9,10 +9,11 @@ produce byte-identical files.
 
 Each writer replaces an existing file's contents in place: the new bytes
 go over the old ones and the tail is cut off at the end, so the file
-keeps its inode and ends up holding exactly the bytes of a fresh write.
-Truncating to zero before writing instead makes each rerun to the same
-path wait for the writeback of the previous one on file systems such as
-ext4.
+keeps its inode and, once the write completes, holds exactly the bytes
+of a fresh write; a write that fails partway leaves the file empty.
+Truncating to zero before writing instead makes a rerun to the same path
+wait on the previous output's writeback on file systems such as ext4,
+whether it follows milliseconds or seconds later.
 """
 
 from __future__ import annotations
@@ -112,13 +113,25 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     docstring).
 
     ``O_BINARY`` keeps LF endings on Windows.  Only a regular file is
-    truncated, so ``/dev/null`` and pipes still work.
+    truncated, so ``/dev/null`` and pipes still work.  A write that fails
+    partway, or is interrupted, empties the file rather than leave the
+    new head over the previous output's tail.  The text layer is closed
+    before the descriptor is cut, so no buffered bytes land after the cut.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+                fh.writelines(lines)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
 
 
 def write_trace(state: SimulationState, path: str) -> None:

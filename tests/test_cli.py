@@ -382,6 +382,21 @@ class TestOutputFiles:
         assert trace.stat().st_size < long_size
         assert len(metrics.read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize("error", [KeyError("weight"), KeyboardInterrupt()])
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, error):
+        class Broken(dict):
+            def __getitem__(self, key):
+                raise error
+
+        row = {"weight": 1.0, "final_strict": True, "final_relaxed": True,
+               "abandoned": False, "countermeasures_fired": 0}
+        out = tmp_path / "s.csv"
+        out.write_bytes(self.JUNK)
+        # Enough rows to flush past the text layer's buffer before the failure.
+        with pytest.raises(type(error)):
+            cli.write_sweep([row] * 5000 + [Broken()], str(out))
+        assert out.read_bytes() == b""
+
     @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
     def test_run_to_dev_null(self, room_tidy_path):
         assert main(self.run_argv(room_tidy_path, "/dev/null", "/dev/null")) == 0
