@@ -1,28 +1,32 @@
 """Per-tick orchestration of the three-layer agent.
 
-Stage order within one tick:
+``tick`` is the sequence of its stages, one function each:
 
-    scheduled events -> perception -> reactive rules -> plan following
-    -> deliberation (periodic) -> monitoring + control -> deliberation
-    (again, if control requested it) -> purge + force recomputation ->
-    selection -> execution.
+    fire_events -> perceive -> reactive_step (its tendencies injected)
+    -> deliberative_step on the deliberation cadence, follow_plan on
+    every other tick -> metacognition -> recompute_forces -> act
 
 Events fire before perception so adversity is perceivable in the tick
-it occurs; metacognition runs after deliberation so it can veto this
-tick's biased tendencies before anything is executed; control may
-request a same-tick second deliberation for replanning.  Exactly one
-world action is applied per tick — an illegal or absent selection
+it occurs.  Between deliberations ``follow_plan`` injects the standing
+plan's next step; a deliberation injects the fresh plan's first step
+itself.  ``metacognition`` monitors the trace since its last pass, so
+it can veto this tick's biased tendencies before anything is executed;
+when control asks for replanning it deliberates once more in the same
+tick.  ``recompute_forces`` purges expired tendencies and judges the
+pool against the current argument case.  ``act`` selects the strongest
+tendency, applies exactly one world action, advances the plan cursor
+and returns the tick's metrics row; an illegal or absent selection
 degrades to idle and is traced, never raised.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
-that perception and the end-of-tick stats share, the task plan of each
+that perception and the tick's metrics row share, the task plan of each
 goal variant, and the goal variant and belief version perception last
 saw.  Perception is skipped when those are unchanged: every belief
 already holds what it would set.  A reused plan is the same steps; no
 tick is stamped on it.
 
-Deliberation and the purge each ask for the argument case.  The
+Deliberation and ``recompute_forces`` each ask for the argument case.  The
 template triggers are evaluated again only when a belief value (the
 belief store's version) or an active appraisal changed since their last
 evaluation.  The case is built again only when the live options and
@@ -46,7 +50,7 @@ from .affect import (
     supporting_argument_ids,
 )
 from .arguments import Argument, active_set, build_case, triggered
-from .errors import IllegalAction, NoTendency
+from .errors import IllegalAction
 from .metacog import ReasoningTrace, control, monitor
 from .planner import plan_tidy_task
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
@@ -107,12 +111,10 @@ class SimulationState:
     # triggered call, then its result.
     fired_memo: tuple[tuple, list[bool]] | None = None
     monitor_cursor: tuple[int, int] = (-1, -1)
-    pending_deliberation: bool = False
     metacognition_enabled: bool = True
     weight_overrides: dict[str, float] = field(default_factory=dict)
     countermeasures_fired: int = 0
     last_option_set: tuple = ()
-    last_tick_stats: dict = field(default_factory=dict)
     _tendency_counter: int = 0
 
     # -- small helpers shared with the metacognition module ------------------
@@ -160,6 +162,19 @@ class SimulationState:
 
 
 # -- pipeline stages ----------------------------------------------------------
+
+
+def fire_events(state: SimulationState) -> None:
+    """Fire the events scheduled for this tick; each one is traced."""
+    now = state.world.tick
+    state.world, fired = W.step_events(state.world, state.events)
+    for event in fired:
+        state.trace.append(
+            tick=now,
+            layer="world",
+            kind="WorldEventFired",
+            payload={"effect": dict(event.effect), "fire_tick": event.fire_tick},
+        )
 
 
 def perceive(state: SimulationState) -> SimulationState:
@@ -268,7 +283,9 @@ def _drop_plan_tendencies(state: SimulationState) -> None:
     state.tendency_pool = [t for t in state.tendency_pool if t.origin != "plan"]
 
 
-def _inject_plan_step(state: SimulationState) -> None:
+def follow_plan(state: SimulationState) -> None:
+    """Inject the standing plan's next step as a fresh tendency; it
+    replaces the previous step's tendency."""
     if state.world.abandoned or state.plan is None:
         return
     if state.plan_cursor >= len(state.plan):
@@ -378,7 +395,7 @@ def deliberative_step(state: SimulationState) -> SimulationState:
     if planning:
         state.plan = plan
         state.plan_cursor = 0
-        _inject_plan_step(state)
+        follow_plan(state)
 
     _rebuild_case(state)
 
@@ -495,7 +512,9 @@ def _emit_option_set(state: SimulationState, options: list[str],
     )
 
 
-def _purge_and_recompute(state: SimulationState) -> None:
+def recompute_forces(state: SimulationState) -> None:
+    """Purge expired tendencies, then judge every pooled tendency against
+    the active argument set: the moment of action."""
     now = state.world.tick
     ttl = state.config.tendency_ttl
     kept: list[ActionTendency] = []
@@ -510,8 +529,7 @@ def _purge_and_recompute(state: SimulationState) -> None:
         else:
             kept.append(tendency)
     state.tendency_pool = kept
-    # The moment of action judges the pool against the current case:
-    # options injected since the last deliberation must be covered too.
+    # Options injected since the last deliberation must be covered too.
     ids = _rebuild_case(state)
     active_args = [a for a in state.arguments if a.id in ids]
     for tendency in state.tendency_pool:
@@ -519,23 +537,26 @@ def _purge_and_recompute(state: SimulationState) -> None:
         tendency.supporting_arguments = supporting_argument_ids(tendency, active_args)
 
 
-def _select_tendency(state: SimulationState) -> ActionTendency:
-    """The moment of action: pick the maximal-force pooled tendency.
+def _select_tendency(state: SimulationState) -> ActionTendency | None:
+    """Pick the maximal-force pooled tendency, or trace NoTendency and
+    return None.
 
     Only tendencies with strictly positive force can drive behaviour; a
-    fully suppressed pool raises :class:`NoTendency` just like an empty
-    one.  Ties break to the more committed (lower-rank) source process,
-    then to the lexicographically smallest action encoding.
+    fully suppressed pool selects nothing, just like an empty one.  Ties
+    break to the more committed (lower-rank) source process, then to the
+    lexicographically smallest action encoding.
     """
+    now = state.world.tick
     candidates = [t for t in state.tendency_pool if t.force > 0]
     if not candidates:
-        raise NoTendency("no tendency with positive force")
+        state.trace.append(tick=now, layer="reactive", kind="NoTendency", payload={})
+        return None
     best = min(
         candidates,
         key=lambda t: (-t.force, state.process_rank(t.source_process), t.action),
     )
     state.trace.append(
-        tick=state.world.tick,
+        tick=now,
         layer="deliberative",
         kind="OptionSelected",
         payload={
@@ -549,132 +570,85 @@ def _select_tendency(state: SimulationState) -> ActionTendency:
     return best
 
 
-def _profile_note(state: SimulationState, tendency: ActionTendency | None) -> dict:
-    if tendency is None:
-        return {}
-    if state.bct_profile == "ceos":
-        return {"os_tendency": tendency.id}
-    return {"momentary_need": tendency.force}
+def metacognition(state: SimulationState) -> None:
+    """Monitor the trace since the last pass and answer each finding with
+    control; when an answer asked for replanning, deliberate once more,
+    after the cursor has moved past this pass."""
+    findings = monitor(state.trace, state.config.commitments, state.monitor_cursor,
+                       world=state.world, goal=state.goal)
+    replan = False
+    for finding in findings:
+        replan |= control(finding, state.config.countermeasures, state)
+    state.monitor_cursor = state.trace.head()
+    if replan:
+        deliberative_step(state)
 
 
-def tick(state: SimulationState) -> SimulationState:
-    """Advance the simulation by exactly one world action."""
+def act(state: SimulationState) -> dict:
+    """Select, execute exactly one world action, advance the plan cursor;
+    return the tick's metrics row."""
     now = state.world.tick
-
-    new_world, fired = W.step_events(state.world, state.events)
-    state.world = new_world
-    for event in fired:
-        state.trace.append(
-            tick=now,
-            layer="world",
-            kind="WorldEventFired",
-            payload={"effect": dict(event.effect), "fire_tick": event.fire_tick},
-        )
-
-    perceive(state)
-
-    for tendency in reactive_step(state):
-        _inject(state, tendency)
-
-    if now % state.config.deliberation_period == 0:
-        deliberative_step(state)
-    else:
-        # Between deliberations the standing intention keeps generating
-        # impulses: the plan's next step is injected as a fresh tendency.
-        _inject_plan_step(state)
-
-    if state.metacognition_enabled:
-        findings = monitor(
-            state.trace,
-            state.config.commitments,
-            state.monitor_cursor,
-            world=state.world,
-            goal=state.goal,
-        )
-        for finding in findings:
-            control(finding, state.config.countermeasures, state)
-        state.monitor_cursor = state.trace.head()
-
-    if state.pending_deliberation:
-        state.pending_deliberation = False
-        deliberative_step(state)
-
-    _purge_and_recompute(state)
-
     forces: dict[str, float] = {p.id: 0.0 for p in state.processes}
     for tendency in state.tendency_pool:
         pid = tendency.source_process
         forces[pid] = max(forces.get(pid, 0.0), tendency.force)
 
-    executed = "idle"
-    selected_action = "idle"
-    winner = ""
-    fallback = True
-    error = None
-    tendency = None
+    tendency = _select_tendency(state)
+    selected = "idle" if tendency is None else tendency.action
+    executed, error = selected, None
     try:
-        tendency = _select_tendency(state)
-        selected_action, winner = tendency.action, tendency.source_process
-        fallback = False
-    except NoTendency:
-        state.trace.append(
-            tick=now, layer="reactive", kind="NoTendency", payload={}
-        )
-
+        state.world = W.apply_action(
+            state.world, selected if W.is_world_action(selected) else "idle")
+    except IllegalAction as exc:
+        executed, error = "idle", exc.reason
+        state.world = W.apply_action(state.world, "idle")
+    fallback = tendency is None or error is not None
+    payload = {"action": executed, "option": None, "process": None,
+               "tendency": None, "fallback": fallback}
     if tendency is not None:
-        executed = selected_action
-        world_action = executed if W.is_world_action(executed) else "idle"
-        try:
-            state.world = W.apply_action(state.world, world_action)
-        except IllegalAction as exc:
-            error = exc.reason
-            executed = "idle"
-            fallback = True
-            state.world = W.apply_action(state.world, "idle")
-        payload = {
-            "action": executed,
-            "option": tendency.option,
-            "process": winner,
-            "tendency": tendency.id,
-            "fallback": fallback,
-        }
+        payload.update(option=tendency.option, process=tendency.source_process,
+                       tendency=tendency.id)
         if error is not None:
             payload["error"] = error
-        payload.update(_profile_note(state, tendency))
-    else:
-        state.world = W.apply_action(state.world, "idle")
-        payload = {
-            "action": "idle",
-            "option": None,
-            "process": None,
-            "tendency": None,
-            "fallback": True,
-        }
-    state.trace.append(
-        tick=now, layer="world", kind="ActionExecuted", payload=payload
-    )
+        if state.bct_profile == "ceos":
+            payload["os_tendency"] = tendency.id
+        else:
+            payload["momentary_need"] = tendency.force
+    state.trace.append(tick=now, layer="world", kind="ActionExecuted", payload=payload)
     if state.world.abandoned:
         # Walking out discharges every impulse; the agent is disengaged.
         state.tendency_pool = []
 
-    if (
-        state.plan is not None
-        and state.plan_cursor < len(state.plan)
-        and not fallback
-        and executed == state.plan[state.plan_cursor]
-    ):
+    plan, cursor = state.plan, state.plan_cursor
+    if plan and cursor < len(plan) and not fallback and executed == plan[cursor]:
         state.plan_cursor += 1
 
     status = _world_memo(state).status
-    state.last_tick_stats = {
+    return {
         "tick": now,
-        "selected_action": selected_action if tendency is not None else "idle",
+        "selected_action": selected,
         "executed_action": executed,
-        "winning_process": winner,
+        "winning_process": "" if tendency is None else tendency.source_process,
         "forces": forces,
         "misplaced_count": status.misplaced_count,
         "strict_tidy": status.strict,
         "relaxed_tidy": status.relaxed,
         "idle": executed == "idle",
     }
-    return state
+
+
+def tick(state: SimulationState) -> dict:
+    """Advance the simulation by exactly one world action; return the
+    tick's metrics row."""
+    fire_events(state)
+    perceive(state)
+    for tendency in reactive_step(state):
+        _inject(state, tendency)
+    if state.world.tick % state.config.deliberation_period == 0:
+        deliberative_step(state)
+    else:
+        follow_plan(state)
+    if state.metacognition_enabled:
+        metacognition(state)
+    recompute_forces(state)
+    return act(state)

@@ -26,7 +26,7 @@ from .scenario import parse_scenario, validate_scenario
 def _load_spec(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, 1
     try:
@@ -77,6 +77,9 @@ def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
 
 
 def _checked_spec(args: argparse.Namespace):
+    if args.ticks < 1:
+        print("error: --ticks must be >= 1", file=sys.stderr)
+        return None, 2
     spec, status = _load_spec(args.scenario)
     if spec is None:
         return None, status
@@ -88,10 +91,17 @@ def _checked_spec(args: argparse.Namespace):
     return spec, 0
 
 
+def _run_config(args: argparse.Namespace, overrides: dict[str, float]) -> RunConfig:
+    return RunConfig(
+        ticks=args.ticks,
+        seed=args.seed,
+        bct_profile=args.bct,
+        metacognition_enabled=not args.no_metacog,
+        weight_overrides=overrides,
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.ticks < 1:
-        print("error: --ticks must be >= 1", file=sys.stderr)
-        return 2
     spec, status = _checked_spec(args)
     if spec is None:
         return status
@@ -101,14 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stem = Path(args.scenario).stem
     trace_path = args.trace or f"{stem}.trace.jsonl"
     metrics_path = args.metrics or f"{stem}.metrics.csv"
-    config = RunConfig(
-        ticks=args.ticks,
-        seed=args.seed,
-        bct_profile=args.bct,
-        metacognition_enabled=not args.no_metacog,
-        weight_overrides=overrides,
-    )
-    result = run_simulation(spec, config)
+    result = run_simulation(spec, _run_config(args, overrides))
     try:
         write_trace(result.state, trace_path)
         write_metrics(result, metrics_path)
@@ -120,9 +123,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.ticks < 1:
-        print("error: --ticks must be >= 1", file=sys.stderr)
-        return 2
     spec, status = _checked_spec(args)
     if spec is None:
         return status
@@ -134,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: malformed --weights: {args.weights!r}", file=sys.stderr)
         return 2
-    if not weights or any(not math.isfinite(w) or w < 0 for w in weights):
+    if any(not math.isfinite(w) or w < 0 for w in weights):
         print("error: weights must be finite and non-negative", file=sys.stderr)
         return 2
     if args.template not in {t.id for t in spec.agent.argument_templates}:
@@ -160,14 +160,7 @@ def _sweep_row(args: argparse.Namespace, spec, base_overrides: dict[str, float],
     outlives the call, so the run's state is freed before the next run."""
     overrides = dict(base_overrides)
     overrides[args.template] = weight
-    config = RunConfig(
-        ticks=args.ticks,
-        seed=args.seed,
-        bct_profile=args.bct,
-        metacognition_enabled=not args.no_metacog,
-        weight_overrides=overrides,
-    )
-    summary = run_simulation(spec, config).summary
+    summary = run_simulation(spec, _run_config(args, overrides)).summary
     return {
         "weight": weight,
         "final_strict": summary["final_strict"],

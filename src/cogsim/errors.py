@@ -51,8 +51,3 @@ class CyclicUndercut(CogsimError):
 class NonFiniteForce(CogsimError):
     """A tendency's force overflowed: its urgency and argument weights
     sum past the largest float."""
-
-
-class NoTendency(CogsimError):
-    """No selectable action tendency exists at the moment of action."""
-

@@ -329,8 +329,9 @@ def control(
     finding: Inconsistency,
     library: list[CountermeasureSpec],
     state: "SimulationState",
-) -> "SimulationState":
-    """Answer one finding with the first matching library entry.
+) -> bool:
+    """Answer one finding with the first matching library entry; return
+    True when the answer asks for a same-tick replanning pass.
 
     With no match the failure is still observable: a
     CountermeasureApplied event with outcome "none" is recorded.
@@ -345,7 +346,7 @@ def control(
             payload={"countermeasure": None, "outcome": "none",
                      "finding_atom": finding.atom},
         )
-        return state
+        return False
 
     action = entry.action
     if action["kind"] == "redescription":
@@ -377,7 +378,7 @@ def control(
                 "weight": weight,
             },
         )
-        return state
+        return False
 
     if action["kind"] == "replanning":
         variant = action.get("goal_variant", "relaxed")
@@ -391,7 +392,6 @@ def control(
                 payload={"process": None, "variant": variant},
             )
             state.set_belief("goal_variant", variant)
-        state.pending_deliberation = True
         state.countermeasures_fired += 1
         state.trace.append(
             tick=now,
@@ -409,6 +409,6 @@ def control(
                 "goal_variant": variant,
             },
         )
-        return state
+        return True
 
     raise ValueError(f"unknown countermeasure action: {action}")

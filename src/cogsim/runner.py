@@ -58,8 +58,7 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
     idle_streak = 0
     acted = False
     for _ in range(config.ticks):
-        tick(state)
-        stats = state.last_tick_stats
+        stats = tick(state)
         metrics.append(stats)
         if stats["idle"]:
             idle_streak += 1

@@ -631,14 +631,21 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
             report.error("SCATTER_SPACE", "starting_state",
                          f"{scattered} scattered objects but only {free} free cells")
 
-    for i, event in enumerate(spec.events):
+    # The objects present are replayed through the schedule in the order
+    # the events fire: by tick, then in schedule order.
+    live = set(object_ids)
+    for i, event in sorted(enumerate(spec.events), key=lambda e: e[1].fire_tick):
         effect = event.effect
         if effect["kind"] == "break_fixture" and effect["fixture"] not in fixture_ids:
             report.error("DANGLING_REF", f"events[{i}].effect",
                          f"undeclared fixture: {effect['fixture']}")
-        if effect["kind"] == "remove_object" and effect["object_id"] not in object_ids:
-            report.error("DANGLING_REF", f"events[{i}].effect",
-                         f"undeclared object: {effect['object_id']}")
+        if effect["kind"] == "spawn_object":
+            live.add(effect["object"]["id"])
+        if effect["kind"] == "remove_object":
+            if effect["object_id"] not in live:
+                report.error("DANGLING_REF", f"events[{i}].effect",
+                             f"undeclared object: {effect['object_id']}")
+            live.discard(effect["object_id"])
         if (
             spec.goal.deadline_tick is not None
             and event.fire_tick > spec.goal.deadline_tick

@@ -13,7 +13,6 @@ from cogsim.agent import (
     tick,
 )
 from cogsim.arguments import Argument, active_set, build_case, triggered
-from cogsim.errors import NoTendency
 from cogsim.planner import plan_tidy_task
 from cogsim.rules import RuleContext, compile_condition
 from cogsim.runner import RunConfig, run_simulation, trace_lines
@@ -118,12 +117,12 @@ class TestSelectAction:
         )
         state.metacognition_enabled = False
         state.world = dataclasses.replace(state.world, tick=1)
-        tick(state)
-        return [e for e in state.trace.events
-                if e.kind in ("OptionSelected", "NoTendency")]
+        row = tick(state)
+        return row, [e for e in state.trace.events
+                     if e.kind in ("OptionSelected", "NoTendency")]
 
     def _winner(self, state):
-        [selected] = self._select(state)
+        [selected] = self._select(state)[1]
         assert selected.kind == "OptionSelected"
         return selected.payload["option"], selected.payload["process"]
 
@@ -142,20 +141,21 @@ class TestSelectAction:
         pooled(room_state, base=0.9, action="move:east", process="proc0")
         assert self._winner(room_state) == ("move:east", "proc0")
 
-    def test_empty_pool_raises(self, room_state):
-        # tick catches the NoTendency and degrades to a traced idle.
-        with pytest.raises(NoTendency):
-            agent._select_tendency(room_state)
-        assert [e.kind for e in self._select(room_state)] == ["NoTendency"]
-        assert room_state.last_tick_stats["executed_action"] == "idle"
+    def test_empty_pool_selects_nothing(self, room_state):
+        # Selection traces NoTendency and returns None; the tick degrades
+        # to a traced idle.
+        row, selections = self._select(room_state)
+        assert [e.kind for e in selections] == ["NoTendency"]
+        assert row["executed_action"] == "idle"
+        assert agent._select_tendency(room_state) is None
 
-    def test_fully_suppressed_pool_raises(self, room_state):
+    def test_fully_suppressed_pool_selects_nothing(self, room_state):
         pooled(room_state, base=0.0)
-        assert [e.kind for e in self._select(room_state)] == ["NoTendency"]
-        assert room_state.last_tick_stats["executed_action"] == "idle"
+        row, selections = self._select(room_state)
+        assert [e.kind for e in selections] == ["NoTendency"]
+        assert row["executed_action"] == "idle"
         assert [t.force for t in room_state.tendency_pool] == [0.0]
-        with pytest.raises(NoTendency):
-            agent._select_tendency(room_state)
+        assert agent._select_tendency(room_state) is None
 
 
 class TestTick:
@@ -224,6 +224,76 @@ class TestTick:
         phases = [p.phase for p in state.processes]
         tick(state)  # tick 1: no deliberation (period 3)
         assert [p.phase for p in state.processes] == phases
+
+
+class TestStageOrder:
+    """``tick`` calls its stages, looked up by name in ``cogsim.agent``,
+    in the order the module docstring documents."""
+
+    STAGES = ("fire_events", "perceive", "reactive_step", "deliberative_step",
+              "follow_plan", "metacognition", "recompute_forces", "act")
+    ROW = {"tick": "row"}
+
+    def _record(self, monkeypatch, calls, stages=STAGES):
+        for name in stages:
+            result = {"reactive_step": [], "monitor": [], "act": self.ROW}.get(name)
+            monkeypatch.setattr(
+                agent, name,
+                lambda *_, _name=name, _result=result, **__:
+                    calls.append(_name) or _result,
+            )
+
+    def _tick(self, state, now):
+        state.world = dataclasses.replace(state.world, tick=now)
+        return tick(state)
+
+    def test_an_on_cadence_tick(self, room_state, monkeypatch):
+        calls = []
+        self._record(monkeypatch, calls)
+        assert self._tick(room_state, 3) is self.ROW
+        assert calls == ["fire_events", "perceive", "reactive_step",
+                         "deliberative_step", "metacognition",
+                         "recompute_forces", "act"]
+
+    def test_an_off_cadence_tick_follows_the_plan(self, room_state, monkeypatch):
+        calls = []
+        self._record(monkeypatch, calls)
+        self._tick(room_state, 4)
+        assert calls == ["fire_events", "perceive", "reactive_step",
+                         "follow_plan", "metacognition", "recompute_forces",
+                         "act"]
+
+    def test_no_metacognition_skips_monitoring(self, room_state, monkeypatch):
+        calls = []
+        stages = [n for n in self.STAGES if n != "metacognition"]
+        self._record(monkeypatch, calls, stages + ["monitor", "control"])
+        room_state.metacognition_enabled = False
+        self._tick(room_state, 3)
+        assert calls == ["fire_events", "perceive", "reactive_step",
+                         "deliberative_step", "recompute_forces", "act"]
+
+    def test_a_replanning_answer_deliberates_once_more(self, room_state, monkeypatch):
+        perceive(room_state)  # a trace for the cursor to move along
+        calls, cursor_moved = [], []
+        stages = [n for n in self.STAGES
+                  if n not in ("deliberative_step", "metacognition")]
+        self._record(monkeypatch, calls, stages)
+
+        def deliberative_step(state):
+            calls.append("deliberative_step")
+            cursor_moved.append(state.monitor_cursor == state.trace.head())
+
+        monkeypatch.setattr(agent, "deliberative_step", deliberative_step)
+        monkeypatch.setattr(agent, "monitor", lambda *_, **__: ["f1", "f2"])
+        monkeypatch.setattr(
+            agent, "control",
+            lambda finding, library, state: calls.append("control") or True)
+        self._tick(room_state, 4)
+        assert calls == ["fire_events", "perceive", "reactive_step",
+                         "follow_plan", "control", "control",
+                         "deliberative_step", "recompute_forces", "act"]
+        # The cursor moved past this pass before the second deliberation.
+        assert cursor_moved == [True]
 
 
 @pytest.fixture
@@ -411,7 +481,7 @@ class TestCaseReuse:
     def test_a_deliberation_and_the_purge_build_once(self, room_state, case_calls):
         perceive(room_state)
         deliberative_step(room_state)
-        agent._purge_and_recompute(room_state)
+        agent.recompute_forces(room_state)
         assert len(case_calls) == 1
         assert room_state.arguments == _fresh_case(room_state)[0]
 

@@ -133,6 +133,48 @@ class TestValidateCommand:
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
 
+    def test_undecodable_file_exits_1_in_every_command(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        for argv in (["validate"], ["run"],
+                     ["sweep", "--template", "t", "--weights", "1"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 1
+            assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    @staticmethod
+    def _with_events(tmp_path, events):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["events"] += events
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    # Object events are checked in the order they fire: by tick, then in
+    # schedule order, whatever their order in the document.
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_removing_an_object_twice_exits_2(self, tmp_path, capsys, reverse):
+        events = [{"fire_tick": t, "effect": {"kind": "remove_object",
+                                              "object_id": "book_1"}}
+                  for t in (2, 4)]
+        path = self._with_events(tmp_path, events[::-1] if reverse else events)
+        assert main(["validate", path]) == 2
+        late = 1 if reverse else 2  # index of the tick-4 event
+        assert capsys.readouterr().out == (
+            f"ERROR DANGLING_REF @ events[{late}].effect: undeclared object: book_1\n")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_removing_a_spawned_object_is_valid_and_runs(self, tmp_path, reverse):
+        events = [
+            {"fire_tick": 2, "effect": {"kind": "spawn_object", "object": {
+                "id": "toy_9", "kind": "toy", "location": {"cell": [1, 1]}}}},
+            {"fire_tick": 4, "effect": {"kind": "remove_object", "object_id": "toy_9"}},
+        ]
+        path = self._with_events(tmp_path, events[::-1] if reverse else events)
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--ticks", "60",
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 0
+
 
 class TestRunCommand:
     def test_run_writes_trace_and_metrics(self, room_tidy_path, tmp_path, capsys):
