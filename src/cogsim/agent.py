@@ -26,6 +26,14 @@ saw.  Perception is skipped when those are unchanged: every belief
 already holds what it would set.  A reused plan is the same steps; no
 tick is stamped on it.
 
+A plan covers only the stretch up to the next deliberation: the planner
+stops after the first whole leg that reaches ``deliberation_period``
+steps.  That is exact.  Every deliberation, on the cadence or asked for
+by control, sets the plan cursor back to 0, and between two of them
+``follow_plan`` and ``act`` read at most ``deliberation_period`` steps;
+the affective cycle reads only the first step and whether there is a
+plan, which a prefix answers alike.
+
 Deliberation and ``recompute_forces`` each ask for the argument case.  The
 template triggers are evaluated again only when a belief value (the
 belief store's version) or an active appraisal changed since their last
@@ -78,7 +86,9 @@ class WorldMemo:
     world: W.WorldState
     goal: W.GoalSpec
     status: W.GoalStatus
-    # Goal variant -> plan_tidy_task of the world for that variant.
+    # Goal variant -> the plan for that variant, cut after the first whole
+    # leg that reaches deliberation_period steps: no more is followed
+    # before the next deliberation plans again.
     plans: dict[str, tuple[str, ...] | None] = field(default_factory=dict)
     # The goal variant and belief version after the last perceive.
     perceived: tuple[str, int] | None = None
@@ -404,10 +414,13 @@ def deliberative_step(state: SimulationState) -> SimulationState:
 
 def _task_plan(state: SimulationState) -> tuple[str, ...] | None:
     """``plan_tidy_task`` for the current world and goal variant, searched
-    once per variant of each world in the memo."""
+    once per variant of each world in the memo, and only as far as the
+    whole legs that cover the next ``deliberation_period`` steps."""
     plans, variant = _world_memo(state).plans, state.goal_variant
     if variant not in plans:
-        plans[variant] = plan_tidy_task(state.world, state.goal, variant)
+        plans[variant] = plan_tidy_task(
+            state.world, state.goal, variant,
+            min_steps=state.config.deliberation_period)
     return plans[variant]
 
 

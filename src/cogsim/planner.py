@@ -7,6 +7,14 @@ place it.  The table is considered for books only once the relaxed
 goal variant is active.  Optimality is not the point — a monitorable,
 reproducible plan is.
 
+Each object's walk, pick-up, walk and ``place:`` step make one leg.
+With ``min_steps`` the search stops after the first whole leg that
+brings the plan to that many steps, so the result is the whole plan's
+first legs.  The agent asks for ``deliberation_period`` steps: the plan
+covers only the stretch up to its next deliberation.  That is exact,
+since every deliberation replans from the first step and no more than
+``deliberation_period`` steps are followed in between.
+
 Each leg searches its candidates nearest-bound first: an object's path
 is at least its Manhattan distance minus one (its goal cells lie within
 one step of it), so objects are searched in ``(bound, id)`` order and
@@ -15,6 +23,7 @@ the search stops once no later bound can beat the best ``(length, id)``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from . import world as W
@@ -129,16 +138,25 @@ def _target_allowance(goal: W.GoalSpec, kind: str, variant: str) -> tuple[str, .
 
 
 def plan_tidy_task(
-    start: W.WorldState, goal: W.GoalSpec, variant: str = "strict"
+    start: W.WorldState,
+    goal: W.GoalSpec,
+    variant: str = "strict",
+    *,
+    min_steps: int | None = None,
 ) -> tuple[str, ...] | None:
     """The steps that put every plannable misplaced object somewhere allowed.
 
     Objects with no reachable legal target are skipped rather than
     failing the whole plan.  Returns None when no step can be planned.
+    With ``min_steps``, returns the shortest prefix of that plan that
+    ends with a leg's ``place:`` step and has at least ``min_steps``
+    steps, or the whole plan when it is shorter.
     """
     sim = start
     steps: list[str] = []
     handled: set[str] = set()
+    # Legs are planned while the plan is shorter than this.
+    limit = math.inf if min_steps is None else max(min_steps, 1)
 
     # If already carrying something, deliver it first.
     if sim.agent_holding is not None:
@@ -150,7 +168,7 @@ def plan_tidy_task(
         steps.extend(extra)
         handled.add(held_id)
 
-    while True:
+    while len(steps) < limit:
         found = _nearest_object(sim, goal, variant, handled)
         if found is None:
             break

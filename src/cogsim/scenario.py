@@ -640,7 +640,11 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
             report.error("DANGLING_REF", f"events[{i}].effect",
                          f"undeclared fixture: {effect['fixture']}")
         if effect["kind"] == "spawn_object":
-            live.add(effect["object"]["id"])
+            spawned = effect["object"]["id"]
+            if spawned in live:
+                report.error("DUPLICATE_OBJECT", f"events[{i}].effect",
+                             f"object already present: {spawned}")
+            live.add(spawned)
         if effect["kind"] == "remove_object":
             if effect["object_id"] not in live:
                 report.error("DANGLING_REF", f"events[{i}].effect",

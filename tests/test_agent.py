@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cogsim import agent
+from cogsim import agent, planner
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal
 from cogsim.agent import (
@@ -300,9 +300,9 @@ class TestStageOrder:
 def plan_calls(monkeypatch):
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return plan_tidy_task(*args)
+        return plan_tidy_task(*args, **kwargs)
 
     monkeypatch.setattr(agent, "plan_tidy_task", counting)
     return calls
@@ -330,12 +330,23 @@ def _one_object_fewer(world):
 class TestPlanReuse:
     """A deliberation reuses the plan of the world memo when the world is
     the same apart from ``tick`` and the goal variant was planned for it;
-    the reused plan is what the planner would return for the new tick."""
+    the reused plan is what the planner would return for the new tick,
+    cut after the whole legs that cover the state's deliberation
+    period."""
+
+    @pytest.fixture
+    def room_state(self, room_state):
+        # Beside book_1, the first leg fetches a book: each world change
+        # below then shows in the plan, which at room_tidy's period of 3
+        # is that one leg.
+        room_state.world = dataclasses.replace(room_state.world, agent_pos=(4, 1))
+        return room_state
 
     def _deliberate_at(self, state, tick_, world=None):
         state.world = dataclasses.replace(world or state.world, tick=tick_)
         deliberative_step(state)
-        fresh = plan_tidy_task(state.world, state.goal, state.goal_variant)
+        fresh = plan_tidy_task(state.world, state.goal, state.goal_variant,
+                               min_steps=state.config.deliberation_period)
         assert state.plan == fresh
         return state.plan
 
@@ -399,6 +410,62 @@ class TestPlanReuse:
         room_state.world = dataclasses.replace(room_state.world, abandoned=True)
         assert agent._task_plan(room_state) is None
         assert len(plan_calls) == 2
+
+
+class TestPlanHorizon:
+    """A deliberation plans only the whole legs that cover the next
+    ``deliberation_period`` steps.  Every deliberation sets the plan
+    cursor back to 0 and no more steps are followed before the next one,
+    so a run gives the bytes a run with whole plans gives, with fewer
+    searches."""
+
+    @staticmethod
+    def _run(monkeypatch, name, config, whole):
+        bfs_calls, plans = [], []
+        real_bfs = planner.bfs_path
+
+        def counting_bfs(*args):
+            bfs_calls.append(args)
+            return real_bfs(*args)
+
+        def recording_plan(world, goal, variant, *, min_steps):
+            plan = plan_tidy_task(world, goal, variant,
+                                  min_steps=None if whole else min_steps)
+            plans.append(plan)
+            return plan
+
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "bfs_path", counting_bfs)
+            patch.setattr(agent, "plan_tidy_task", recording_plan)
+            result = run_simulation(load_bundled(name), config)
+        return result, len(bfs_calls), plans
+
+    @pytest.mark.parametrize("name", ["room_tidy", "room_tidy_redescription"])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"metacognition_enabled": False}, {"bct_profile": "ceos"}],
+        ids=["default", "no_metacog", "ceos"],
+    )
+    def test_runs_match_whole_plans_with_fewer_searches(self, monkeypatch,
+                                                        name, options):
+        for seed_ in range(5):
+            config = RunConfig(ticks=300, seed=seed_, **options)
+            short, short_bfs, plans = self._run(monkeypatch, name, config, False)
+            whole, whole_bfs, _ = self._run(monkeypatch, name, config, True)
+            assert trace_lines(short.state) == trace_lines(whole.state)
+            assert short.metrics == whole.metrics
+            assert short_bfs < whole_bfs
+            # Every plan searched, those left in the world memo among them.
+            period = short.state.config.deliberation_period
+            for plan in plans:
+                if plan is not None:
+                    assert plan[-1].startswith("place:")
+                    assert len(_without_last_leg(plan)) < period
+
+
+def _without_last_leg(plan):
+    places = [i for i, step in enumerate(plan[:-1]) if step.startswith("place:")]
+    return plan[:places[-1] + 1] if places else ()
 
 
 @pytest.fixture

@@ -175,6 +175,28 @@ class TestValidateCommand:
                      "--trace", str(tmp_path / "t.jsonl"),
                      "--metrics", str(tmp_path / "m.csv")]) == 0
 
+    def test_spawning_a_present_object_exits_2(self, tmp_path, capsys):
+        path = self._with_events(tmp_path, [
+            {"fire_tick": 2, "effect": {"kind": "spawn_object", "object": {
+                "id": "book_1", "kind": "toy", "location": {"cell": [1, 1]}}}},
+        ])
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().out == (
+            "ERROR DUPLICATE_OBJECT @ events[1].effect: object already present: book_1\n")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_spawning_a_removed_object_is_valid_and_runs(self, tmp_path, reverse):
+        events = [
+            {"fire_tick": 2, "effect": {"kind": "remove_object", "object_id": "book_1"}},
+            {"fire_tick": 4, "effect": {"kind": "spawn_object", "object": {
+                "id": "book_1", "kind": "toy", "location": {"cell": [1, 1]}}}},
+        ]
+        path = self._with_events(tmp_path, events[::-1] if reverse else events)
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--ticks", "60",
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 0
+
 
 class TestRunCommand:
     def test_run_writes_trace_and_metrics(self, room_tidy_path, tmp_path, capsys):

@@ -291,4 +291,18 @@ def _detour_tie():
 def test_plan_matches_the_exhaustive_candidate_search(case):
     world, goal, variant = case
     expected = reference_plan_tidy_task(world, goal, variant)
-    assert plan_tidy_task(world, goal, variant) == expected
+    for min_steps in (None, 1, 2, 3, 7, 1000):
+        got = plan_tidy_task(world, goal, variant, min_steps=min_steps)
+        assert got == _leg_prefix(expected, min_steps), min_steps
+
+
+def _leg_prefix(plan, min_steps):
+    """The shortest prefix of the plan that ends with a ``place:`` step and
+    has at least ``min_steps`` steps; the whole plan when there is none
+    or ``min_steps`` is None."""
+    if plan is None or min_steps is None:
+        return plan
+    for end, step in enumerate(plan, 1):
+        if end >= min_steps and step.startswith("place:"):
+            return plan[:end]
+    return plan
