@@ -52,6 +52,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 2
 
 
+def _weights_ok(weights: list[float]) -> bool:
+    """True when every weight is finite and non-negative; otherwise print
+    the one message both weight options share."""
+    if all(math.isfinite(w) and w >= 0 for w in weights):
+        return True
+    print("error: weights must be finite and non-negative", file=sys.stderr)
+    return False
+
+
 def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
     known = {t.id for t in spec.agent.argument_templates}
     out: dict[str, float] = {}
@@ -66,8 +75,7 @@ def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
         except ValueError:
             print(f"error: weight is not a number: {raw!r}", file=sys.stderr)
             return None
-        if not math.isfinite(weight) or weight < 0:
-            print("error: weights must be finite and >= 0", file=sys.stderr)
+        if not _weights_ok([weight]):
             return None
         if template not in known:
             print(f"error: unknown argument template: {template}", file=sys.stderr)
@@ -134,8 +142,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: malformed --weights: {args.weights!r}", file=sys.stderr)
         return 2
-    if any(not math.isfinite(w) or w < 0 for w in weights):
-        print("error: weights must be finite and non-negative", file=sys.stderr)
+    if not _weights_ok(weights):
         return 2
     if args.template not in {t.id for t in spec.agent.argument_templates}:
         print(f"error: unknown argument template: {args.template}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Reasoning trace plus metacognitive monitoring and control.
 
 The trace is an append-only record of typed mental events.  Monitoring
-re-reads it from a cursor and checks appraisals, candidate goals, and
-injected tendencies against the commitments implied by the initial
-goal; each violation becomes an InconsistencyDetected event.  Control
-answers a finding with the first matching entry of a pre-programmed
-countermeasure library: either re-describing the situation (a con
-argument against the violating option, weighted by the commitment) or
-replanning against the relaxed goal variant.
+reads the events after a cursor and checks appraisals, candidate
+goals, and injected tendencies against the commitments implied by the
+initial goal; each violation becomes an InconsistencyDetected event.
+Control answers a finding with the first matching entry of a
+pre-programmed countermeasure library: either re-describing the
+situation (a con argument against the violating option, weighted by
+the commitment) or replanning against the relaxed goal variant.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -64,6 +66,9 @@ class TraceEvent:
     reasons: tuple[str, ...] = ()
 
 
+_TICK_SEQ = attrgetter("tick", "seq")
+
+
 class ReasoningTrace:
     """Append-only event sequence with (tick, seq) ordering."""
 
@@ -90,16 +95,12 @@ class ReasoningTrace:
     def since(self, cursor: tuple[int, int]) -> list[TraceEvent]:
         """Events strictly after the (tick, seq) cursor, in trace order.
 
-        One pass that reads every event and tests only its tick; the
-        few events at or after the cursor's tick are then cut at its
-        seq.  The pass stays a full read, not a bisection, while
-        ``bench/test_bench.py::test_events_scanned_counts_the_events_monitor_reads``
-        asserts that the unpatched scan doubles with the horizon
-        (ROADMAP item 1, step 1 moves that control).
+        ``append`` keeps the events strictly increasing in (tick, seq),
+        so one binary search finds the first event after the cursor and
+        the result is the slice from there: O(log N) probes plus the
+        events returned, not a read of the whole trace.
         """
-        tick, seq = cursor
-        recent = [e for e in self.events if e.tick >= tick]
-        return [e for e in recent if e.tick > tick or e.seq > seq]
+        return self.events[bisect_right(self.events, cursor, key=_TICK_SEQ):]
 
     def head(self) -> tuple[int, int]:
         if not self.events:

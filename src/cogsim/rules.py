@@ -19,7 +19,8 @@ exact key set of every form:
 ATOM is a string and ``?`` marks an optional key; an omitted
 ``appraisal`` or ``commitment`` key matches anything.  A belief test
 takes at most one comparator.  Any other key, a second form in the same
-object or a value of another type is malformed.
+object, a value of another type or nesting deeper than
+``MAX_CONDITION_DEPTH`` levels is malformed.
 
 A missing belief atom evaluates as ``None`` so equality checks against
 ``null`` are expressible.
@@ -152,12 +153,23 @@ def _commitment(atom: str | None, ctx: RuleContext) -> bool:
     return any(atom is None or c.atom == atom for c in ctx.commitments)
 
 
+MAX_CONDITION_DEPTH = 100
+
+
 def compile_condition(doc: Any) -> Condition:
     """Check ``doc`` against the grammar and compile it.
 
     Raises ValueError on a malformed document, so a compiled condition
-    evaluates without error.
+    evaluates without error: evaluation takes two Python frames per
+    level of nesting, so the depth bound keeps it clear of the
+    interpreter's recursion limit.
     """
+    return _compile(doc, MAX_CONDITION_DEPTH)
+
+
+def _compile(doc: Any, depth: int) -> Condition:
+    if depth < 1:
+        raise ValueError(f"condition nested deeper than {MAX_CONDITION_DEPTH} levels")
     if not isinstance(doc, dict) or not doc:
         raise ValueError(f"malformed condition: {doc!r}")
     keys = doc.keys()
@@ -169,11 +181,11 @@ def compile_condition(doc: Any) -> Condition:
         (form,) = keys
         if not isinstance(doc[form], list):
             raise ValueError(f"{form} needs a list: {doc[form]!r}")
-        parts = tuple(compile_condition(sub) for sub in doc[form])
+        parts = tuple(_compile(sub, depth - 1) for sub in doc[form])
         atoms = tuple(dict.fromkeys(atom for part in parts for atom in part.atoms))
         return Condition(doc, atoms, _all if form == "all" else _any, parts)
     if keys == {"not"}:
-        part = compile_condition(doc["not"])
+        part = _compile(doc["not"], depth - 1)
         return Condition(doc, part.atoms, _not, part)
     if "belief" in keys:
         atom = doc["belief"]

@@ -517,9 +517,10 @@ def parse_scenario(document: str) -> ScenarioSpec:
     """Parse a scenario document into a spec, applying defaults.
 
     Malformed JSON, a non-finite number included, raises ParseError with
-    the line and column; schema problems (wrong types, unknown keys,
-    undeclared entities in an event) raise SchemaError with the
-    offending path.
+    the line and column, and so does nesting too deep for the JSON
+    reader (reported at the document's start); schema problems (wrong
+    types, unknown keys, undeclared entities in an event) raise
+    SchemaError with the offending path.
     """
     try:
         data = json.loads(
@@ -527,6 +528,8 @@ def parse_scenario(document: str) -> ScenarioSpec:
         )
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    except RecursionError:
+        raise ParseError(1, 1, "nested too deeply") from None
     except _NonFinite as exc:
         token = exc.args[0]
         at = json.JSONDecodeError(

@@ -141,6 +141,41 @@ class TestValidateCommand:
             assert main([argv[0], str(path), *argv[1:]]) == 1
             assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
+    def test_deeply_nested_json_exits_1_in_every_command(self, tmp_path, capsys):
+        # Python's JSON reader recurses once per bracket.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        outputs = ["--trace", str(tmp_path / "t.jsonl"),
+                   "--metrics", str(tmp_path / "m.csv")]
+        for argv in (["validate"], ["run", *outputs],
+                     ["sweep", "--template", "t", "--weights", "1",
+                      "--out", str(tmp_path / "s.csv")]):
+            assert main([argv[0], str(path), *argv[1:]]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: line 1, column 1: nested too deeply\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    # Evaluation takes two Python frames per level of a condition, so
+    # 700 nested "not"s passed validation and then crashed the run.
+    @pytest.mark.parametrize("depth, code", [(60, 0), (700, 1)])
+    def test_deeply_nested_condition(self, tmp_path, capsys, depth, code):
+        doc = json.loads(bundled_document("office_cake"))
+        rule = doc["agent"]["appraisal_rules"][0]
+        when, rule["when"] = rule["when"], "@"
+        nested = '{"not": ' * depth + json.dumps(when) + "}" * depth
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc).replace('"@"', nested), encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        assert main(["run", str(path), "--ticks", "5",
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == 2 * (f"error: {path}: agent.appraisal_rules[0].when: "
+                               "malformed condition\n")
+        else:
+            assert err == ""
+
     @staticmethod
     def _with_events(tmp_path, events):
         doc = json.loads(bundled_document("room_tidy"))
@@ -379,6 +414,18 @@ class TestSweepCommand:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_both_weight_options_print_one_message(self, redescription_path,
+                                                   tmp_path, capsys):
+        run = main(["run", redescription_path, "--set-weight", "commitment_guard=nan",
+                    "--trace", str(tmp_path / "t.jsonl"),
+                    "--metrics", str(tmp_path / "m.csv")])
+        run_err = capsys.readouterr().err
+        sweep = main(["sweep", redescription_path, "--template", "commitment_guard",
+                      "--weights", "nan", "--out", str(tmp_path / "s.csv")])
+        assert run == sweep == 2
+        assert run_err == capsys.readouterr().err == (
+            "error: weights must be finite and non-negative\n")
 
     def test_unknown_template_exit_2(self, redescription_path, tmp_path):
         code = main(

@@ -1,9 +1,12 @@
+import bisect
 import dataclasses
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from cogsim import agent
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal
 from cogsim.errors import OutOfOrder
@@ -312,3 +315,74 @@ def test_long_runs_match_a_tuple_order_since(monkeypatch, name):
     assert trace_lines(fast.state) == trace_lines(slow.state)
     assert fast.metrics == slow.metrics
     assert fast.summary == slow.summary
+
+
+class _CountingEvents(list):
+    """A trace's event list that counts the elements read from it while
+    ``reading`` is set: one per index, the length of a slice, one per
+    element iterated.  ``bisect`` reads through ``__getitem__``, so a
+    binary search counts its probes."""
+
+    reading = False
+    reads = 0
+
+    def __getitem__(self, index):
+        item = list.__getitem__(self, index)
+        if self.reading:
+            self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+    def __iter__(self):
+        for event in list.__iter__(self):
+            self.reads += self.reading
+            yield event
+
+
+def _monitor_reads(monkeypatch, ticks: int) -> tuple[int, int]:
+    """(events ``monitor`` reads, events after its cursors) over one
+    ``room_tidy_redescription`` run of ``ticks`` ticks."""
+    monitor_fn = agent.monitor
+    runs = []
+    after_cursor = 0
+
+    def counted(trace, commitments, since, **kwargs):
+        nonlocal after_cursor
+        if not isinstance(trace.events, _CountingEvents):
+            trace.events = _CountingEvents(trace.events)
+            runs.append(trace.events)
+        events = trace.events
+        after_cursor += len(events) - bisect.bisect_right(
+            events, tuple(since), key=attrgetter("tick", "seq"))
+        events.reading = True
+        try:
+            return monitor_fn(trace, commitments, since, **kwargs)
+        finally:
+            events.reading = False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(agent, "monitor", counted)
+        result = run_simulation(load_bundled("room_tidy_redescription"),
+                                RunConfig(ticks=ticks, seed=3))
+    assert len(result.metrics) == ticks and len(runs) == 1
+    return runs[0].reads, after_cursor
+
+
+def test_monitor_reads_per_tick_stay_flat_across_horizons(monkeypatch):
+    """The engine's ``since`` reads about the same number of events per
+    tick at 200 and 400 ticks.  A positive control, the reference
+    ``since`` that reads the whole trace, shows the counter sees a
+    rescan: its reads per tick double with the horizon."""
+    horizons = (200, 400)
+    counts = [_monitor_reads(monkeypatch, ticks) for ticks in horizons]
+    engine = [reads / ticks for (reads, _), ticks in zip(counts, horizons)]
+
+    def reference(self, cursor):
+        return [e for e in self.events if (e.tick, e.seq) > cursor]
+
+    monkeypatch.setattr(ReasoningTrace, "since", reference)
+    rescan = [_monitor_reads(monkeypatch, ticks)[0] / ticks for ticks in horizons]
+    assert rescan[1] > 1.8 * rescan[0]
+    assert engine[1] < rescan[1] / 10
+    assert engine[1] == pytest.approx(engine[0], rel=0.25)
+    for reads, after_cursor in counts:
+        assert reads >= after_cursor > 0

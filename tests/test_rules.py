@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from cogsim.affect import Appraisal
 from cogsim.metacog import Commitment
-from cogsim.rules import BeliefStore, RuleContext, compile_condition, eval_condition
+from cogsim.rules import (
+    MAX_CONDITION_DEPTH,
+    BeliefStore,
+    RuleContext,
+    compile_condition,
+    eval_condition,
+)
 
 ATOMS = ("a", "b", "c")
 VALENCES = ("positive", "negative")
@@ -179,6 +185,27 @@ def test_documents_are_rejected_or_evaluate_as_read(case, drawn):
 def test_malformed_documents_raise(doc):
     with pytest.raises(ValueError):
         compile_condition(doc)
+
+
+@pytest.mark.parametrize("form", ["not", "all", "any"])
+def test_nesting_is_bounded(form):
+    """A condition MAX_CONDITION_DEPTH levels deep compiles and evaluates;
+    one level more is malformed."""
+
+    def nested(levels):
+        doc = {"belief": "a"}
+        for _ in range(levels - 1):
+            doc = {form: doc if form == "not" else [doc]}
+        return doc
+
+    cond = compile_condition(nested(MAX_CONDITION_DEPTH))
+    beliefs = BeliefStore()
+    beliefs.set("a", True, 0)
+    want = form != "not" or MAX_CONDITION_DEPTH % 2 == 1
+    assert eval_condition(cond, RuleContext(beliefs)) is want
+    assert cond.atoms == ("a",)
+    with pytest.raises(ValueError, match="nested deeper"):
+        compile_condition(nested(MAX_CONDITION_DEPTH + 1))
 
 
 def test_equality_uses_the_source_document():
