@@ -458,7 +458,6 @@ def _rebuild_case(state: SimulationState) -> set[str]:
         if not t.expired(now, ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
     appraisals = _all_appraisals(state)
-    ctx = None
     templates = state.config.argument_templates
     fired_key = (state.config, state.beliefs.version, appraisals)
     if state.fired_memo is not None and state.fired_memo[0] == fired_key:
@@ -475,14 +474,8 @@ def _rebuild_case(state: SimulationState) -> set[str]:
             state.arguments = args
             return active
     options = sorted(sources)
-    args = build_case(
-        options,
-        templates,
-        ctx or RuleContext(state.beliefs, appraisals, state.config.commitments),
-        weight_overrides=state.weight_overrides,
-        option_sources=sources,
-        fired=fired,
-    )
+    args = build_case(options, templates, fired,
+                      weight_overrides=state.weight_overrides, option_sources=sources)
     fresh_ids = {a.id for a in args}
     for sticky in state.sticky_arguments:
         if sticky.id not in fresh_ids:

@@ -92,21 +92,18 @@ def triggered(templates: list[ArgumentTemplate], context: RuleContext) -> list[b
 def build_case(
     options: list[str],
     templates: list[ArgumentTemplate],
-    context: RuleContext,
+    fired: list[bool],
     weight_overrides: dict[str, float] | None = None,
     option_sources: dict[str, set[str]] | None = None,
-    fired: list[bool] | None = None,
 ) -> list[Argument]:
     """Instantiate every (template, option) pair whose trigger holds.
 
-    ``fired`` is :func:`triggered` of ``templates`` when the caller has
-    already evaluated it against ``context``.  Argument ids are
+    ``fired`` is :func:`triggered` of ``templates``: whether each
+    template's trigger holds, in template order.  Argument ids are
     deterministic functions of (template id, option id), so rebuilding
     the case over the same inputs reproduces the same arguments in the
     same order.
     """
-    if fired is None:
-        fired = triggered(templates, context)
     overrides = weight_overrides or {}
     out: list[Argument] = []
     produced: set[str] = set()

@@ -1,9 +1,11 @@
 """Reasoning trace plus metacognitive monitoring and control.
 
 The trace is an append-only record of typed mental events.  Monitoring
-reads the events after a cursor and checks appraisals, candidate
-goals, and injected tendencies against the commitments implied by the
-initial goal; each violation becomes an InconsistencyDetected event.
+reads the events after a cursor and checks each traced appraisal,
+candidate goal, and injected tendency against the commitments implied
+by the initial goal; each violation becomes an InconsistencyDetected
+event.  The check reads the traced event itself, so a finding can be
+checked again from the trace alone.
 Control answers a finding with the first matching entry of a
 pre-programmed countermeasure library: either re-describing the
 situation (a con argument against the violating option, weighted by
@@ -20,7 +22,6 @@ from typing import TYPE_CHECKING
 from . import world as W
 from .arguments import Argument, argument_id
 from .errors import OutOfOrder
-from .affect import ActionTendency, Appraisal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .agent import SimulationState
@@ -147,123 +148,62 @@ class Inconsistency:
     detail: str
 
 
-@dataclass(frozen=True)
-class GoalChange:
-    """A newly adopted candidate goal, as seen by the monitor."""
-
-    state: str
-    source_process: str
-    option: str = ""
-
-
-def _opposes(valence: str, required: str) -> bool:
-    return valence != required
-
-
 def check_consistency(
-    item,
+    event: TraceEvent,
     commitments: list[Commitment],
     world: W.WorldState | None = None,
     goal: W.GoalSpec | None = None,
 ) -> Inconsistency | None:
-    """Check one appraisal, goal change, or tendency against the
+    """Check one traced appraisal, goal change, or tendency against the
     commitments; returns the violation or None.
 
-    A tendency violates when its action abandons the task or undoes a
+    Reads only ``active``, ``atom`` and ``valence`` of an AppraisalChange,
+    ``state`` and ``option`` of a GoalChange, and ``action`` and
+    ``option`` of a TendencyInjected; any other kind asserts nothing.  A
+    tendency violates when its action abandons the task or undoes a
     correct placement — the single-action rollouts after which neither
     tidiness predicate stays reachable.
     """
-    if isinstance(item, Appraisal):
-        for c in commitments:
-            if c.atom == item.atom and _opposes(item.valence, c.required_valence):
-                return Inconsistency(
-                    commitment=c,
-                    item_kind="appraisal",
-                    atom=item.atom,
-                    option=item.atom,
-                    detail=f"{item.valence} appraisal of {item.atom} "
-                    f"opposes committed valence {c.required_valence}",
-                )
-        return None
-
-    if isinstance(item, GoalChange):
-        for c in commitments:
-            if c.atom == item.state and c.required_valence == "negative":
-                return Inconsistency(
-                    commitment=c,
-                    item_kind="goal",
-                    atom=item.state,
-                    option=item.option or item.state,
-                    detail=f"desiring {item.state} contradicts the commitment "
-                    f"against it",
-                )
-        return None
-
-    if isinstance(item, ActionTendency):
-        if not commitments:
-            return None
-        task_commitments = [c for c in commitments if c.required_valence == "positive"]
-        if not task_commitments:
-            return None
-        c = task_commitments[0]
-        if item.action == "abandon":
-            return Inconsistency(
-                commitment=c,
-                item_kind="tendency",
-                atom=item.action,
-                option=item.option,
-                detail="abandoning leaves the committed goal unreachable",
-            )
-        kind, arg = W.split_action(item.action)
-        if kind == "pick_up" and world is not None and goal is not None:
-            obj = world.objects.get(arg or "")
-            if obj is not None and W.placed_ok(
-                world, obj, goal.strict.get(obj.kind, ())
-            ):
-                return Inconsistency(
-                    commitment=c,
-                    item_kind="tendency",
-                    atom=item.action,
-                    option=item.option,
-                    detail=f"picking up {obj.id} undoes a correct placement",
-                )
-        return None
-
-    return None
-
-
-def _item_from_event(event: TraceEvent):
-    """Rebuild the checkable item a monitored trace event describes."""
     p = event.payload
     if event.kind == "AppraisalChange":
         if not p.get("active", True):
             return None  # a withdrawn appraisal asserts nothing
-        return Appraisal(
-            atom=p["atom"],
-            valence=p["valence"],
-            magnitude=p["magnitude"],
-            source_process=p["process"],
-            tick=event.tick,
-            label=p.get("label", ""),
-        )
+        atom, valence = p["atom"], p["valence"]
+        for c in commitments:
+            if c.atom == atom and valence != c.required_valence:
+                return Inconsistency(c, "appraisal", atom, atom,
+                                     f"{valence} appraisal of {atom} opposes "
+                                     f"committed valence {c.required_valence}")
+        return None
+
     if event.kind == "GoalChange":
         if "state" not in p:
             return None  # goal-variant switches carry no desire
-        return GoalChange(
-            state=p["state"],
-            source_process=p.get("process") or "",
-            option=p.get("option", ""),
-        )
-    if event.kind == "TendencyInjected":
-        return ActionTendency(
-            action=p["action"],
-            source_process=p["process"],
-            base_urgency=p.get("base_urgency", 0.0),
-            created_tick=event.tick,
-            option=p.get("option", p["action"]),
-            label=p.get("label", ""),
-        )
-    return None
+        state = p["state"]
+        for c in commitments:
+            if c.atom == state and c.required_valence == "negative":
+                return Inconsistency(c, "goal", state, p.get("option") or state,
+                                     f"desiring {state} contradicts the "
+                                     f"commitment against it")
+        return None
+
+    if event.kind != "TendencyInjected":
+        return None
+    c = next((c for c in commitments if c.required_valence == "positive"), None)
+    if c is None:
+        return None
+    action = p["action"]
+    if action == "abandon":
+        detail = "abandoning leaves the committed goal unreachable"
+    else:
+        kind, arg = W.split_action(action)
+        if kind != "pick_up" or world is None or goal is None:
+            return None
+        obj = world.objects.get(arg or "")
+        if obj is None or not W.placed_ok(world, obj, goal.strict.get(obj.kind, ())):
+            return None
+        detail = f"picking up {obj.id} undoes a correct placement"
+    return Inconsistency(c, "tendency", action, p.get("option") or action, detail)
 
 
 def monitor(
@@ -279,10 +219,7 @@ def monitor(
     for event in trace.since(since):
         if event.kind not in MONITORED_KINDS:
             continue
-        item = _item_from_event(event)
-        if item is None:
-            continue
-        finding = check_consistency(item, commitments, world=world, goal=goal)
+        finding = check_consistency(event, commitments, world=world, goal=goal)
         if finding is None:
             continue
         findings.append(finding)

@@ -154,6 +154,15 @@ def _commitment(atom: str | None, ctx: RuleContext) -> bool:
 
 
 MAX_CONDITION_DEPTH = 100
+# Longest repr of a sub-document that a compile error quotes.
+MAX_QUOTED_CHARS = 40
+
+
+def _quote(value: Any) -> str:
+    text = repr(value)
+    if len(text) <= MAX_QUOTED_CHARS:
+        return text
+    return text[:MAX_QUOTED_CHARS - 3] + "..."
 
 
 def compile_condition(doc: Any) -> Condition:
@@ -162,25 +171,26 @@ def compile_condition(doc: Any) -> Condition:
     Raises ValueError on a malformed document, so a compiled condition
     evaluates without error: evaluation takes two Python frames per
     level of nesting, so the depth bound keeps it clear of the
-    interpreter's recursion limit.
+    interpreter's recursion limit.  The error's message is the reason,
+    with any sub-document it quotes cut to ``MAX_QUOTED_CHARS``.
     """
     return _compile(doc, MAX_CONDITION_DEPTH)
 
 
 def _compile(doc: Any, depth: int) -> Condition:
     if depth < 1:
-        raise ValueError(f"condition nested deeper than {MAX_CONDITION_DEPTH} levels")
+        raise ValueError(f"nested deeper than {MAX_CONDITION_DEPTH} levels")
     if not isinstance(doc, dict) or not doc:
-        raise ValueError(f"malformed condition: {doc!r}")
+        raise ValueError(f"expected a non-empty object: {_quote(doc)}")
     keys = doc.keys()
     if keys == {"const"}:
         if not isinstance(doc["const"], bool):
-            raise ValueError(f"const needs a boolean: {doc['const']!r}")
+            raise ValueError(f"const needs a boolean: {_quote(doc['const'])}")
         return Condition(doc, (), _const, doc["const"])
     if keys == {"all"} or keys == {"any"}:
         (form,) = keys
         if not isinstance(doc[form], list):
-            raise ValueError(f"{form} needs a list: {doc[form]!r}")
+            raise ValueError(f"{form} needs a list: {_quote(doc[form])}")
         parts = tuple(_compile(sub, depth - 1) for sub in doc[form])
         atoms = tuple(dict.fromkeys(atom for part in parts for atom in part.atoms))
         return Condition(doc, atoms, _all if form == "all" else _any, parts)
@@ -190,15 +200,16 @@ def _compile(doc: Any, depth: int) -> Condition:
     if "belief" in keys:
         atom = doc["belief"]
         if not _is_atom(atom):
-            raise ValueError(f"belief atom must be a string: {atom!r}")
+            raise ValueError(f"belief atom must be a string: {_quote(atom)}")
         ops = keys - {"belief"}
         if not ops:
             return Condition(doc, (atom,), _belief, (atom, None, None))
         if len(ops) > 1 or not ops <= _COMPARATORS.keys():
-            raise ValueError(f"a belief test takes one comparator: {sorted(ops)}")
+            raise ValueError(
+                f"a belief test takes one comparator: {_quote(sorted(ops))}")
         (op,) = ops
         if not _COMPARATORS[op][1](doc[op]):
-            raise ValueError(f"malformed {op} operand: {doc[op]!r}")
+            raise ValueError(f"malformed {op} operand: {_quote(doc[op])}")
         return Condition(doc, (atom,), _belief, (atom, op, doc[op]))
     if len(keys) == 1 and keys <= _WANT_KEYS.keys():
         (form,) = keys
@@ -206,9 +217,9 @@ def _compile(doc: Any, depth: int) -> Condition:
         if not isinstance(want, dict) or not all(
             key in checks and checks[key](value) for key, value in want.items()
         ):
-            raise ValueError(f"malformed {form}: {want!r}")
+            raise ValueError(f"malformed {form}: {_quote(want)}")
         if form == "commitment":
             return Condition(doc, (), _commitment, want.get("atom"))
         want = (want.get("atom"), want.get("valence"), want.get("min_magnitude", 0.0))
         return Condition(doc, (), _appraisal, want)
-    raise ValueError(f"unknown condition form: {sorted(keys)}")
+    raise ValueError(f"unknown condition form: {_quote(sorted(keys))}")

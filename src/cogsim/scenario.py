@@ -253,8 +253,8 @@ def _load_condition(value, path: str) -> Condition:
         raise SchemaError(path, "expected a condition object")
     try:
         return compile_condition(value)
-    except ValueError:
-        raise SchemaError(path, "malformed condition") from None
+    except ValueError as exc:
+        raise SchemaError(path, f"malformed condition: {exc}") from None
 
 
 def _to_float(value, path: str) -> float:
@@ -596,6 +596,23 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
         report.error("CELL_CONFLICT", "starting_state.agent",
                      "agent starts on a fixture cell")
 
+    def check_location(location: str, loc: str) -> None:
+        """Report an object location on an undeclared slot or fixture, or
+        on a cell outside the grid or under a fixture."""
+        kind, _, where = location.partition(":")
+        if kind == "slot" and where not in slot_ids:
+            report.error("DANGLING_REF", loc, f"undeclared slot: {where}")
+        elif kind == "fixture" and where not in fixture_ids:
+            report.error("DANGLING_REF", loc, f"undeclared fixture: {where}")
+        elif kind == "cell":
+            cell = W.parse_cell(location)
+            if cell is not None and (
+                not (0 <= cell[0] < width and 0 <= cell[1] < height)
+                or cell in seen_cells
+            ):
+                report.error("OUT_OF_BOUNDS", loc,
+                             f"object placed on unusable cell {cell}")
+
     object_ids: set[str] = set()
     used_slots: set[str] = set()
     scattered = 0
@@ -608,25 +625,13 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
             report.error("DANGLING_REF", loc, f"undeclared kind: {obj.kind}")
         if obj.location == "scattered":
             scattered += 1
-        elif obj.location.startswith("slot:"):
+            continue
+        check_location(obj.location, loc)
+        if obj.location.startswith("slot:"):
             slot = obj.location[5:]
-            if slot not in slot_ids:
-                report.error("DANGLING_REF", loc, f"undeclared slot: {slot}")
-            elif slot in used_slots:
+            if slot in slot_ids and slot in used_slots:
                 report.error("SLOT_CONFLICT", loc, f"slot {slot} used twice")
             used_slots.add(slot)
-        elif obj.location.startswith("fixture:"):
-            if obj.location[8:] not in fixture_ids:
-                report.error("DANGLING_REF", loc,
-                             f"undeclared fixture: {obj.location[8:]}")
-        else:
-            cell = W.parse_cell(obj.location)
-            if cell is not None and (
-                not (0 <= cell[0] < width and 0 <= cell[1] < height)
-                or cell in seen_cells
-            ):
-                report.error("OUT_OF_BOUNDS", loc,
-                             f"object placed on unusable cell {cell}")
 
     if scattered:
         free = len(_scatter_cells(spec)) if spec.starting_state else 0
@@ -648,6 +653,7 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
                 report.error("DUPLICATE_OBJECT", f"events[{i}].effect",
                              f"object already present: {spawned}")
             live.add(spawned)
+            check_location(effect["object"]["location"], f"events[{i}].effect")
         if effect["kind"] == "remove_object":
             if effect["object_id"] not in live:
                 report.error("DANGLING_REF", f"events[{i}].effect",

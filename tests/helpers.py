@@ -6,10 +6,13 @@ import itertools
 import json
 import random
 from collections import deque
+from dataclasses import dataclass
 
 from cogsim import world as W
+from cogsim.affect import ActionTendency, Appraisal
 from cogsim.arguments import Argument
 from cogsim.errors import IllegalAction
+from cogsim.metacog import Inconsistency
 from cogsim.planner import (
     _adjacent_cells,
     _deliver,
@@ -181,6 +184,127 @@ def replay(world, steps, goal):
     for action in steps:
         world = W.apply_action(world, action)
     return W.evaluate_goal(world, goal)
+
+
+# -- consistency check through engine objects -----------------------------------
+#
+# The monitor used to rebuild an ``Appraisal``, a goal change or an
+# ``ActionTendency`` from each monitored event and check that object.
+# ``metacog.check_consistency`` reads the event itself and must return the
+# same finding.
+
+
+@dataclass(frozen=True)
+class ReferenceGoalChange:
+    """A newly adopted candidate goal, as the object check saw it."""
+
+    state: str
+    source_process: str
+    option: str = ""
+
+
+def reference_item_from_event(event):
+    """Rebuild the checkable item a monitored trace event describes."""
+    p = event.payload
+    if event.kind == "AppraisalChange":
+        if not p.get("active", True):
+            return None  # a withdrawn appraisal asserts nothing
+        return Appraisal(
+            atom=p["atom"],
+            valence=p["valence"],
+            magnitude=p["magnitude"],
+            source_process=p["process"],
+            tick=event.tick,
+            label=p.get("label", ""),
+        )
+    if event.kind == "GoalChange":
+        if "state" not in p:
+            return None  # goal-variant switches carry no desire
+        return ReferenceGoalChange(
+            state=p["state"],
+            source_process=p.get("process") or "",
+            option=p.get("option", ""),
+        )
+    if event.kind == "TendencyInjected":
+        return ActionTendency(
+            action=p["action"],
+            source_process=p["process"],
+            base_urgency=p.get("base_urgency", 0.0),
+            created_tick=event.tick,
+            option=p.get("option", p["action"]),
+            label=p.get("label", ""),
+        )
+    return None
+
+
+def reference_check_item(item, commitments, world=None, goal=None):
+    """Check one rebuilt appraisal, goal change, or tendency against the
+    commitments; returns the violation or None."""
+    if isinstance(item, Appraisal):
+        for c in commitments:
+            if c.atom == item.atom and item.valence != c.required_valence:
+                return Inconsistency(
+                    commitment=c,
+                    item_kind="appraisal",
+                    atom=item.atom,
+                    option=item.atom,
+                    detail=f"{item.valence} appraisal of {item.atom} "
+                    f"opposes committed valence {c.required_valence}",
+                )
+        return None
+
+    if isinstance(item, ReferenceGoalChange):
+        for c in commitments:
+            if c.atom == item.state and c.required_valence == "negative":
+                return Inconsistency(
+                    commitment=c,
+                    item_kind="goal",
+                    atom=item.state,
+                    option=item.option or item.state,
+                    detail=f"desiring {item.state} contradicts the commitment "
+                    f"against it",
+                )
+        return None
+
+    if isinstance(item, ActionTendency):
+        if not commitments:
+            return None
+        task_commitments = [c for c in commitments if c.required_valence == "positive"]
+        if not task_commitments:
+            return None
+        c = task_commitments[0]
+        if item.action == "abandon":
+            return Inconsistency(
+                commitment=c,
+                item_kind="tendency",
+                atom=item.action,
+                option=item.option,
+                detail="abandoning leaves the committed goal unreachable",
+            )
+        kind, arg = W.split_action(item.action)
+        if kind == "pick_up" and world is not None and goal is not None:
+            obj = world.objects.get(arg or "")
+            if obj is not None and W.placed_ok(
+                world, obj, goal.strict.get(obj.kind, ())
+            ):
+                return Inconsistency(
+                    commitment=c,
+                    item_kind="tendency",
+                    atom=item.action,
+                    option=item.option,
+                    detail=f"picking up {obj.id} undoes a correct placement",
+                )
+        return None
+
+    return None
+
+
+def reference_check_consistency(event, commitments, world=None, goal=None):
+    """The finding for one trace event, checked through the rebuilt item."""
+    item = reference_item_from_event(event)
+    if item is None:
+        return None
+    return reference_check_item(item, commitments, world=world, goal=goal)
 
 
 # -- trace encoding ------------------------------------------------------------

@@ -495,8 +495,8 @@ def _fresh_case(state):
     for t in state.tendency_pool:
         if not t.expired(now, state.config.tendency_ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
-    args = build_case(sorted(sources), list(state.config.argument_templates),
-                      _context(state),
+    templates = list(state.config.argument_templates)
+    args = build_case(sorted(sources), templates, triggered(templates, _context(state)),
                       weight_overrides=state.weight_overrides, option_sources=sources)
     fresh_ids = {a.id for a in args}
     args += [a for a in state.sticky_arguments if a.id not in fresh_ids]

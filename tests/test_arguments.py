@@ -12,6 +12,7 @@ from cogsim.arguments import (
     aggregate,
     argument_id,
     build_case,
+    triggered,
 )
 from cogsim.errors import CyclicUndercut
 from cogsim.rules import BeliefStore, RuleContext, compile_condition
@@ -154,7 +155,8 @@ class TestBuildCase:
                 trigger=compile_condition({"const": False}),
             ),
         ]
-        args = build_case(["smoke", "wait"], templates, self._context())
+        fired = triggered(templates, self._context())
+        args = build_case(["smoke", "wait"], templates, fired)
         assert [a.id for a in args] == [argument_id("calming", "smoke")]
         assert args[0].weight == 0.6
 
@@ -169,8 +171,8 @@ class TestBuildCase:
             )
             for i in range(3)
         ]
-        first = build_case(["a", "b"], templates, self._context())
-        second = build_case(["a", "b"], templates, self._context())
+        first = build_case(["a", "b"], templates, triggered(templates, self._context()))
+        second = build_case(["a", "b"], templates, triggered(templates, self._context()))
         assert first == second
         assert [a.id for a in first] == [
             "t0@a", "t0@b", "t1@a", "t1@b", "t2@a", "t2@b",
@@ -187,7 +189,7 @@ class TestBuildCase:
                 trigger=compile_condition({"belief": "absent_atom", "equals": True}),
             )
         ]
-        assert build_case(["x"], templates, self._context()) == []
+        assert build_case(["x"], templates, triggered(templates, self._context())) == []
 
     def test_weight_override_replaces_template_weight(self):
         templates = [
@@ -200,7 +202,8 @@ class TestBuildCase:
             )
         ]
         args = build_case(
-            ["x"], templates, self._context(), weight_overrides={"t": 0.25}
+            ["x"], templates, triggered(templates, self._context()),
+            weight_overrides={"t": 0.25},
         )
         assert args[0].weight == 0.25
 
@@ -222,7 +225,7 @@ class TestBuildCase:
                 undercuts_template="base",
             ),
         ]
-        args = build_case(["x", "y"], templates, self._context())
+        args = build_case(["x", "y"], templates, triggered(templates, self._context()))
         by_id = {a.id: a for a in args}
         assert by_id["cut@x"].undercuts == "base@x"
         active = active_set(args)
@@ -242,7 +245,7 @@ class TestBuildCase:
         args = build_case(
             ["a", "b"],
             templates,
-            self._context(),
+            triggered(templates, self._context()),
             option_sources={"a": {"proc0"}, "b": {"proc1"}},
         )
         assert [a.option for a in args] == ["a"]

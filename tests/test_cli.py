@@ -172,9 +172,27 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         if code:
             assert err == 2 * (f"error: {path}: agent.appraisal_rules[0].when: "
-                               "malformed condition\n")
+                               "malformed condition: nested deeper than 100 levels\n")
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("when", [
+        {"const": "x" * 10_000},
+        {"x" * 10_000: True},
+        {"belief": "a", "gt": "x" * 10_000},
+        {"appraisal": {"atom": "x" * 10_000, "valence": "up"}},
+        {"any": "x" * 10_000},
+    ])
+    def test_a_long_string_in_a_condition_is_quoted_short(self, tmp_path, capsys, when):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["agent"]["appraisal_rules"][0]["when"] = when
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 300
+        assert "agent.appraisal_rules[0].when: malformed condition: " in err
 
     @staticmethod
     def _with_events(tmp_path, events):
@@ -218,6 +236,28 @@ class TestValidateCommand:
         assert main(["validate", path]) == 2
         assert capsys.readouterr().out == (
             "ERROR DUPLICATE_OBJECT @ events[1].effect: object already present: book_1\n")
+
+    @pytest.mark.parametrize("location, message", [
+        ({"slot": "nope"}, "DANGLING_REF @ events[1].effect: undeclared slot: nope"),
+        ({"fixture": "nope"},
+         "DANGLING_REF @ events[1].effect: undeclared fixture: nope"),
+        ({"cell": [99, 99]},
+         "OUT_OF_BOUNDS @ events[1].effect: object placed on unusable cell (99, 99)"),
+        ({"cell": [3, 0]},  # the shelf's cell
+         "OUT_OF_BOUNDS @ events[1].effect: object placed on unusable cell (3, 0)"),
+    ])
+    def test_spawning_onto_an_unusable_location_exits_2(self, tmp_path, capsys,
+                                                        location, message):
+        # The same checks as an object in the starting state.
+        path = self._with_events(tmp_path, [
+            {"fire_tick": 1, "effect": {"kind": "spawn_object", "object": {
+                "id": "toy_9", "kind": "toy", "location": location}}},
+        ])
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", path, "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_spawning_a_removed_object_is_valid_and_runs(self, tmp_path, reverse):

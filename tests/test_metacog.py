@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import itertools
 from operator import attrgetter
 
 import pytest
@@ -8,11 +9,9 @@ from hypothesis import strategies as st
 
 from cogsim import agent
 from cogsim import world as W
-from cogsim.affect import ActionTendency, Appraisal
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
     Commitment,
-    GoalChange,
     ReasoningTrace,
     TraceEvent,
     check_consistency,
@@ -21,9 +20,31 @@ from cogsim.metacog import (
 from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import load_bundled
 
+from helpers import reference_check_consistency
+
 
 def commitment(atom="smoke", valence="negative", weight=1.2):
     return Commitment(atom=atom, required_valence=valence, weight=weight)
+
+
+def appraisal(atom, valence, process="proc1", active=True):
+    """An AppraisalChange event as the deliberative layer traces it."""
+    return TraceEvent(4, 0, "deliberative", "AppraisalChange",
+                      {"process": process, "atom": atom, "valence": valence,
+                       "magnitude": 0.8, "label": "", "active": active})
+
+
+def goal_change(state, process="proc1", **extra):
+    """A GoalChange event adopting ``state`` as a candidate goal."""
+    return TraceEvent(2, 0, "deliberative", "GoalChange",
+                      {"process": process, "state": state, **extra})
+
+
+def tendency(action, process="proc1", urgency=0.9):
+    """A TendencyInjected event for ``action``."""
+    return TraceEvent(0, 0, "reactive", "TendencyInjected",
+                      {"tendency": "t1", "process": process, "action": action,
+                       "option": action, "label": "", "base_urgency": urgency})
 
 
 class TestTrace:
@@ -97,31 +118,30 @@ class TestTrace:
 
 class TestCheckConsistency:
     def test_opposing_appraisal_violates(self):
-        appraisal = Appraisal("smoke", "positive", 0.8, "proc1", 4)
-        finding = check_consistency(appraisal, [commitment()])
+        finding = check_consistency(appraisal("smoke", "positive"), [commitment()])
         assert finding is not None
         assert finding.item_kind == "appraisal"
         assert finding.commitment.atom == "smoke"
 
     def test_agreeing_appraisal_passes(self):
-        appraisal = Appraisal("smoke", "negative", 0.8, "proc2", 4)
-        assert check_consistency(appraisal, [commitment()]) is None
+        event = appraisal("smoke", "negative", process="proc2")
+        assert check_consistency(event, [commitment()]) is None
 
     def test_uncommitted_atom_passes(self):
-        appraisal = Appraisal("weather", "positive", 0.5, "proc1", 4)
-        assert check_consistency(appraisal, [commitment()]) is None
+        event = appraisal("weather", "positive")
+        assert check_consistency(event, [commitment()]) is None
 
     def test_desiring_a_committed_against_state_violates(self):
-        goal = GoalChange(state="smoke", source_process="proc1", option="smoke")
+        goal = goal_change("smoke", option="smoke")
         finding = check_consistency(goal, [commitment()])
         assert finding is not None and finding.item_kind == "goal"
 
     def test_goal_on_free_atom_passes(self):
-        goal = GoalChange(state="no_smoking", source_process="proc2")
+        goal = goal_change("no_smoking", process="proc2")
         assert check_consistency(goal, [commitment()]) is None
 
     def test_abandon_tendency_violates_task_commitment(self, small_world, small_goal):
-        tend = ActionTendency("abandon", "proc1", 0.9, 0)
+        tend = tendency("abandon")
         task = commitment(atom="tidy_room", valence="positive")
         finding = check_consistency(
             tend, [task], world=small_world, goal=small_goal
@@ -140,19 +160,85 @@ class TestCheckConsistency:
                 "book_1": W.ObjectState("book_1", "book", "slot:shelf_slot_1"),
             },
         )
-        tend = ActionTendency("pick_up:book_1", "proc1", 0.5, 0)
+        tend = tendency("pick_up:book_1", urgency=0.5)
         task = commitment(atom="tidy_room", valence="positive")
         finding = check_consistency(tend, [task], world=world, goal=small_goal)
         assert finding is not None
         assert "undoes" in finding.detail
 
     def test_ordinary_move_passes(self, small_world, small_goal):
-        tend = ActionTendency("move:north", "proc0", 0.8, 0)
+        tend = tendency("move:north", process="proc0", urgency=0.8)
         task = commitment(atom="tidy_room", valence="positive")
         assert check_consistency(tend, [task], world=small_world, goal=small_goal) is None
 
     def test_no_commitments_no_findings(self):
-        assert check_consistency(ActionTendency("abandon", "p", 0.9, 0), []) is None
+        assert check_consistency(tendency("abandon", process="p"), []) is None
+
+
+_ATOMS = ("smoke", "tidy_room")
+_VALENCES = ("positive", "negative")
+_LAYOUT = W.RoomLayout(
+    width=3,
+    height=3,
+    fixtures=(
+        W.Fixture(id="shelf_1", cell=(0, 0), accepts="book", slots=("shelf_slot_1",)),
+        W.Fixture(id="box_1", cell=(2, 0), accepts="toy"),
+    ),
+)
+# book_1 and toy_2 sit where the goal wants them; toy_1 lies on the floor.
+_WORLD = W.WorldState(
+    tick=0,
+    layout=_LAYOUT,
+    agent_pos=(1, 1),
+    objects={
+        "book_1": W.ObjectState("book_1", "book", "slot:shelf_slot_1"),
+        "toy_1": W.ObjectState("toy_1", "toy", "cell:2,2"),
+        "toy_2": W.ObjectState("toy_2", "toy", "fixture:box_1"),
+    },
+)
+_GOAL = W.GoalSpec(strict={"book": ("shelf_1",), "toy": ("box_1",)},
+                   relaxed={"book": ("shelf_1",), "toy": ("box_1",)})
+
+_appraisals = st.builds(
+    lambda atom, valence, active: appraisal(atom, valence, active=active),
+    st.sampled_from(_ATOMS), st.sampled_from(_VALENCES), st.booleans(),
+)
+_options = st.sampled_from(({}, {"option": ""}, {"option": None},
+                            {"option": "smoke"}, {"option": "avoid_smoking"}))
+_goal_changes = st.one_of(
+    st.builds(lambda state, option: goal_change(state, **option),
+              st.sampled_from(_ATOMS), _options),
+    st.just(TraceEvent(5, 0, "metacognitive", "GoalChange",
+                       {"process": None, "variant": "relaxed"})),
+)
+_tendencies = st.builds(
+    lambda action, option: TraceEvent(
+        0, 0, "reactive", "TendencyInjected",
+        {"tendency": "t1", "process": "proc1", "action": action,
+         "label": "", "base_urgency": 0.5, **option}),
+    st.sampled_from(("abandon", "pick_up:book_1", "pick_up:toy_1",
+                     "pick_up:toy_2", "pick_up:ghost", "move:north")),
+    _options,
+)
+_other = st.just(TraceEvent(1, 0, "world", "BeliefChange", {"atom": "smoke"}))
+_commitments = st.lists(
+    st.builds(commitment, st.sampled_from(_ATOMS), st.sampled_from(_VALENCES)),
+    max_size=3,
+)
+
+
+@seed(20211015)
+@settings(max_examples=200, deadline=None, database=None)
+@given(event=st.one_of(_appraisals, _goal_changes, _tendencies, _other),
+       commitments=_commitments)
+def test_check_consistency_matches_the_object_check(event, commitments):
+    """Checking the traced event gives the finding the old check gave
+    for the engine object rebuilt from it, with and without the world
+    and the goal."""
+    for world, goal in itertools.product((None, _WORLD), (None, _GOAL)):
+        assert check_consistency(event, commitments, world=world, goal=goal) == (
+            reference_check_consistency(event, commitments, world=world, goal=goal)
+        )
 
 
 class TestMonitor:
@@ -242,7 +328,7 @@ class TestControl:
 
         state = instantiate(load_bundled("non_smoking"), seed=1)
         finding = check_consistency(
-            Appraisal("smoke", "positive", 0.8, "proc1", 0),
+            appraisal("smoke", "positive"),
             state.config.commitments,
         )
         pool_before = list(state.tendency_pool)
@@ -277,7 +363,7 @@ class TestControl:
             ),
         ]
         finding = check_consistency(
-            Appraisal("smoke", "positive", 0.8, "proc1", 0),
+            appraisal("smoke", "positive"),
             state.config.commitments,
         )
         control(finding, library, state)

@@ -10,7 +10,7 @@ import pytest
 from cogsim import cli
 from cogsim.affect import ActionTendency
 from cogsim.agent import tick
-from cogsim.metacog import MONITORED_KINDS, _item_from_event, check_consistency
+from cogsim.metacog import MONITORED_KINDS, check_consistency
 from cogsim.runner import RunConfig, run_simulation
 from cogsim.scenario import BUNDLED, bundled_document, instantiate, load_bundled
 
@@ -25,41 +25,40 @@ def non_smoking_run():
     return run_simulation(load_bundled("non_smoking"), RunConfig(ticks=12, seed=1))
 
 
-def test_monitoring_soundness_no_spurious_findings(countermeasure_run, non_smoking_run):
+@pytest.fixture(scope="module", params=BUNDLED)
+def bundled_run(request):
+    return run_simulation(load_bundled(request.param), RunConfig(ticks=60, seed=1))
+
+
+def test_monitoring_soundness_no_spurious_findings(bundled_run):
     # Every recorded finding re-verifies against its source event.
-    for result in (countermeasure_run, non_smoking_run):
-        events = result.state.trace.events
-        by_pos = {(e.tick, e.seq): e for e in events}
-        detected = [e for e in events if e.kind == "InconsistencyDetected"]
-        assert detected
-        for event in detected:
-            source = by_pos[tuple(event.payload["source_event"])]
-            item = _item_from_event(source)
-            finding = check_consistency(item, result.state.config.commitments)
-            assert finding is not None
-            assert finding.commitment.atom == event.payload["commitment_atom"]
+    events = bundled_run.state.trace.events
+    by_pos = {(e.tick, e.seq): e for e in events}
+    detected = [e for e in events if e.kind == "InconsistencyDetected"]
+    assert detected
+    for event in detected:
+        source = by_pos[tuple(event.payload["source_event"])]
+        finding = check_consistency(source, bundled_run.state.config.commitments)
+        assert finding is not None
+        assert finding.commitment.atom == event.payload["commitment_atom"]
 
 
-def test_monitoring_completeness_no_missed_findings(countermeasure_run, non_smoking_run):
+def test_monitoring_completeness_no_missed_findings(bundled_run):
     # Replaying every flagged event through the checker recovers exactly
     # the findings present in the trace.
-    for result in (countermeasure_run, non_smoking_run):
-        events = result.state.trace.events
-        expected = set()
-        for event in events:
-            if event.kind not in MONITORED_KINDS:
-                continue
-            item = _item_from_event(event)
-            if item is None:
-                continue
-            if check_consistency(item, result.state.config.commitments) is not None:
-                expected.add((event.tick, event.seq))
-        recorded = {
-            tuple(e.payload["source_event"])
-            for e in events
-            if e.kind == "InconsistencyDetected"
-        }
-        assert recorded == expected
+    events = bundled_run.state.trace.events
+    expected = set()
+    for event in events:
+        if event.kind not in MONITORED_KINDS:
+            continue
+        if check_consistency(event, bundled_run.state.config.commitments) is not None:
+            expected.add((event.tick, event.seq))
+    recorded = {
+        tuple(e.payload["source_event"])
+        for e in events
+        if e.kind == "InconsistencyDetected"
+    }
+    assert recorded == expected
 
 
 def test_causality_chain_detection_before_countermeasure_before_action(
