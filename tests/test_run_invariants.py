@@ -25,40 +25,45 @@ def non_smoking_run():
     return run_simulation(load_bundled("non_smoking"), RunConfig(ticks=12, seed=1))
 
 
-@pytest.fixture(scope="module", params=BUNDLED)
-def bundled_run(request):
-    return run_simulation(load_bundled(request.param), RunConfig(ticks=60, seed=1))
+@pytest.fixture(scope="module")
+def bundled_runs():
+    return [
+        run_simulation(load_bundled(name), RunConfig(ticks=60, seed=1))
+        for name in BUNDLED
+    ]
 
 
-def test_monitoring_soundness_no_spurious_findings(bundled_run):
+def test_monitoring_soundness_no_spurious_findings(bundled_runs):
     # Every recorded finding re-verifies against its source event.
-    events = bundled_run.state.trace.events
-    by_pos = {(e.tick, e.seq): e for e in events}
-    detected = [e for e in events if e.kind == "InconsistencyDetected"]
-    assert detected
-    for event in detected:
-        source = by_pos[tuple(event.payload["source_event"])]
-        finding = check_consistency(source, bundled_run.state.config.commitments)
-        assert finding is not None
-        assert finding.commitment.atom == event.payload["commitment_atom"]
+    for result in bundled_runs:
+        events = result.state.trace.events
+        by_pos = {(e.tick, e.seq): e for e in events}
+        detected = [e for e in events if e.kind == "InconsistencyDetected"]
+        assert detected
+        for event in detected:
+            source = by_pos[tuple(event.payload["source_event"])]
+            finding = check_consistency(source, result.state.config.commitments)
+            assert finding is not None
+            assert finding.commitment.atom == event.payload["commitment_atom"]
 
 
-def test_monitoring_completeness_no_missed_findings(bundled_run):
+def test_monitoring_completeness_no_missed_findings(bundled_runs):
     # Replaying every flagged event through the checker recovers exactly
     # the findings present in the trace.
-    events = bundled_run.state.trace.events
-    expected = set()
-    for event in events:
-        if event.kind not in MONITORED_KINDS:
-            continue
-        if check_consistency(event, bundled_run.state.config.commitments) is not None:
-            expected.add((event.tick, event.seq))
-    recorded = {
-        tuple(e.payload["source_event"])
-        for e in events
-        if e.kind == "InconsistencyDetected"
-    }
-    assert recorded == expected
+    for result in bundled_runs:
+        events = result.state.trace.events
+        expected = set()
+        for event in events:
+            if event.kind not in MONITORED_KINDS:
+                continue
+            if check_consistency(event, result.state.config.commitments) is not None:
+                expected.add((event.tick, event.seq))
+        recorded = {
+            tuple(e.payload["source_event"])
+            for e in events
+            if e.kind == "InconsistencyDetected"
+        }
+        assert recorded == expected
 
 
 def test_causality_chain_detection_before_countermeasure_before_action(
