@@ -103,17 +103,6 @@ class AffectiveProcess:
     urgency: float = 0.5
     os_role: bool = False
 
-    def copy(self) -> "AffectiveProcess":
-        """A copy sharing no list with this process.  The instance dict is
-        copied directly: ``dataclasses.replace`` walks ``fields()`` and
-        runs ``__init__``, and every deliberation copies every process."""
-        dup = object.__new__(AffectiveProcess)
-        dup.__dict__.update(self.__dict__)
-        dup.active_appraisals = list(self.active_appraisals)
-        dup.desirable_states = list(self.desirable_states)
-        dup.candidate_goals = list(self.candidate_goals)
-        return dup
-
 
 def _salience_pick(
     proc: AffectiveProcess, beliefs: BeliefStore, ctx: RuleContext
@@ -146,41 +135,44 @@ def run_affective_cycle(
     plan: tuple[str, ...] | None = None,
     tick: int = 0,
     commitments: list | None = None,
-) -> tuple[AffectiveProcess, list[Appraisal], list[ActionTendency]]:
-    """Execute exactly one phase step of the process.
+) -> tuple[list[Appraisal], list[Appraisal], list[ActionTendency]]:
+    """Execute exactly one phase step of the process, in place, and
+    return what it changed: the appraisals it dropped, the appraisals it
+    formed and the tendencies it emitted.
 
     A phase with nothing applicable is a no-op step: attending with no
     salient target leaves the process where it is, and preparing with
     no active appraisal simply cycles back to attending.
     """
-    proc = proc.copy()
+    # The step reassigns proc.active_appraisals and never mutates the
+    # list, so the rules see the appraisals as they stood before it.
     ctx = RuleContext(
         beliefs=beliefs,
-        appraisals=list(proc.active_appraisals),
+        appraisals=proc.active_appraisals,
         commitments=commitments or [],
     )
-    new_appraisals: list[Appraisal] = []
-    new_tendencies: list[ActionTendency] = []
 
     if proc.phase == "attending":
         target = _salience_pick(proc, beliefs, ctx)
-        if target is None:
-            return proc, [], []
-        proc.attention_target = target
-        proc.phase = "evaluating"
-        return proc, [], []
+        if target is not None:
+            proc.attention_target = target
+            proc.phase = "evaluating"
+        return [], [], []
 
     if proc.phase == "evaluating":
         target = proc.attention_target
         kept: list[Appraisal] = []
+        dropped: list[Appraisal] = []
         by_rule = {a.rule_id: a for a in proc.active_appraisals}
         rules_by_id = {r.id: r for r in proc.rules}
         for app in proc.active_appraisals:
             rule = rules_by_id.get(app.rule_id)
             if rule is not None and not eval_condition(rule.when, ctx):
-                continue  # the grounds for this appraisal are gone
-            kept.append(app)
+                dropped.append(app)  # the grounds for this appraisal are gone
+            else:
+                kept.append(app)
         proc.active_appraisals = kept
+        new_appraisals: list[Appraisal] = []
         for rule in proc.rules:
             related = target == rule.subject or target in rule.when.atoms
             if not related or not eval_condition(rule.when, ctx):
@@ -203,15 +195,13 @@ def run_affective_cycle(
             proc.active_appraisals.append(appraisal)
             new_appraisals.append(appraisal)
         proc.phase = "preparing"
-        return proc, new_appraisals, []
+        return dropped, new_appraisals, []
 
     # preparing
-    if not proc.active_appraisals:
-        proc.phase = "attending"
-        return proc, [], []
-    new_tendencies = prepare_action(proc, plan, tick=tick)
     proc.phase = "attending"
-    return proc, [], new_tendencies
+    if not proc.active_appraisals:
+        return [], [], []
+    return [], [], prepare_action(proc, plan, tick=tick)
 
 
 def prepare_action(

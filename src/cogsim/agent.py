@@ -7,16 +7,20 @@
     every other tick -> metacognition -> recompute_forces -> act
 
 Events fire before perception so adversity is perceivable in the tick
-it occurs.  Between deliberations ``follow_plan`` injects the standing
-plan's next step; a deliberation injects the fresh plan's first step
-itself.  ``metacognition`` monitors the trace since its last pass, so
-it can veto this tick's biased tendencies before anything is executed;
-when control asks for replanning it deliberates once more in the same
-tick.  ``recompute_forces`` purges expired tendencies and judges the
-pool against the current argument case.  ``act`` selects the strongest
-tendency, applies exactly one world action, advances the plan cursor
-and returns the tick's metrics row; an illegal or absent selection
-degrades to idle and is traced, never raised.
+it occurs.  A deliberation steps each affective process one phase, in
+place and in priority-rank order; the step reports the appraisals it
+dropped and formed and the tendencies it emitted, and the trace is
+written from that report.  Between deliberations ``follow_plan``
+injects the standing plan's next step; a deliberation injects the
+fresh plan's first step itself.  ``metacognition`` monitors the trace
+since its last pass, so it can veto this tick's biased tendencies
+before anything is executed; when control asks for replanning it
+deliberates once more in the same tick.  ``recompute_forces`` purges
+expired tendencies and judges the pool against the current argument
+case.  ``act`` selects the strongest tendency, applies exactly one
+world action, advances the plan cursor and returns the tick's metrics
+row; an illegal or absent selection degrades to idle and is traced,
+never raised.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -47,6 +51,7 @@ traced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -318,9 +323,9 @@ def follow_plan(state: SimulationState) -> None:
 
 
 def deliberative_step(state: SimulationState) -> SimulationState:
-    """One slow-layer pass: step every active process one phase (in
-    priority-rank order), rebuild the argument case over the currently
-    proposed options, and generate or repair the task plan."""
+    """One slow-layer pass: step each process one phase in place (in
+    priority-rank order) and trace what it changed, rebuild the argument
+    case over the proposed options, and generate or repair the task plan."""
     now = state.world.tick
     # One plan serves the affective processes and the standing intention;
     # stepping the processes changes neither the world nor the goal.
@@ -328,35 +333,27 @@ def deliberative_step(state: SimulationState) -> SimulationState:
     plan = _task_plan(state) if planning else None
     focus: tuple[str, str] | None = None
 
-    order = sorted(range(len(state.processes)),
-                   key=lambda i: state.processes[i].priority_rank)
-    for index in order:
-        proc = state.processes[index]
-        old = proc
-        executed_phase = proc.phase
-        stepped, new_apps, new_tends = run_affective_cycle(
+    for proc in sorted(state.processes, key=attrgetter("priority_rank")):
+        phase, target = proc.phase, proc.attention_target
+        # prepare_action only appends, so what the step adds is the tail.
+        n_desired, n_candidates = len(proc.desirable_states), len(proc.candidate_goals)
+        dropped, new_apps, new_tends = run_affective_cycle(
             proc,
             state.beliefs,
             plan=plan,
             tick=now,
             commitments=state.config.commitments,
         )
-        state.processes[index] = stepped
 
-        if stepped.phase != old.phase and focus is None:
-            focus = (stepped.id, executed_phase)
-        if stepped.attention_target != old.attention_target:
+        if proc.phase != phase and focus is None:
+            focus = (proc.id, phase)
+        if proc.attention_target != target:
             state.trace.append(
                 tick=now,
                 layer="deliberative",
                 kind="AttentionShift",
-                payload={"process": stepped.id, "target": stepped.attention_target},
+                payload={"process": proc.id, "target": proc.attention_target},
             )
-        dropped = [
-            a
-            for a in old.active_appraisals
-            if all(b.rule_id != a.rule_id for b in stepped.active_appraisals)
-        ]
         for appraisal in dropped:
             state.trace.append(
                 tick=now,
@@ -371,21 +368,19 @@ def deliberative_step(state: SimulationState) -> SimulationState:
                 kind="AppraisalChange",
                 payload=_appraisal_payload(appraisal, active=True),
             )
-        for desired in stepped.desirable_states:
-            if desired not in old.desirable_states:
-                state.set_belief(f"proposed({desired})", True)
-        for candidate in stepped.candidate_goals:
-            if candidate not in old.candidate_goals:
-                state.trace.append(
-                    tick=now,
-                    layer="deliberative",
-                    kind="GoalChange",
-                    payload={
-                        "process": stepped.id,
-                        "state": candidate,
-                        "option": _option_for_state(stepped, candidate),
-                    },
-                )
+        for desired in proc.desirable_states[n_desired:]:
+            state.set_belief(f"proposed({desired})", True)
+        for candidate in proc.candidate_goals[n_candidates:]:
+            state.trace.append(
+                tick=now,
+                layer="deliberative",
+                kind="GoalChange",
+                payload={
+                    "process": proc.id,
+                    "state": candidate,
+                    "option": _option_for_state(proc, candidate),
+                },
+            )
         for tendency in new_tends:
             if tendency.origin == "plan":
                 _drop_plan_tendencies(state)

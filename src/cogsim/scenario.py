@@ -614,7 +614,7 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
                              f"object placed on unusable cell {cell}")
 
     object_ids: set[str] = set()
-    used_slots: set[str] = set()
+    used_slots: dict[str, str] = {}  # slot -> the object that holds it
     scattered = 0
     for obj in spec.starting_state.objects:
         loc = f"starting_state.objects[{obj.id}]"
@@ -631,7 +631,7 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
             slot = obj.location[5:]
             if slot in slot_ids and slot in used_slots:
                 report.error("SLOT_CONFLICT", loc, f"slot {slot} used twice")
-            used_slots.add(slot)
+            used_slots[slot] = obj.id
 
     if scattered:
         free = len(_scatter_cells(spec)) if spec.starting_state else 0
@@ -640,9 +640,14 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
                          f"{scattered} scattered objects but only {free} free cells")
 
     # The objects present are replayed through the schedule in the order
-    # the events fire: by tick, then in schedule order.
+    # the events fire: by tick, then in schedule order.  The slots held
+    # are known only until the agent can act: the starting objects' at
+    # tick 0, and within each fire tick those its spawns take.
     live = set(object_ids)
+    held, held_tick = dict(used_slots), 0
     for i, event in sorted(enumerate(spec.events), key=lambda e: e[1].fire_tick):
+        if event.fire_tick != held_tick:
+            held, held_tick = {}, event.fire_tick
         effect = event.effect
         if effect["kind"] == "break_fixture" and effect["fixture"] not in fixture_ids:
             report.error("DANGLING_REF", f"events[{i}].effect",
@@ -653,12 +658,21 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
                 report.error("DUPLICATE_OBJECT", f"events[{i}].effect",
                              f"object already present: {spawned}")
             live.add(spawned)
-            check_location(effect["object"]["location"], f"events[{i}].effect")
+            location = effect["object"]["location"]
+            check_location(location, f"events[{i}].effect")
+            slot = location[5:] if location.startswith("slot:") else None
+            if slot in slot_ids:
+                if slot in held:
+                    report.error("SLOT_CONFLICT", f"events[{i}].effect",
+                                 f"slot {slot} already holds {held[slot]}")
+                held[slot] = spawned
         if effect["kind"] == "remove_object":
-            if effect["object_id"] not in live:
+            removed = effect["object_id"]
+            if removed not in live:
                 report.error("DANGLING_REF", f"events[{i}].effect",
-                             f"undeclared object: {effect['object_id']}")
-            live.discard(effect["object_id"])
+                             f"undeclared object: {removed}")
+            live.discard(removed)
+            held = {slot: obj for slot, obj in held.items() if obj != removed}
         if (
             spec.goal.deadline_tick is not None
             and event.fire_tick > spec.goal.deadline_tick

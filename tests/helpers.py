@@ -6,10 +6,11 @@ import itertools
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from cogsim import agent
 from cogsim import world as W
-from cogsim.affect import ActionTendency, Appraisal
+from cogsim.affect import ActionTendency, Appraisal, run_affective_cycle
 from cogsim.arguments import Argument
 from cogsim.errors import IllegalAction
 from cogsim.metacog import Inconsistency
@@ -305,6 +306,104 @@ def reference_check_consistency(event, commitments, world=None, goal=None):
     if item is None:
         return None
     return reference_check_item(item, commitments, world=world, goal=goal)
+
+
+# -- deliberation through process copies --------------------------------------
+#
+# A deliberation used to step a copy of each process, store the copy back
+# and trace the difference between the two.  ``agent.deliberative_step``
+# steps the process in place, traces what the step reports, and must write
+# the same events.
+
+
+def reference_deliberative_step(state):
+    """One deliberation that steps copies of the processes and traces the
+    difference between each process and its stepped copy."""
+    now = state.world.tick
+    planning = state.task_process() is not None and not state.world.abandoned
+    plan = agent._task_plan(state) if planning else None
+    focus = None
+
+    order = sorted(range(len(state.processes)),
+                   key=lambda i: state.processes[i].priority_rank)
+    for index in order:
+        old = state.processes[index]
+        stepped = replace(
+            old,
+            active_appraisals=list(old.active_appraisals),
+            desirable_states=list(old.desirable_states),
+            candidate_goals=list(old.candidate_goals),
+        )
+        _, new_apps, new_tends = run_affective_cycle(
+            stepped,
+            state.beliefs,
+            plan=plan,
+            tick=now,
+            commitments=state.config.commitments,
+        )
+        state.processes[index] = stepped
+
+        if stepped.phase != old.phase and focus is None:
+            focus = (stepped.id, old.phase)
+        if stepped.attention_target != old.attention_target:
+            state.trace.append(
+                tick=now,
+                layer="deliberative",
+                kind="AttentionShift",
+                payload={"process": stepped.id, "target": stepped.attention_target},
+            )
+        dropped = [
+            a
+            for a in old.active_appraisals
+            if all(b.rule_id != a.rule_id for b in stepped.active_appraisals)
+        ]
+        for appraisal in dropped:
+            state.trace.append(
+                tick=now,
+                layer="deliberative",
+                kind="AppraisalChange",
+                payload=agent._appraisal_payload(appraisal, active=False),
+            )
+        for appraisal in new_apps:
+            state.trace.append(
+                tick=now,
+                layer="deliberative",
+                kind="AppraisalChange",
+                payload=agent._appraisal_payload(appraisal, active=True),
+            )
+        for desired in stepped.desirable_states:
+            if desired not in old.desirable_states:
+                state.set_belief(f"proposed({desired})", True)
+        for candidate in stepped.candidate_goals:
+            if candidate not in old.candidate_goals:
+                state.trace.append(
+                    tick=now,
+                    layer="deliberative",
+                    kind="GoalChange",
+                    payload={
+                        "process": stepped.id,
+                        "state": candidate,
+                        "option": agent._option_for_state(stepped, candidate),
+                    },
+                )
+        for tendency in new_tends:
+            if tendency.origin == "plan":
+                agent._drop_plan_tendencies(state)
+            agent._inject(state, tendency)
+
+    if focus is not None:
+        state.trace.append(
+            tick=now,
+            layer="deliberative",
+            kind="AttentionShift",
+            payload={"process": focus[0], "phase": focus[1], "focus": True},
+        )
+    if planning:
+        state.plan = plan
+        state.plan_cursor = 0
+        agent.follow_plan(state)
+    agent._rebuild_case(state)
+    return state
 
 
 # -- trace encoding ------------------------------------------------------------

@@ -93,24 +93,6 @@ def rule(id, atom, subject, valence, magnitude, label=""):
     )
 
 
-def test_process_copy_equals_and_shares_no_list():
-    proc = process(rules=[rule("r1", "upset", "current_situation", "negative", 0.6)])
-    proc.active_appraisals.append(
-        Appraisal(atom="current_situation", valence="negative", magnitude=0.6,
-                  source_process="p1", tick=0, rule_id="r1")
-    )
-    proc.desirable_states.append("calm")
-    proc.candidate_goals.append("calm")
-    dup = proc.copy()
-    assert type(dup) is AffectiveProcess and dup == proc
-    for name in ("active_appraisals", "desirable_states", "candidate_goals"):
-        assert getattr(dup, name) is not getattr(proc, name)
-    dup.active_appraisals.clear()
-    dup.desirable_states.clear()
-    dup.candidate_goals.clear()
-    assert proc.active_appraisals and proc.desirable_states and proc.candidate_goals
-
-
 class TestAffectiveCycle:
     def test_phase_alternation_never_evaluates_twice_in_a_row(self):
         beliefs = BeliefStore()
@@ -121,7 +103,7 @@ class TestAffectiveCycle:
         )
         phases = []
         for tick in range(6):
-            proc, _, _ = run_affective_cycle(proc, beliefs, tick=tick)
+            run_affective_cycle(proc, beliefs, tick=tick)
             phases.append(proc.phase)
         # attending -> evaluating -> preparing -> attending ...
         assert phases == [
@@ -132,18 +114,18 @@ class TestAffectiveCycle:
     def test_no_matching_rule_is_a_noop(self):
         beliefs = BeliefStore()
         proc = process(rules=[rule("r1", "upset", "situation", "negative", 0.7)])
-        stepped, appraisals, tendencies = run_affective_cycle(proc, beliefs, tick=0)
-        assert stepped.phase == "attending"
-        assert stepped.attention_target is None
+        _, appraisals, tendencies = run_affective_cycle(proc, beliefs, tick=0)
+        assert proc.phase == "attending"
+        assert proc.attention_target is None
         assert appraisals == [] and tendencies == []
 
     def test_evaluation_emits_appraisal_for_attended_target(self):
         beliefs = BeliefStore()
         beliefs.set("upset", True, 3)
         proc = process(rules=[rule("r1", "upset", "situation", "negative", 0.7, "bad")])
-        proc, _, _ = run_affective_cycle(proc, beliefs, tick=3)
+        run_affective_cycle(proc, beliefs, tick=3)
         assert proc.attention_target == "upset"
-        proc, new, _ = run_affective_cycle(proc, beliefs, tick=4)
+        _, new, _ = run_affective_cycle(proc, beliefs, tick=4)
         assert [a.atom for a in new] == ["situation"]
         assert new[0].valence == "negative"
         assert new[0].magnitude == 0.7
@@ -160,23 +142,61 @@ class TestAffectiveCycle:
                 rule("r_new", "new_issue", "new", "negative", 0.2),
             ]
         )
-        proc, _, _ = run_affective_cycle(proc, beliefs, tick=5)
+        run_affective_cycle(proc, beliefs, tick=5)
         assert proc.attention_target == "new_issue"
 
     def test_withdrawn_grounds_drop_the_appraisal(self):
         beliefs = BeliefStore()
         beliefs.set("upset", True, 0)
         proc = process(rules=[rule("r1", "upset", "situation", "negative", 0.7)])
-        proc, _, _ = run_affective_cycle(proc, beliefs, tick=0)
-        proc, _, _ = run_affective_cycle(proc, beliefs, tick=1)
+        run_affective_cycle(proc, beliefs, tick=0)
+        run_affective_cycle(proc, beliefs, tick=1)
         assert len(proc.active_appraisals) == 1
         beliefs.set("upset", False, 2)
-        proc, _, _ = run_affective_cycle(proc, beliefs, tick=2)  # prepare
-        proc, _, _ = run_affective_cycle(proc, beliefs, tick=3)  # attend (no-op)
+        run_affective_cycle(proc, beliefs, tick=2)  # prepare
+        run_affective_cycle(proc, beliefs, tick=3)  # attend (no-op)
         proc.phase = "evaluating"
-        proc, new, _ = run_affective_cycle(proc, beliefs, tick=4)
+        _, new, _ = run_affective_cycle(proc, beliefs, tick=4)
         assert proc.active_appraisals == []
         assert new == []
+
+    def test_the_step_reports_the_dropped_appraisal(self):
+        beliefs = BeliefStore()
+        beliefs.set("upset", True, 0)
+        proc = process(rules=[rule("r1", "upset", "situation", "negative", 0.7)])
+        run_affective_cycle(proc, beliefs, tick=0)
+        _, formed, _ = run_affective_cycle(proc, beliefs, tick=1)
+        run_affective_cycle(proc, beliefs, tick=2)
+        run_affective_cycle(proc, beliefs, tick=3)
+        beliefs.set("upset", False, 4)
+        dropped, new, tendencies = run_affective_cycle(proc, beliefs, tick=4)
+        assert dropped == formed and new == [] and tendencies == []
+
+    def test_evaluation_reads_the_appraisals_from_before_the_step(self):
+        # r2 needs the appraisal r1 forms; in the step that forms it, the
+        # rules still see the appraisals from before, so r2 waits a cycle.
+        beliefs = BeliefStore()
+        beliefs.set("upset", True, 0)
+        worry = AppraisalRule(
+            id="r2",
+            process="p1",
+            when=compile_condition({"all": [
+                {"belief": "upset", "equals": True},
+                {"appraisal": {"atom": "situation"}},
+            ]}),
+            subject="worry",
+            valence="negative",
+            magnitude=0.5,
+        )
+        proc = process(rules=[rule("r1", "upset", "situation", "negative", 0.7), worry])
+        run_affective_cycle(proc, beliefs, tick=0)
+        _, new, _ = run_affective_cycle(proc, beliefs, tick=1)
+        assert [a.atom for a in new] == ["situation"]
+        run_affective_cycle(proc, beliefs, tick=2)
+        run_affective_cycle(proc, beliefs, tick=3)
+        _, new, _ = run_affective_cycle(proc, beliefs, tick=4)
+        assert [a.atom for a in new] == ["worry"]
+        assert [a.atom for a in proc.active_appraisals] == ["situation", "worry"]
 
 
 class TestPrepareAction:

@@ -18,6 +18,8 @@ from cogsim.rules import RuleContext, compile_condition
 from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
+from helpers import reference_deliberative_step
+
 
 @pytest.fixture
 def room_state() -> SimulationState:
@@ -294,6 +296,60 @@ class TestStageOrder:
                          "deliberative_step", "recompute_forces", "act"]
         # The cursor moved past this pass before the second deliberation.
         assert cursor_moved == [True]
+
+
+# Belief values set before each deliberation, one entry per tick from 1.
+# The untidiness appraisal loses its grounds at tick 5 and the
+# satisfaction appraisal at tick 8; both form again afterwards.
+FLIP_SCRIPT = (
+    {}, {}, {}, {}, {"misplaced_count": 0}, {}, {},
+    {"misplaced_count": 4, "strict_tidy": True}, {}, {},
+    {"strict_tidy": False}, {}, {},
+)
+
+
+def _scripted_deliberations(step):
+    """Deliberate with ``step`` once per tick of ``FLIP_SCRIPT`` on a
+    fresh ``room_tidy``; yield the state after each deliberation."""
+    state = instantiate(load_bundled("room_tidy"), seed=1)
+    perceive(state)
+    for now, flips in enumerate(FLIP_SCRIPT, start=1):
+        state.world = dataclasses.replace(state.world, tick=now)
+        for atom, value in flips.items():
+            state.set_belief(atom, value)
+        step(state)
+        yield state
+
+
+def _events(state):
+    return [(e.tick, e.seq, e.layer, e.kind, e.payload, e.reasons)
+            for e in state.trace.events]
+
+
+class TestDeliberationInPlace:
+    def test_trace_matches_the_copy_and_diff_reference(self):
+        runs = zip(_scripted_deliberations(deliberative_step),
+                   _scripted_deliberations(reference_deliberative_step))
+        for state, expected in runs:
+            assert state.processes == expected.processes
+            assert _events(state) == _events(expected)
+        events = [(kind, payload) for _, _, _, kind, payload, _ in _events(state)]
+        assert [p["active"] for k, p in events if k == "AppraisalChange"].count(False) == 2
+        assert any(k == "AppraisalChange" and p["active"] for k, p in events)
+        assert any(k == "AttentionShift" and "target" in p for k, p in events)
+        assert any(k == "GoalChange" for k, p in events)
+        # follow_plan injects one plan step per deliberation; the rest are
+        # the plan tendencies the preparing steps emitted.
+        assert sum(k == "TendencyInjected" for k, _ in events) > len(FLIP_SCRIPT)
+
+    def test_processes_are_stepped_in_place(self, room_state):
+        perceive(room_state)
+        processes = list(room_state.processes)
+        phases = [p.phase for p in processes]
+        deliberative_step(room_state)
+        assert len(room_state.processes) == len(processes)
+        assert all(p is q for p, q in zip(room_state.processes, processes))
+        assert [p.phase for p in processes] != phases
 
 
 @pytest.fixture

@@ -195,8 +195,12 @@ class TestValidateCommand:
         assert "agent.appraisal_rules[0].when: malformed condition: " in err
 
     @staticmethod
-    def _with_events(tmp_path, events):
+    def _with_events(tmp_path, events, starting_slot=None):
+        """room_tidy with the events added and, given ``starting_slot``,
+        its starting book_1 in that slot."""
         doc = json.loads(bundled_document("room_tidy"))
+        if starting_slot is not None:
+            doc["starting_state"]["objects"][0]["location"] = {"slot": starting_slot}
         doc["events"] += events
         path = tmp_path / "events.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -267,6 +271,48 @@ class TestValidateCommand:
                 "id": "book_1", "kind": "toy", "location": {"cell": [1, 1]}}}},
         ]
         path = self._with_events(tmp_path, events[::-1] if reverse else events)
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--ticks", "60",
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 0
+
+    @staticmethod
+    def _spawn(tick, obj_id, slot="shelf_slot_1"):
+        return {"fire_tick": tick, "effect": {"kind": "spawn_object", "object": {
+            "id": obj_id, "kind": "book", "location": {"slot": slot}}}}
+
+    @staticmethod
+    def _remove(tick, obj_id):
+        return {"fire_tick": tick, "effect": {"kind": "remove_object",
+                                              "object_id": obj_id}}
+
+    # Nothing moves an object between the events of one fire tick, nor
+    # before the events of tick 0.
+    @pytest.mark.parametrize("starting_slot, events, message", [
+        (None, [_spawn(1, "book_8"), _spawn(1, "book_9")],
+         "SLOT_CONFLICT @ events[2].effect: slot shelf_slot_1 already holds book_8"),
+        ("shelf_slot_1", [_spawn(0, "book_9")],
+         "SLOT_CONFLICT @ events[1].effect: slot shelf_slot_1 already holds book_1"),
+    ], ids=["two_spawns_in_one_tick", "tick_0_spawn_onto_a_starting_object"])
+    def test_spawning_into_a_held_slot_exits_2(self, tmp_path, capsys, starting_slot,
+                                               events, message):
+        path = self._with_events(tmp_path, events, starting_slot)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", path, "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("starting_slot, events", [
+        (None, [_spawn(1, "book_8"), _spawn(1, "book_9", "shelf_slot_2")]),
+        (None, [_spawn(1, "book_8"), _remove(1, "book_8"), _spawn(1, "book_9")]),
+        ("shelf_slot_1", [_remove(0, "book_1"), _spawn(0, "book_9")]),
+        ("shelf_slot_1", [_spawn(0, "book_9", "shelf_slot_2")]),
+    ], ids=["other_slot", "freed_by_a_removal", "starting_object_removed",
+            "tick_0_other_slot"])
+    def test_spawning_into_a_free_slot_is_valid_and_runs(self, tmp_path, starting_slot,
+                                                         events):
+        path = self._with_events(tmp_path, events, starting_slot)
         assert main(["validate", path]) == 0
         assert main(["run", path, "--ticks", "60",
                      "--trace", str(tmp_path / "t.jsonl"),
