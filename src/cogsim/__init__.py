@@ -4,7 +4,6 @@ from .affect import (
     ActionTendency,
     AffectiveProcess,
     Appraisal,
-    compute_force,
     prepare_action,
     run_affective_cycle,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "apply_action",
     "build_case",
     "check_consistency",
-    "compute_force",
     "control",
     "deliberative_step",
     "evaluate_goal",

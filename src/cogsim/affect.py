@@ -7,17 +7,14 @@ a magnitude; a neutral evaluation is simply not an appraisal), and
 then prepares action: it lists states that would flip its negative
 appraisals or sustain its positive ones, keeps the achievable ones as
 candidate goals, and emits one action tendency per candidate.  The
-tendency's force — base urgency plus the net weight of active
-arguments about its option — is what competes at the moment of action.
+tendency's force, its base urgency under the argument case's force rule
+(see ``arguments``), is what competes at the moment of action.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .arguments import Argument
-from .errors import NonFiniteForce
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 PHASES = ("attending", "evaluating", "preparing")
@@ -269,37 +266,3 @@ def prepare_action(
             )
     return tendencies
 
-
-def compute_force(tendency: ActionTendency, active_args) -> float:
-    """Base urgency plus net active argument weight, floored at zero.
-
-    ``active_args`` holds the currently active arguments; only those
-    about this tendency's option count.  Pure, and rounded so repeated
-    runs serialize identically.  A sum that overflows raises
-    :class:`NonFiniteForce`, so no infinite force reaches the trace.
-    """
-    net = tendency.base_urgency
-    for arg in active_args:
-        if arg.option != tendency.option:
-            continue
-        net += arg.weight if arg.polarity == "pro" else -arg.weight
-    if not math.isfinite(net):
-        raise NonFiniteForce(
-            f"force on option {tendency.option!r} overflows: its urgency and "
-            "argument weights sum past the largest float"
-        )
-    return round(max(0.0, net), 9)
-
-
-def supporting_argument_ids(tendency: ActionTendency, active_args) -> tuple[str, ...]:
-    """Active pro arguments for the tendency's option (falling back to
-    any active argument about it, so explanations are never empty when
-    the case mentions the option at all)."""
-    # tuple() of a list: tuple() over a generator sizes its tuple by a guess
-    # and shrinks it, parking one tuple per call in CPython's free lists.
-    pro = tuple([
-        a.id for a in active_args if a.option == tendency.option and a.polarity == "pro"
-    ])
-    if pro:
-        return pro
-    return tuple([a.id for a in active_args if a.option == tendency.option])

@@ -16,11 +16,11 @@ fresh plan's first step itself.  ``metacognition`` monitors the trace
 since its last pass, so it can veto this tick's biased tendencies
 before anything is executed; when control asks for replanning it
 deliberates once more in the same tick.  ``recompute_forces`` purges
-expired tendencies and judges the pool against the current argument
-case.  ``act`` selects the strongest tendency, applies exactly one
-world action, advances the plan cursor and returns the tick's metrics
-row; an illegal or absent selection degrades to idle and is traced,
-never raised.
+expired tendencies and reads each pooled tendency's force and reasons
+off the case's force table (``arguments.tally``).  ``act`` selects the
+strongest tendency, applies exactly one world action, advances the plan
+cursor and returns the tick's metrics row; an illegal or absent
+selection degrades to idle and is traced, never raised.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -44,26 +44,21 @@ belief store's version) or an active appraisal changed since their last
 evaluation.  The case is built again only when the live options and
 their sources, the templates or the truth of a trigger, the sticky
 arguments or the weight overrides differ from the last build; otherwise
-the last case and its active set are reused and no new OptionSet is
-traced.
+the last case and its force table are reused and no new OptionSet is
+traced.  The table is tallied once per build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
-from .affect import (
-    ActionTendency,
-    AffectiveProcess,
-    compute_force,
-    run_affective_cycle,
-    supporting_argument_ids,
-)
-from .arguments import Argument, active_set, build_case, triggered
-from .errors import IllegalAction
+from .affect import ActionTendency, AffectiveProcess, run_affective_cycle
+from .arguments import Argument, ForceTable, active_set, build_case, tally, triggered
+from .errors import IllegalAction, NonFiniteForce
 from .metacog import ReasoningTrace, control, monitor
 from .planner import plan_tidy_task
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
@@ -119,9 +114,9 @@ class SimulationState:
     plan_cursor: int = 0
     world_memo: WorldMemo | None = None
     # The (sources, templates, triggers) key, sticky arguments and weight
-    # overrides of the last build_case call, then its case and active ids.
+    # overrides of the last build_case call, then its case and force table.
     case_memo: tuple[tuple, list[Argument], dict[str, float],
-                     list[Argument], set[str]] | None = None
+                     list[Argument], ForceTable] | None = None
     # The (config, belief version, active appraisals) key of the last
     # triggered call, then its result.
     fired_memo: tuple[tuple, list[bool]] | None = None
@@ -437,8 +432,9 @@ def _appraisal_payload(appraisal, active: bool) -> dict:
     }
 
 
-def _rebuild_case(state: SimulationState) -> set[str]:
-    """Build the argument case over the live options; return its active ids.
+def _rebuild_case(state: SimulationState) -> ForceTable:
+    """Build the argument case over the live options; return its force
+    table, tallied once per build.
 
     The options are the keys of ``sources``, so the memo key need not
     hold them apart.  On a reuse no OptionSet is traced: the last build
@@ -463,11 +459,11 @@ def _rebuild_case(state: SimulationState) -> set[str]:
         state.fired_memo = (fired_key, fired)
     key = (sources, templates, fired)
     if state.case_memo is not None:
-        built, sticky, overrides, args, active = state.case_memo
+        built, sticky, overrides, args, table = state.case_memo
         if (built == key and sticky == state.sticky_arguments
                 and overrides == state.weight_overrides):
             state.arguments = args
-            return active
+            return table
     options = sorted(sources)
     args = build_case(options, templates, fired,
                       weight_overrides=state.weight_overrides, option_sources=sources)
@@ -476,11 +472,12 @@ def _rebuild_case(state: SimulationState) -> set[str]:
         if sticky.id not in fresh_ids:
             args.append(sticky)
     active = active_set(args)
+    table = tally(args, active)
     state.case_memo = (key, list(state.sticky_arguments),
-                       dict(state.weight_overrides), args, active)
+                       dict(state.weight_overrides), args, table)
     state.arguments = args
     _emit_option_set(state, options, active)
-    return active
+    return table
 
 
 def _emit_option_set(state: SimulationState, options: list[str],
@@ -514,8 +511,11 @@ def _emit_option_set(state: SimulationState, options: list[str],
 
 
 def recompute_forces(state: SimulationState) -> None:
-    """Purge expired tendencies, then judge every pooled tendency against
-    the active argument set: the moment of action."""
+    """Purge expired tendencies, then give every pooled tendency its force
+    (under the force rule of ``arguments``) and reasons from its option's
+    row of the force table: the moment of action.  A force that overflows
+    raises :class:`NonFiniteForce`, so no infinite force reaches the trace.
+    """
     now = state.world.tick
     ttl = state.config.tendency_ttl
     kept: list[ActionTendency] = []
@@ -531,11 +531,20 @@ def recompute_forces(state: SimulationState) -> None:
             kept.append(tendency)
     state.tendency_pool = kept
     # Options injected since the last deliberation must be covered too.
-    ids = _rebuild_case(state)
-    active_args = [a for a in state.arguments if a.id in ids]
+    table = _rebuild_case(state)
     for tendency in state.tendency_pool:
-        tendency.force = compute_force(tendency, active_args)
-        tendency.supporting_arguments = supporting_argument_ids(tendency, active_args)
+        weights, reasons = table.get(tendency.option, ((), ()))
+        # From the urgency, one add at a time (see arguments): not sum().
+        net = tendency.base_urgency
+        for weight in weights:
+            net += weight
+        if not math.isfinite(net):
+            raise NonFiniteForce(
+                f"force on option {tendency.option!r} overflows: its urgency and "
+                "argument weights sum past the largest float"
+            )
+        tendency.force = round(max(0.0, net), 9)
+        tendency.supporting_arguments = reasons
 
 
 def _select_tendency(state: SimulationState) -> ActionTendency | None:

@@ -4,9 +4,15 @@ Argument templates are instantiated against concrete options whenever
 their trigger condition holds.  Each argument may undercut at most one
 other argument; an argument is *active* iff no active argument
 undercuts it, which over an acyclic undercut relation has a unique
-solution computable in topological order.  Net option scores sum the
-weights of active pro arguments and subtract active con arguments;
-inactive arguments contribute nothing but stay in the explanation.
+solution computable in topological order.
+
+:func:`tally` is the one pass over a case that every score reads, and
+it fixes the force rule: starting from a tendency's base urgency (or
+from 0.0 for an ``aggregate`` score), add each active pro weight and
+subtract each active con weight about the option, one at a time in case
+order (not ``sum()``, which compensates from Python 3.12).  A tendency's
+force is floored at zero; every score is rounded to 9 places.  Inactive
+arguments contribute nothing but stay in the explanation.
 """
 
 from __future__ import annotations
@@ -177,26 +183,49 @@ def _resolve(
     return active
 
 
-def aggregate(options: list[str], args: list[Argument]) -> CaseReport:
-    """Rank options by net weight of their active arguments.
+# option -> (its active weights in case order, a con weight negated;
+#            the ids that explain choosing it); no active argument, no row
+ForceTable = dict[str, tuple[tuple[float, ...], tuple[str, ...]]]
 
-    Ties break to the lexicographically smallest option id so repeated
-    runs always agree on the recommendation.
-    """
-    active = active_set(args)
-    scores: dict[str, float] = {opt: 0.0 for opt in options}
-    explanation: list[tuple[str, str, str, float, bool]] = []
+
+def tally(args: list[Argument], active: set[str]) -> ForceTable:
+    """The force table of a case whose active ids are ``active``.  An
+    option's reasons are its active pro ids, or all its active ids if
+    none argues for it, so no option the case mentions goes unexplained."""
+    rows: dict[str, tuple[list[float], list[str], list[str]]] = {}
     for a in args:
-        is_active = a.id in active
-        explanation.append((a.id, a.option, a.polarity, a.weight, is_active))
-        if not is_active or a.option not in scores:
+        if a.id not in active:
             continue
-        scores[a.option] += a.weight if a.polarity == "pro" else -a.weight
-    scores = {opt: round(val, 9) for opt, val in scores.items()}
+        weights, pros, ids = rows.setdefault(a.option, ([], [], []))
+        ids.append(a.id)
+        if a.polarity == "pro":
+            weights.append(a.weight)
+            pros.append(a.id)
+        else:
+            weights.append(-a.weight)
+    return {opt: (tuple(w), tuple(pros or ids)) for opt, (w, pros, ids) in rows.items()}
+
+
+def aggregate(options: list[str], args: list[Argument]) -> CaseReport:
+    """Rank options by their scores under the force rule; ties break to
+    the smallest option id, so repeated runs agree on the recommendation.
+    No options to rank is a :class:`ValueError`."""
+    if not options:
+        raise ValueError("aggregate needs at least one option to rank")
+    active = active_set(args)
+    table = tally(args, active)
+    scores: dict[str, float] = {}
+    for opt in options:
+        net = 0.0
+        for weight in table.get(opt, ((), ()))[0]:
+            net += weight
+        scores[opt] = round(net, 9)
     ranking = tuple(sorted(scores, key=lambda opt: (-scores[opt], opt)))
     return CaseReport(
         scores=scores,
         ranking=ranking,
         recommended=ranking[0],
-        explanation=tuple(explanation),
+        explanation=tuple(
+            (a.id, a.option, a.polarity, a.weight, a.id in active) for a in args
+        ),
     )

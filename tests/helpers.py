@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from unittest import mock
 
 from cogsim import agent
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal, run_affective_cycle
-from cogsim.arguments import Argument
-from cogsim.errors import IllegalAction
+from cogsim.arguments import Argument, tally
+from cogsim.errors import IllegalAction, NonFiniteForce
 from cogsim.metacog import Inconsistency
 from cogsim.planner import (
     _adjacent_cells,
@@ -21,7 +24,7 @@ from cogsim.planner import (
     _walk,
     bfs_path,
 )
-from cogsim.scenario import BUNDLED, bundled_document
+from cogsim.scenario import BUNDLED, bundled_document, instantiate, load_bundled
 
 
 def brute_force_active_set(args: list[Argument]) -> set[str]:
@@ -53,6 +56,64 @@ def brute_force_scores(options: list[str], args: list[Argument]) -> dict[str, fl
         if a.id in active and a.option in scores:
             scores[a.option] += a.weight if a.polarity == "pro" else -a.weight
     return {opt: round(v, 9) for opt, v in scores.items()}
+
+
+# -- reference force rule ------------------------------------------------------
+# Force and reasons as one scan of the active arguments per tendency, the
+# way the engine once computed them; the force table must agree with them
+# bit for bit, overflow included.
+
+
+def compute_force(tendency: ActionTendency, active_args) -> float:
+    """Base urgency plus net active argument weight, floored at zero.
+
+    ``active_args`` holds the currently active arguments; only those
+    about this tendency's option count.  Pure, and rounded so repeated
+    runs serialize identically.  A sum that overflows raises
+    :class:`NonFiniteForce`, so no infinite force reaches the trace.
+    """
+    net = tendency.base_urgency
+    for arg in active_args:
+        if arg.option != tendency.option:
+            continue
+        net += arg.weight if arg.polarity == "pro" else -arg.weight
+    if not math.isfinite(net):
+        raise NonFiniteForce(
+            f"force on option {tendency.option!r} overflows: its urgency and "
+            "argument weights sum past the largest float"
+        )
+    return round(max(0.0, net), 9)
+
+
+def supporting_argument_ids(tendency: ActionTendency, active_args) -> tuple[str, ...]:
+    """Active pro arguments for the tendency's option (falling back to
+    any active argument about it, so explanations are never empty when
+    the case mentions the option at all)."""
+    # tuple() of a list: tuple() over a generator sizes its tuple by a guess
+    # and shrinks it, parking one tuple per call in CPython's free lists.
+    pro = tuple([
+        a.id for a in active_args if a.option == tendency.option and a.polarity == "pro"
+    ])
+    if pro:
+        return pro
+    return tuple([a.id for a in active_args if a.option == tendency.option])
+
+
+_bundled = functools.cache(load_bundled)
+
+
+def recompute_over(
+    tendencies: list[ActionTendency], args: list[Argument], active: set[str]
+) -> list[ActionTendency]:
+    """Run ``agent.recompute_forces`` on a pool of ``tendencies`` (none
+    expired) whose argument case is ``args`` with active ids ``active``;
+    return the pool, judged in place."""
+    state = instantiate(_bundled("non_smoking"), seed=1)
+    state.tendency_pool = list(tendencies)
+    state.arguments = list(args)
+    with mock.patch.object(agent, "_rebuild_case", lambda _: tally(args, active)):
+        agent.recompute_forces(state)
+    return state.tendency_pool
 
 
 def random_argument_instance(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cogsim.affect import (
@@ -8,14 +8,19 @@ from cogsim.affect import (
     Appraisal,
     AppraisalRule,
     ProcessOption,
-    compute_force,
     prepare_action,
     run_affective_cycle,
 )
 from cogsim.arguments import Argument
+from cogsim.errors import NonFiniteForce
 from cogsim.rules import BeliefStore, compile_condition
 
-from helpers import bfs_distance
+from helpers import (
+    bfs_distance,
+    compute_force,
+    recompute_over,
+    supporting_argument_ids,
+)
 
 
 def tendency(base=0.5, option="x"):
@@ -28,13 +33,37 @@ def arg(i, option="x", polarity="pro", weight=1.0):
     return Argument(id=i, option=option, polarity=polarity, weight=weight)
 
 
+def force(t, active):
+    """The force ``recompute_forces`` gives ``t`` when the whole case,
+    ``active``, is active."""
+    (judged,) = recompute_over([t], active, {a.id for a in active})
+    return judged.force
+
+
+def bits(x):
+    """``x`` told apart from every other value, -0.0 from 0.0 included."""
+    return type(x), repr(x)
+
+
+# Weights and urgencies up to the overflow edge, and mid-sized ones whose
+# sums lose low bits when added in another order.
+WEIGHTS = st.one_of(
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.floats(min_value=-1e17, max_value=1e17),
+    st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 1e16, 1e308, -1e308)),
+)
+
+
 class TestComputeForce:
+    """A pooled tendency's force and reasons as ``recompute_forces``
+    reads them off the force table."""
+
     def test_no_arguments_is_base_urgency(self):
-        assert compute_force(tendency(0.5), []) == 0.5
+        assert force(tendency(0.5), []) == 0.5
 
     def test_floor_at_zero(self):
         active = [arg("p", weight=0.6), arg("c", polarity="con", weight=1.5)]
-        assert compute_force(tendency(0.5), active) == 0.0
+        assert force(tendency(0.5), active) == 0.0
 
     def test_net_sum(self):
         active = [
@@ -42,11 +71,11 @@ class TestComputeForce:
             arg("p2", weight=0.5),
             arg("c1", polarity="con", weight=0.8),
         ]
-        assert compute_force(tendency(0.2), active) == pytest.approx(0.5)
+        assert force(tendency(0.2), active) == pytest.approx(0.5)
 
     def test_other_options_do_not_count(self):
         active = [arg("p1", option="y", weight=9.0)]
-        assert compute_force(tendency(0.5), active) == 0.5
+        assert force(tendency(0.5), active) == 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -60,15 +89,48 @@ class TestComputeForce:
         active = [
             arg(f"a{i}", polarity=pol, weight=w) for i, (pol, w) in enumerate(rows)
         ]
-        before = compute_force(tendency(base), active)
-        with_pro = compute_force(
-            tendency(base), active + [arg("xp", weight=extra_weight)]
-        )
-        with_con = compute_force(
+        before = force(tendency(base), active)
+        with_pro = force(tendency(base), active + [arg("xp", weight=extra_weight)])
+        with_con = force(
             tendency(base), active + [arg("xc", polarity="con", weight=extra_weight)]
         )
         assert with_pro >= before >= with_con
         assert before >= 0.0
+
+    @seed(0xF0CE)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(("x", "y")), st.sampled_from(("pro", "con")),
+                      WEIGHTS, st.booleans()),
+            max_size=8,
+        ),
+        st.lists(st.tuples(st.sampled_from(("x", "y", "z")), WEIGHTS),
+                 min_size=1, max_size=4),
+    )
+    def test_matches_the_reference_bit_for_bit(self, rows, pool):
+        args = [arg(f"a{i}", option=option, polarity=polarity, weight=weight)
+                for i, (option, polarity, weight, _) in enumerate(rows)]
+        active = {a.id for a, row in zip(args, rows) if row[3]}
+        active_args = [a for a in args if a.id in active]
+        tendencies = [tendency(base, option) for option, base in pool]
+
+        expected, expected_error = [], None
+        for t in tendencies:
+            try:
+                expected.append((bits(compute_force(t, active_args)),
+                                 supporting_argument_ids(t, active_args)))
+            except NonFiniteForce as exc:
+                expected_error = str(exc)
+                break
+        error = None
+        try:
+            recompute_over(tendencies, args, active)
+        except NonFiniteForce as exc:
+            error = str(exc)
+        assert error == expected_error
+        assert [(bits(t.force), t.supporting_arguments)
+                for t in tendencies[:len(expected)]] == expected
 
 
 def process(rules=(), options=(), goal_ref="mood", rank=1):

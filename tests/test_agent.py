@@ -12,7 +12,7 @@ from cogsim.agent import (
     reactive_step,
     tick,
 )
-from cogsim.arguments import Argument, active_set, build_case, triggered
+from cogsim.arguments import Argument, active_set, build_case, tally, triggered
 from cogsim.planner import plan_tidy_task
 from cogsim.rules import RuleContext, compile_condition
 from cogsim.runner import RunConfig, run_simulation, trace_lines
@@ -595,10 +595,12 @@ class TestCaseReuse:
         return state
 
     def _rebuild(self, state):
-        active = agent._rebuild_case(state)
+        table = agent._rebuild_case(state)
         args, fresh_active = _fresh_case(state)
         assert state.arguments == args
-        assert active == fresh_active
+        # The last OptionSet signature is the case's, reused or not.
+        assert {row[0] for row in state.last_option_set[1] if row[4]} == fresh_active
+        assert table == tally(args, fresh_active)
         return list(state.arguments)
 
     def test_a_deliberation_and_the_purge_build_once(self, room_state, case_calls):
@@ -669,6 +671,21 @@ class TestCaseReuse:
             assert result.summary["ticks_executed"] == ticks
             counts.append(len(case_calls))
         assert counts[0] == counts[1] > 0
+
+    def test_the_force_table_is_tallied_once_per_build(self, case_calls, monkeypatch):
+        tallies = []
+
+        def counting(args, active):
+            tallies.append(args)
+            return tally(args, active)
+
+        monkeypatch.setattr(agent, "tally", counting)
+        for name in BUNDLED:
+            for ticks in (60, 600):
+                case_calls.clear()
+                tallies.clear()
+                run_simulation(load_bundled(name), RunConfig(ticks=ticks, seed=1))
+                assert len(tallies) == len(case_calls) > 0, (name, ticks)
 
 
 @pytest.fixture

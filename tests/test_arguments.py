@@ -73,6 +73,12 @@ class TestAggregate:
         assert report.ranking == ("x", "y")
         assert report.recommended == "x"
 
+    def test_no_options_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least one option"):
+            aggregate([], [])
+        with pytest.raises(ValueError, match="at least one option"):
+            aggregate([], [arg("p1", "x", "pro", 0.6)])
+
     def test_all_zero_weights_tie_breaks_lexicographically(self):
         args = [arg("p1", "b", "pro", 0.0), arg("p2", "a", "pro", 0.0)]
         report = aggregate(["b", "a"], args)
