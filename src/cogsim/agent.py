@@ -175,15 +175,24 @@ class SimulationState:
 
 
 def fire_events(state: SimulationState) -> None:
-    """Fire the events scheduled for this tick; each one is traced."""
+    """Fire the events scheduled for this tick; each one that fired is
+    traced, then each one that could not apply, with its code and reason."""
     now = state.world.tick
-    state.world, fired = W.step_events(state.world, state.events)
+    state.world, fired, rejected = W.step_events(state.world, state.events)
     for event in fired:
         state.trace.append(
             tick=now,
             layer="world",
             kind="WorldEventFired",
             payload={"effect": dict(event.effect), "fire_tick": event.fire_tick},
+        )
+    for event, code, reason in rejected:
+        state.trace.append(
+            tick=now,
+            layer="world",
+            kind="EventRejected",
+            payload={"effect": dict(event.effect), "fire_tick": event.fire_tick,
+                     "code": code, "reason": reason},
         )
 
 

@@ -31,6 +31,7 @@ LAYERS = frozenset({"world", "reactive", "deliberative", "metacognitive"})
 EVENT_KINDS = frozenset(
     {
         "WorldEventFired",
+        "EventRejected",
         "BeliefChange",
         "AttentionShift",
         "AppraisalChange",

@@ -19,7 +19,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Callable, NamedTuple
 
@@ -570,7 +570,7 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
     report = ValidationReport()
     onto = spec.ontology
     fixture_ids = {f.id for f in onto.fixtures}
-    slot_ids: dict[str, str] = {}
+    slot_ids: set[str] = set()
     width, height = spec.starting_state.grid
 
     seen_cells: set[tuple[int, int]] = set()
@@ -579,7 +579,7 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
             if slot in slot_ids:
                 report.error("DUPLICATE_SLOT", f"ontology.fixtures[{f.id}]",
                              f"slot {slot} declared twice")
-            slot_ids[slot] = f.id
+            slot_ids.add(slot)
         if not (0 <= f.cell[0] < width and 0 <= f.cell[1] < height):
             report.error("OUT_OF_BOUNDS", f"ontology.fixtures[{f.id}]",
                          f"fixture cell {f.cell} outside the {width}x{height} grid")
@@ -596,83 +596,38 @@ def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
         report.error("CELL_CONFLICT", "starting_state.agent",
                      "agent starts on a fixture cell")
 
-    def check_location(location: str, loc: str) -> None:
-        """Report an object location on an undeclared slot or fixture, or
-        on a cell outside the grid or under a fixture."""
-        kind, _, where = location.partition(":")
-        if kind == "slot" and where not in slot_ids:
-            report.error("DANGLING_REF", loc, f"undeclared slot: {where}")
-        elif kind == "fixture" and where not in fixture_ids:
-            report.error("DANGLING_REF", loc, f"undeclared fixture: {where}")
-        elif kind == "cell":
-            cell = W.parse_cell(location)
-            if cell is not None and (
-                not (0 <= cell[0] < width and 0 <= cell[1] < height)
-                or cell in seen_cells
-            ):
-                report.error("OUT_OF_BOUNDS", loc,
-                             f"object placed on unusable cell {cell}")
+    # The starting objects, then the events in firing order (by tick, then
+    # in schedule order), replay through the world's own check of effects.
+    def replay(world: W.WorldState, effect: dict, loc: str) -> W.WorldState:
+        world, _, rejected = W.step_events(world, (W.WorldEvent(world.tick, effect),))
+        for _, code, reason in rejected:
+            report.error(code, loc, reason)
+        return world
 
-    object_ids: set[str] = set()
-    used_slots: dict[str, str] = {}  # slot -> the object that holds it
-    scattered = 0
+    world = W.WorldState(tick=0, layout=W.RoomLayout(width, height, onto.fixtures),
+                         agent_pos=spec.starting_state.agent)
     for obj in spec.starting_state.objects:
         loc = f"starting_state.objects[{obj.id}]"
-        if obj.id in object_ids:
-            report.error("DUPLICATE_OBJECT", loc, "object id declared twice")
-        object_ids.add(obj.id)
+        world = replay(world, {"kind": "spawn_object", "object": {
+            "id": obj.id, "kind": obj.kind, "location": obj.location}}, loc)
         if obj.kind not in onto.object_kinds:
             report.error("DANGLING_REF", loc, f"undeclared kind: {obj.kind}")
-        if obj.location == "scattered":
-            scattered += 1
-            continue
-        check_location(obj.location, loc)
-        if obj.location.startswith("slot:"):
-            slot = obj.location[5:]
-            if slot in slot_ids and slot in used_slots:
-                report.error("SLOT_CONFLICT", loc, f"slot {slot} used twice")
-            used_slots[slot] = obj.id
 
+    scattered = sum(o.location == "scattered" for o in spec.starting_state.objects)
     if scattered:
-        free = len(_scatter_cells(spec)) if spec.starting_state else 0
+        free = len(_scatter_cells(spec))
         if free < scattered:
             report.error("SCATTER_SPACE", "starting_state",
                          f"{scattered} scattered objects but only {free} free cells")
 
-    # The objects present are replayed through the schedule in the order
-    # the events fire: by tick, then in schedule order.  The slots held
-    # are known only until the agent can act: the starting objects' at
-    # tick 0, and within each fire tick those its spawns take.
-    live = set(object_ids)
-    held, held_tick = dict(used_slots), 0
     for i, event in sorted(enumerate(spec.events), key=lambda e: e[1].fire_tick):
-        if event.fire_tick != held_tick:
-            held, held_tick = {}, event.fire_tick
-        effect = event.effect
-        if effect["kind"] == "break_fixture" and effect["fixture"] not in fixture_ids:
-            report.error("DANGLING_REF", f"events[{i}].effect",
-                         f"undeclared fixture: {effect['fixture']}")
-        if effect["kind"] == "spawn_object":
-            spawned = effect["object"]["id"]
-            if spawned in live:
-                report.error("DUPLICATE_OBJECT", f"events[{i}].effect",
-                             f"object already present: {spawned}")
-            live.add(spawned)
-            location = effect["object"]["location"]
-            check_location(location, f"events[{i}].effect")
-            slot = location[5:] if location.startswith("slot:") else None
-            if slot in slot_ids:
-                if slot in held:
-                    report.error("SLOT_CONFLICT", f"events[{i}].effect",
-                                 f"slot {slot} already holds {held[slot]}")
-                held[slot] = spawned
-        if effect["kind"] == "remove_object":
-            removed = effect["object_id"]
-            if removed not in live:
-                report.error("DANGLING_REF", f"events[{i}].effect",
-                             f"undeclared object: {removed}")
-            live.discard(removed)
-            held = {slot: obj for slot, obj in held.items() if obj != removed}
+        if event.fire_tick != world.tick:
+            # The agent can move objects from tick 0 on, so which slots are
+            # held is known only within one fire tick: objects lose their place.
+            objects = {o.id: W.ObjectState(o.id, o.kind, "scattered")
+                       for o in world.objects.values()}
+            world = replace(world, tick=event.fire_tick, objects=objects)
+        world = replay(world, event.effect, f"events[{i}].effect")
         if (
             spec.goal.deadline_tick is not None
             and event.fire_tick > spec.goal.deadline_tick

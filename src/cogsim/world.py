@@ -15,6 +15,9 @@ to compare, order, and serialize:
 ``TARGET`` is a slot id for slot-addressed fixtures and a fixture id
 for bulk fixtures.  Any other string is treated by the agent layer as
 an abstract (non-spatial) act and leaves the grid untouched.
+
+Every scheduled event passes :func:`effect_problem` first: a run skips
+one it rejects, and scenario validation replays the schedule through it.
 """
 
 from __future__ import annotations
@@ -320,47 +323,78 @@ def apply_action(world: WorldState, action: str) -> WorldState:
 
 def step_events(
     world: WorldState, schedule: tuple[WorldEvent, ...]
-) -> tuple[WorldState, list[WorldEvent]]:
-    """Fire every event scheduled for the world's current tick.
+) -> tuple[WorldState, list[WorldEvent], list[tuple[WorldEvent, str, str]]]:
+    """Fire the events scheduled for the world's current tick, in schedule
+    order; return ``(world, fired, rejected)``.
 
-    Events fire in schedule order; the tick counter is untouched (it
+    An event that :func:`effect_problem` rejects is skipped and returned
+    as ``(event, code, reason)``.  The tick counter is untouched (it
     advances with the agent's action), and because ticks pass through
     each value exactly once per run, no event can fire twice.
     """
     fired: list[WorldEvent] = []
+    rejected: list[tuple[WorldEvent, str, str]] = []
     for event in schedule:
         if event.fire_tick != world.tick:
             continue
-        world = _apply_effect(world, event.effect)
-        fired.append(event)
-    return world, fired
+        problem = effect_problem(world, event.effect)
+        if problem is None:
+            world = _apply_effect(world, event.effect)
+            fired.append(event)
+        else:
+            rejected.append((event, *problem))
+    return world, fired, rejected
+
+
+def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
+    """Why an event effect cannot apply to the world, as ``(code, reason)``,
+    or None.  A run skips an event it rejects, and scenario validation
+    replays the starting objects and the schedule through it."""
+    kind, layout = effect.get("kind"), world.layout
+    if kind == "break_fixture":
+        if not layout.has_fixture(effect["fixture"]):
+            return "DANGLING_REF", f"undeclared fixture: {effect['fixture']}"
+    elif kind == "remove_object":
+        if effect["object_id"] not in world.objects:
+            return "DANGLING_REF", f"undeclared object: {effect['object_id']}"
+    elif kind == "spawn_object":
+        spawned = effect["object"]
+        if spawned["id"] in world.objects:
+            return "DUPLICATE_OBJECT", f"object already present: {spawned['id']}"
+        where, _, name = spawned["location"].partition(":")
+        if where == "slot":
+            fixture = layout.slot_parent(name)
+            if fixture is None:
+                return "DANGLING_REF", f"undeclared slot: {name}"
+            holders = _occupants(world, fixture, name)
+            if holders:
+                return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}"
+        elif where == "fixture" and not layout.has_fixture(name):
+            return "DANGLING_REF", f"undeclared fixture: {name}"
+        elif where == "cell":
+            cell = parse_cell(spawned["location"])
+            if not layout.passable(cell):
+                return "OUT_OF_BOUNDS", f"object placed on unusable cell {cell}"
+    return None
 
 
 def _apply_effect(world: WorldState, effect: dict) -> WorldState:
+    """Apply an effect that :func:`effect_problem` accepts."""
     kind = effect.get("kind")
     if kind == "break_fixture":
-        fixture_id = effect["fixture"]
-        if not world.layout.has_fixture(fixture_id):
-            raise UnknownEntity(f"unknown fixture: {fixture_id}")
         return world._replace(
-            broken_fixtures=world.broken_fixtures | {fixture_id}
+            broken_fixtures=world.broken_fixtures | {effect["fixture"]}
         )
     if kind == "spawn_object":
         decl = effect["object"]
         objects = dict(world.objects)
-        objects[decl["id"]] = ObjectState(
-            id=decl["id"], kind=decl["kind"], location=decl["location"]
-        )
+        objects[decl["id"]] = ObjectState(decl["id"], decl["kind"], decl["location"])
         return world._replace(objects=objects)
     if kind == "remove_object":
         object_id = effect["object_id"]
-        if object_id not in world.objects:
-            raise UnknownEntity(f"unknown object: {object_id}")
         objects = dict(world.objects)
         del objects[object_id]
-        holding = world.agent_holding
-        if holding == object_id:
-            holding = None
+        holding = None if world.agent_holding == object_id else world.agent_holding
         return world._replace(objects=objects, agent_holding=holding)
     raise UnknownEntity(f"unknown event effect: {kind}")
 

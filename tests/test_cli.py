@@ -318,6 +318,21 @@ class TestValidateCommand:
                      "--trace", str(tmp_path / "t.jsonl"),
                      "--metrics", str(tmp_path / "m.csv")]) == 0
 
+    def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
+        # Validation cannot know which slots are held after tick 0; the run
+        # skips the spawn and traces why, so the slot keeps one object.
+        path = self._with_events(tmp_path, [self._spawn(1, "book_9")], "shelf_slot_1")
+        assert main(["validate", path]) == 0
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", path, "--seed", "1", "--trace", str(trace),
+                     "--metrics", str(tmp_path / "m.csv")]) == 0
+        events = [json.loads(line) for line in trace.read_text("utf-8").splitlines()]
+        rejected = [(e["tick"], e["payload"]["code"], e["payload"]["reason"])
+                    for e in events if e["kind"] == "EventRejected"]
+        assert rejected == [(1, "SLOT_CONFLICT", "slot shelf_slot_1 already holds book_1")]
+        assert not [e for e in events if e["kind"] == "BeliefChange"
+                    and e["payload"]["atom"] == "location(book_9)"]
+
 
 class TestRunCommand:
     def test_run_writes_trace_and_metrics(self, room_tidy_path, tmp_path, capsys):

@@ -4,15 +4,25 @@ import contextlib
 import dataclasses
 import gc
 import io
+import json
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cogsim import cli
 from cogsim.affect import ActionTendency
 from cogsim.agent import tick
 from cogsim.metacog import MONITORED_KINDS, check_consistency
 from cogsim.runner import RunConfig, run_simulation
-from cogsim.scenario import BUNDLED, bundled_document, instantiate, load_bundled
+from cogsim.scenario import (
+    BUNDLED,
+    bundled_document,
+    instantiate,
+    load_bundled,
+    parse_scenario,
+    validate_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +210,60 @@ def test_an_in_process_cli_run_leaves_no_cyclic_garbage(name, tmp_path):
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# Events onto room_tidy (8x8 grid; shelf_1 at (3, 0) with three slots,
+# table_1 at (6, 0), box_1 at (7, 2)).  Locations range over declared and
+# undeclared slots and fixtures, and over cells on, off and under the grid;
+# shelf_slot_1 is drawn most, so that schedules often fill it twice.
+_LOCATIONS = st.one_of(
+    st.just({"slot": "shelf_slot_1"}),
+    st.sampled_from([
+        {"slot": "ghost_slot"}, {"slot": "shelf_slot_2"}, {"fixture": "table_1"},
+        {"fixture": "ghost"}, {"cell": [3, 0]}, {"cell": [7, 2]}, {"cell": [-1, 0]},
+        {"cell": [8, 3]},
+    ]),
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda c: {"cell": list(c)}),
+)
+_SPAWNED = st.fixed_dictionaries({
+    "id": st.sampled_from(["book_8", "book_9", "toy_9", "book_1"]),
+    "kind": st.sampled_from(["book", "toy"]),
+    "location": _LOCATIONS,
+})
+_OTHER_EFFECTS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("remove_object"),
+                           "object_id": st.sampled_from(["book_1", "book_8", "toy_1"])}),
+    st.fixed_dictionaries({"kind": st.just("break_fixture"),
+                           "fixture": st.sampled_from(["shelf_1", "table_1", "box_1"])}),
+)
+
+
+def _scheduled(effects):
+    return st.fixed_dictionaries({"fire_tick": st.integers(0, 20), "effect": effects})
+
+
+# A schedule spawns each id at most once (book_1 is already present), in
+# any order among its removals and breaks.
+_SCHEDULES = st.tuples(
+    st.lists(_scheduled(st.fixed_dictionaries({"kind": st.just("spawn_object"),
+                                               "object": _SPAWNED})),
+             max_size=3, unique_by=lambda event: event["effect"]["object"]["id"]),
+    st.lists(_scheduled(_OTHER_EFFECTS), max_size=2),
+).flatmap(lambda both: st.permutations(both[0] + both[1]))
+
+
+@seed(20211015)
+@settings(max_examples=100, deadline=None, database=None)
+@given(events=_SCHEDULES)
+def test_a_validated_schedule_runs_with_one_object_per_slot(events):
+    doc = json.loads(bundled_document("room_tidy"))
+    doc["events"] += events
+    spec = parse_scenario(json.dumps(doc))
+    if not validate_scenario(spec).ok():
+        return
+    state = instantiate(spec, 1)
+    for _ in range(40):
+        tick(state)
+        slots = [o.location for o in state.world.objects.values()
+                 if o.location.startswith("slot:")]
+        assert len(slots) == len(set(slots)), state.world.tick

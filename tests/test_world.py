@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogsim import world as W
-from cogsim.errors import IllegalAction, UnknownEntity
+from cogsim.errors import IllegalAction
 
 
 def test_idle_preserves_placements(small_world):
@@ -104,7 +104,7 @@ def test_abandon_is_terminal(small_world):
 
 
 def test_step_events_empty_schedule(small_world):
-    after, fired = W.step_events(small_world, [])
+    after, fired, _ = W.step_events(small_world, [])
     assert after == small_world
     assert fired == []
 
@@ -113,11 +113,11 @@ def test_step_events_break_at_matching_tick(small_world):
     event = W.WorldEvent(
         fire_tick=0, effect={"kind": "break_fixture", "fixture": "shelf_1"}
     )
-    after, fired = W.step_events(small_world, [event])
+    after, fired, _ = W.step_events(small_world, [event])
     assert "shelf_1" in after.broken_fixtures
     assert fired == [event]
     later = dataclasses.replace(small_world, tick=1)
-    unchanged, fired = W.step_events(later, [event])
+    unchanged, fired, _ = W.step_events(later, [event])
     assert fired == []
     assert unchanged.broken_fixtures == frozenset()
 
@@ -134,19 +134,56 @@ def test_step_events_same_tick_order_matches_one_by_one_replay(small_world):
         ),
         W.WorldEvent(0, {"kind": "remove_object", "object_id": "toy_9"}),
     ]
-    batched, fired = W.step_events(small_world, events)
+    batched, fired, _ = W.step_events(small_world, events)
     # independent oracle: replay each event alone, in declaration order
     replayed = small_world
     for event in events:
-        replayed, _ = W.step_events(replayed, [event])
+        replayed, _, _ = W.step_events(replayed, [event])
     assert batched == replayed
     assert fired == events
 
 
 def test_step_events_unknown_entity(small_world):
     event = W.WorldEvent(0, {"kind": "break_fixture", "fixture": "ghost"})
-    with pytest.raises(UnknownEntity):
-        W.step_events(small_world, [event])
+    after, fired, rejected = W.step_events(small_world, [event])
+    assert rejected == [(event, "DANGLING_REF", "undeclared fixture: ghost")]
+    assert fired == []
+    assert after == small_world
+
+
+def _spawn(object_id, location):
+    return {"kind": "spawn_object",
+            "object": {"id": object_id, "kind": "book", "location": location}}
+
+
+@pytest.mark.parametrize("effect, problem", [
+    ({"kind": "break_fixture", "fixture": "ghost"},
+     ("DANGLING_REF", "undeclared fixture: ghost")),
+    ({"kind": "remove_object", "object_id": "ghost"},
+     ("DANGLING_REF", "undeclared object: ghost")),
+    (_spawn("book_1", "cell:1,2"), ("DUPLICATE_OBJECT", "object already present: book_1")),
+    (_spawn("book_9", "slot:nope"), ("DANGLING_REF", "undeclared slot: nope")),
+    (_spawn("book_9", "fixture:nope"), ("DANGLING_REF", "undeclared fixture: nope")),
+    (_spawn("book_9", "cell:3,1"),
+     ("OUT_OF_BOUNDS", "object placed on unusable cell (3, 1)")),
+    (_spawn("book_9", "cell:-1,0"),
+     ("OUT_OF_BOUNDS", "object placed on unusable cell (-1, 0)")),
+    (_spawn("book_9", "cell:0,0"),  # under the shelf
+     ("OUT_OF_BOUNDS", "object placed on unusable cell (0, 0)")),
+    (_spawn("book_9", "slot:shelf_slot_1"),
+     ("SLOT_CONFLICT", "slot shelf_slot_1 already holds book_2")),
+    (_spawn("book_9", "slot:shelf_slot_2"), None),
+    (_spawn("book_9", "fixture:box_1"), None),
+    (_spawn("book_9", "cell:1,2"), None),
+    ({"kind": "break_fixture", "fixture": "shelf_1"}, None),
+    ({"kind": "remove_object", "object_id": "book_2"}, None),
+])
+def test_effect_problem(small_world, effect, problem):
+    world = dataclasses.replace(small_world, objects={
+        **small_world.objects,
+        "book_2": W.ObjectState("book_2", "book", "slot:shelf_slot_1"),
+    })
+    assert W.effect_problem(world, effect) == problem
 
 
 def test_evaluate_goal_all_placed(small_world, small_goal):
@@ -295,7 +332,7 @@ def test_determinism_equal_inputs_equal_outputs(small_world):
 
 def test_monotone_breakage(small_world):
     event = W.WorldEvent(0, {"kind": "break_fixture", "fixture": "shelf_1"})
-    broken, _ = W.step_events(small_world, [event])
+    broken, _, _ = W.step_events(small_world, [event])
     assert small_world.broken_fixtures <= broken.broken_fixtures
 
 
