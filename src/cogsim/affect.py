@@ -76,6 +76,8 @@ class ActionTendency:
     id: str = ""
     force: float = 0.0
     supporting_arguments: tuple[str, ...] = ()
+    # The force table that force and supporting_arguments were read off.
+    folded: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.option:

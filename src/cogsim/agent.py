@@ -17,10 +17,12 @@ since its last pass, so it can veto this tick's biased tendencies
 before anything is executed; when control asks for replanning it
 deliberates once more in the same tick.  ``recompute_forces`` purges
 expired tendencies and reads each pooled tendency's force and reasons
-off the case's force table (``arguments.tally``).  ``act`` selects the
-strongest tendency, applies exactly one world action, advances the plan
-cursor and returns the tick's metrics row; an illegal or absent
-selection degrades to idle and is traced, never raised.
+off the case's force table (``arguments.tally``), once per table: only
+a tendency injected since the last read, or every one after a build, is
+folded.  ``act`` selects the strongest tendency, applies exactly one
+world action, advances the plan cursor and returns the tick's metrics
+row; an illegal or absent selection degrades to idle and is traced,
+never raised.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -28,7 +30,9 @@ that perception and the tick's metrics row share, the task plan of each
 goal variant, and the goal variant and belief version perception last
 saw.  Perception is skipped when those are unchanged: every belief
 already holds what it would set.  A reused plan is the same steps; no
-tick is stamped on it.
+tick is stamped on it.  The memo follows the newest world found equal to
+its own, so each world object is compared once, and a second look at it
+is one identity test.
 
 A plan covers only the stretch up to the next deliberation: the planner
 stops after the first whole leg that reaches ``deliberation_period``
@@ -83,6 +87,7 @@ class WorldMemo:
     """What the engine derived from one world, apart from its tick, and
     one goal."""
 
+    # The newest world found equal to the first apart from its tick.
     world: W.WorldState
     goal: W.GoalSpec
     status: W.GoalStatus
@@ -232,11 +237,15 @@ def perceive(state: SimulationState) -> SimulationState:
 def _world_memo(state: SimulationState) -> WorldMemo:
     """The memo of the current world and goal, started afresh (with the
     goal evaluated) when the world apart from its tick or the goal
-    differs from the memo's."""
+    differs from the memo's.  The memo keeps the newest world found
+    equal, so each world object is compared at most once."""
     world, goal = state.world, state.goal
     memo = state.world_memo
-    if memo is None or memo.goal is not goal or not W.same_but_tick(memo.world, world):
-        memo = state.world_memo = WorldMemo(world, goal, W.evaluate_goal(world, goal))
+    if memo is not None and memo.goal is goal and (
+            memo.world is world or W.same_but_tick(memo.world, world)):
+        memo.world = world  # the next check of this world is one identity test
+        return memo
+    memo = state.world_memo = WorldMemo(world, goal, W.evaluate_goal(world, goal))
     return memo
 
 
@@ -524,6 +533,11 @@ def recompute_forces(state: SimulationState) -> None:
     (under the force rule of ``arguments``) and reasons from its option's
     row of the force table: the moment of action.  A force that overflows
     raises :class:`NonFiniteForce`, so no infinite force reaches the trace.
+
+    A tendency's urgency and option are fixed at injection, and a build
+    replaces the table rather than change it, so only a tendency not yet
+    read off this very table is folded: one injected since, or every one
+    after a build.
     """
     now = state.world.tick
     ttl = state.config.tendency_ttl
@@ -542,6 +556,8 @@ def recompute_forces(state: SimulationState) -> None:
     # Options injected since the last deliberation must be covered too.
     table = _rebuild_case(state)
     for tendency in state.tendency_pool:
+        if tendency.folded is table:
+            continue  # its urgency, option and table are as at that fold
         weights, reasons = table.get(tendency.option, ((), ()))
         # From the urgency, one add at a time (see arguments): not sum().
         net = tendency.base_urgency
@@ -554,6 +570,7 @@ def recompute_forces(state: SimulationState) -> None:
             )
         tendency.force = round(max(0.0, net), 9)
         tendency.supporting_arguments = reasons
+        tendency.folded = table
 
 
 def _select_tendency(state: SimulationState) -> ActionTendency | None:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import world as W
 from .arguments import Argument, argument_id
-from .errors import OutOfOrder
+from .errors import OutOfOrder, UnknownEntity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .agent import SimulationState
@@ -190,8 +190,10 @@ def check_consistency(
 
     if event.kind != "TendencyInjected":
         return None
-    c = next((c for c in commitments if c.required_valence == "positive"), None)
-    if c is None:
+    for c in commitments:
+        if c.required_valence == "positive":
+            break
+    else:
         return None
     action = p["action"]
     if action == "abandon":
@@ -276,8 +278,10 @@ def control(
     CountermeasureApplied event with outcome "none" is recorded.
     """
     now = state.world.tick
-    entry = next((c for c in library if _matches(c.matches, finding)), None)
-    if entry is None:
+    for entry in library:
+        if _matches(entry.matches, finding):
+            break
+    else:
         state.trace.append(
             tick=now,
             layer="metacognitive",
@@ -290,9 +294,11 @@ def control(
     action = entry.action
     if action["kind"] == "redescription":
         template_id = action["template"]
-        template = next(
-            t for t in state.config.argument_templates if t.id == template_id
-        )
+        for template in state.config.argument_templates:
+            if template.id == template_id:
+                break
+        else:
+            raise UnknownEntity(f"unknown argument template: {template_id}")
         weight = state.weight_overrides.get(template_id, finding.commitment.weight)
         option = _violating_option(finding, state)
         new_arg = Argument(

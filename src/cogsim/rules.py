@@ -119,12 +119,20 @@ def _const(value: bool, ctx: RuleContext) -> bool:
     return value
 
 
+# The connectives and the appraisal test are loops that stop at the first
+# deciding part, evaluated in place: no generator per call.
 def _all(parts: tuple[Condition, ...], ctx: RuleContext) -> bool:
-    return all(eval_condition(part, ctx) for part in parts)
+    for part in parts:
+        if not part.test(part.operand, ctx):
+            return False
+    return True
 
 
 def _any(parts: tuple[Condition, ...], ctx: RuleContext) -> bool:
-    return any(eval_condition(part, ctx) for part in parts)
+    for part in parts:
+        if part.test(part.operand, ctx):
+            return True
+    return False
 
 
 def _not(part: Condition, ctx: RuleContext) -> bool:
@@ -141,12 +149,12 @@ def _belief(test: tuple, ctx: RuleContext) -> bool:
 
 def _appraisal(want: tuple, ctx: RuleContext) -> bool:
     atom, valence, floor = want
-    return any(
-        (atom is None or app.atom == atom)
-        and (valence is None or app.valence == valence)
-        and app.magnitude >= floor
-        for app in ctx.appraisals
-    )
+    for app in ctx.appraisals:
+        if ((atom is None or app.atom == atom)
+                and (valence is None or app.valence == valence)
+                and app.magnitude >= floor):
+            return True
+    return False
 
 
 def _commitment(atom: str | None, ctx: RuleContext) -> bool:

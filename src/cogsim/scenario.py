@@ -20,6 +20,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from typing import Any, Callable, NamedTuple
 
@@ -98,6 +99,13 @@ class ScenarioSpec:
     goal: W.GoalSpec
     agent: AgentConfig
     bct_profile: str
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        # Kept outside the fields, as RoomLayout keeps its fixture cells:
+        # nothing changes a spec once it is built, so one pass serves the
+        # CLI's check and every instantiation of it.
+        return _validate(self)
 
 
 @dataclass
@@ -566,7 +574,16 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 
 
 def validate_scenario(spec: ScenarioSpec) -> ValidationReport:
-    """Cross-check the spec; problems become report entries, never raises."""
+    """Cross-check the spec; problems become report entries, never raises.
+
+    The checks run once per spec object; each call returns a copy of
+    their report.
+    """
+    report = spec._report
+    return ValidationReport(list(report.errors), list(report.warnings))
+
+
+def _validate(spec: ScenarioSpec) -> ValidationReport:
     report = ValidationReport()
     onto = spec.ontology
     fixture_ids = {f.id for f in onto.fixtures}
@@ -749,9 +766,11 @@ def instantiate(spec: ScenarioSpec, seed: int) -> SimulationState:
 
     Scattered objects draw distinct floor cells from the declared
     scatter region without replacement; the draw is a pure function of
-    the seed.  A spec with validation errors raises InvalidSpec.
+    the seed.  A spec with validation errors raises InvalidSpec; the
+    checks run once per spec, however often it is validated or
+    instantiated.
     """
-    report = validate_scenario(spec)
+    report = spec._report
     if not report.ok():
         raise InvalidSpec(f"scenario has {len(report.errors)} validation error(s)")
 

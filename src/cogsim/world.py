@@ -349,7 +349,11 @@ def step_events(
 def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
     """Why an event effect cannot apply to the world, as ``(code, reason)``,
     or None.  A run skips an event it rejects, and scenario validation
-    replays the starting objects and the schedule through it."""
+    replays the starting objects and the schedule through it.
+
+    An object goes into a fixture or slot only if the fixture accepts its
+    kind, as for ``place``: the planner never takes an object back out of
+    a fixture, so one of another kind there would stay put for good."""
     kind, layout = effect.get("kind"), world.layout
     if kind == "break_fixture":
         if not layout.has_fixture(effect["fixture"]):
@@ -362,15 +366,19 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
         if spawned["id"] in world.objects:
             return "DUPLICATE_OBJECT", f"object already present: {spawned['id']}"
         where, _, name = spawned["location"].partition(":")
-        if where == "slot":
-            fixture = layout.slot_parent(name)
+        if where in ("slot", "fixture"):
+            if where == "slot":
+                fixture = layout.slot_parent(name)
+            else:
+                fixture = layout.fixture(name) if layout.has_fixture(name) else None
             if fixture is None:
-                return "DANGLING_REF", f"undeclared slot: {name}"
-            holders = _occupants(world, fixture, name)
+                return "DANGLING_REF", f"undeclared {where}: {name}"
+            if fixture.accepts != spawned["kind"]:
+                return ("WRONG_KIND",
+                        f"fixture {fixture.id} does not accept kind {spawned['kind']}")
+            holders = _occupants(world, fixture, name) if where == "slot" else []
             if holders:
                 return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}"
-        elif where == "fixture" and not layout.has_fixture(name):
-            return "DANGLING_REF", f"undeclared fixture: {name}"
         elif where == "cell":
             cell = parse_cell(spawned["location"])
             if not layout.passable(cell):

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
-from cogsim import agent, planner
+from cogsim import agent, planner, runner
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal
 from cogsim.agent import (
@@ -18,7 +19,7 @@ from cogsim.rules import RuleContext, compile_condition
 from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
-from helpers import reference_deliberative_step
+from helpers import compute_force, reference_deliberative_step, supporting_argument_ids
 
 
 @pytest.fixture
@@ -891,6 +892,72 @@ class TestSteadyState:
                 assert result.summary["ticks_executed"] == ticks
                 counts.append(len(calls))
             assert counts[0] == counts[1] > 0, name
+
+
+class _CountingMath:
+    """``math`` with its ``isfinite`` calls counted: ``recompute_forces``
+    checks each fold of a tendency's force with it once."""
+
+    def __init__(self):
+        self.folds = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def isfinite(self, value):
+        self.folds += 1
+        return math.isfinite(value)
+
+
+def _force_table(state):
+    return None if state.case_memo is None else state.case_memo[4]
+
+
+RUN_MODES = {
+    "default": {},
+    "no_metacog": {"metacognition_enabled": False},
+    "ceos": {"bct_profile": "ceos"},
+}
+
+
+class TestSteadyTicks:
+    """A steady tick does only new work: a tendency is folded once per
+    force table, and each world object is compared with the memo's once."""
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_forces_are_folded_once_per_table(self, monkeypatch, name, mode):
+        counting = _CountingMath()
+        monkeypatch.setattr(agent, "math", counting)
+        compared = {}  # id(world) -> [world, comparisons]; holds the world
+        same_but_tick = W.same_but_tick
+
+        def counting_same(memo_world, world):
+            compared.setdefault(id(world), [world, 0])[1] += 1
+            return same_but_tick(memo_world, world)
+
+        monkeypatch.setattr(W, "same_but_tick", counting_same)
+
+        def checked_tick(state):
+            table, folds = _force_table(state), counting.folds
+            first = len(state.trace.events)
+            row = tick(state)
+            injected = sum(e.kind == "TendencyInjected"
+                           for e in state.trace.events[first:])
+            if _force_table(state) is table:
+                assert counting.folds - folds <= injected, state.world.tick
+            active = active_set(state.arguments)
+            active_args = [a for a in state.arguments if a.id in active]
+            for tendency in state.tendency_pool:
+                assert (tendency.force, tendency.supporting_arguments) == (
+                    compute_force(tendency, active_args),
+                    supporting_argument_ids(tendency, active_args),
+                ), (state.world.tick, tendency.id)
+            return row
+
+        monkeypatch.setattr(runner, "tick", checked_tick)
+        run_simulation(load_bundled(name), RunConfig(ticks=600, seed=1, **RUN_MODES[mode]))
+        assert max(n for _, n in compared.values()) == 1
 
 
 class TestThresholdMonotonicity:

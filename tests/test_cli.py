@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cogsim
-from cogsim import cli
+from cogsim import cli, scenario
 from cogsim.cli import main
 from cogsim.scenario import bundled_document
 
@@ -249,6 +249,10 @@ class TestValidateCommand:
          "OUT_OF_BOUNDS @ events[1].effect: object placed on unusable cell (99, 99)"),
         ({"cell": [3, 0]},  # the shelf's cell
          "OUT_OF_BOUNDS @ events[1].effect: object placed on unusable cell (3, 0)"),
+        ({"slot": "shelf_slot_2"},
+         "WRONG_KIND @ events[1].effect: fixture shelf_1 does not accept kind toy"),
+        ({"fixture": "table_1"},
+         "WRONG_KIND @ events[1].effect: fixture table_1 does not accept kind toy"),
     ])
     def test_spawning_onto_an_unusable_location_exits_2(self, tmp_path, capsys,
                                                         location, message):
@@ -317,6 +321,23 @@ class TestValidateCommand:
         assert main(["run", path, "--ticks", "60",
                      "--trace", str(tmp_path / "t.jsonl"),
                      "--metrics", str(tmp_path / "m.csv")]) == 0
+
+    def test_a_starting_object_in_a_fixture_of_another_kind_exits_2(self, tmp_path,
+                                                                     capsys):
+        # The planner never takes an object back out of a fixture, so a toy
+        # on the book shelf would keep the strict goal out of reach.
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["starting_state"]["objects"].append(
+            {"id": "toy_9", "kind": "toy", "location": {"slot": "shelf_slot_1"}})
+        path = tmp_path / "toy_on_shelf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = ("WRONG_KIND @ starting_state.objects[toy_9]: "
+                   "fixture shelf_1 does not accept kind toy")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
         # Validation cannot know which slots are held after tick 0; the run
@@ -426,6 +447,22 @@ class TestRunCommand:
 
     def test_bad_ticks_exit_2(self, room_tidy_path):
         assert main(["run", room_tidy_path, "--ticks", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--trace", "t.jsonl", "--metrics", "m.csv"],
+    ["sweep", "--template", "commitment_guard", "--weights", "0,1,2", "--out", "s.csv"],
+], ids=["run", "sweep"])
+def test_a_command_checks_its_spec_once(redescription_path, tmp_path, monkeypatch,
+                                       argv):
+    checked = []
+    check = scenario._validate
+    monkeypatch.setattr(scenario, "_validate",
+                        lambda spec: checked.append(spec) or check(spec))
+    monkeypatch.chdir(tmp_path)
+    command, *options = argv
+    assert main([command, redescription_path, "--ticks", "20", *options]) == 0
+    assert len(checked) == 1
 
 
 class TestSweepCommand:

@@ -214,3 +214,56 @@ def test_equality_uses_the_source_document():
     assert cond == compile_condition(copy.deepcopy(doc))
     assert cond != compile_condition({"belief": "b"})
     assert cond.atoms == ("b", "a")
+
+
+class RecordingBeliefs(BeliefStore):
+    """A belief store that records the atoms read, in order."""
+
+    def __init__(self, values):
+        super().__init__()
+        self.read = []
+        for name, value in values.items():
+            self.set(name, value, 0)
+
+    def get(self, atom, default=None):
+        self.read.append(atom)
+        return super().get(atom, default)
+
+
+@pytest.mark.parametrize("form, values, want, read", [
+    ("all", {"a": 1, "b": 0, "c": 1}, False, ["a", "b"]),
+    ("all", {"a": 1, "b": 1, "c": 1}, True, ["a", "b", "c"]),
+    ("any", {"a": 0, "b": 1, "c": 0}, True, ["a", "b"]),
+    ("any", {"a": 0, "b": 0, "c": 0}, False, ["a", "b", "c"]),
+])
+def test_a_connective_reads_its_parts_in_order_up_to_the_deciding_one(
+        form, values, want, read):
+    beliefs = RecordingBeliefs(values)
+    cond = compile_condition({form: [{"belief": name} for name in "abc"]})
+    assert eval_condition(cond, RuleContext(beliefs)) is want
+    assert beliefs.read == read
+
+
+class PulledList(list):
+    """A list that counts the items its last iteration pulled."""
+
+    def __iter__(self):
+        self.pulled = 0
+        for item in super().__iter__():
+            self.pulled += 1
+            yield item
+
+
+@pytest.mark.parametrize("want, holds, pulled", [
+    ({"valence": "negative"}, True, 1),
+    ({"atom": "b"}, True, 2),
+    ({"atom": "b", "min_magnitude": 0.9}, False, 3),
+    ({}, True, 1),
+])
+def test_an_appraisal_test_stops_at_the_first_match(want, holds, pulled):
+    appraisals = PulledList([Appraisal("a", "negative", 0.5, "p", 0),
+                             Appraisal("b", "positive", 0.5, "p", 0),
+                             Appraisal("b", "positive", 0.5, "p", 0)])
+    cond = compile_condition({"appraisal": want})
+    assert eval_condition(cond, RuleContext(BeliefStore(), appraisals)) is holds
+    assert appraisals.pulled == pulled

@@ -244,6 +244,18 @@ class TestInstantiate:
         with pytest.raises(InvalidSpec):
             instantiate(spec, 1)
 
+    def test_an_invalid_spec_stays_invalid_whatever_a_report_holder_does(self):
+        doc = json.loads(minimal_doc())
+        doc["goal"]["strict"]["ghost"] = ["shelf_1"]
+        spec = parse_scenario(json.dumps(doc))
+        report = validate_scenario(spec)
+        errors = list(report.errors)
+        assert errors
+        report.errors.clear()
+        assert validate_scenario(spec).errors == errors
+        with pytest.raises(InvalidSpec):
+            instantiate(spec, 1)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", BUNDLED)

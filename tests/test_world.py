@@ -151,9 +151,9 @@ def test_step_events_unknown_entity(small_world):
     assert after == small_world
 
 
-def _spawn(object_id, location):
+def _spawn(object_id, location, kind="book"):
     return {"kind": "spawn_object",
-            "object": {"id": object_id, "kind": "book", "location": location}}
+            "object": {"id": object_id, "kind": kind, "location": location}}
 
 
 @pytest.mark.parametrize("effect, problem", [
@@ -173,7 +173,14 @@ def _spawn(object_id, location):
     (_spawn("book_9", "slot:shelf_slot_1"),
      ("SLOT_CONFLICT", "slot shelf_slot_1 already holds book_2")),
     (_spawn("book_9", "slot:shelf_slot_2"), None),
-    (_spawn("book_9", "fixture:box_1"), None),
+    (_spawn("book_9", "fixture:box_1"),
+     ("WRONG_KIND", "fixture box_1 does not accept kind book")),
+    (_spawn("toy_9", "slot:shelf_slot_2", "toy"),
+     ("WRONG_KIND", "fixture shelf_1 does not accept kind toy")),
+    # The kind is checked before the slot's holder.
+    (_spawn("toy_9", "slot:shelf_slot_1", "toy"),
+     ("WRONG_KIND", "fixture shelf_1 does not accept kind toy")),
+    (_spawn("toy_9", "fixture:box_1", "toy"), None),
     (_spawn("book_9", "cell:1,2"), None),
     ({"kind": "break_fixture", "fixture": "shelf_1"}, None),
     ({"kind": "remove_object", "object_id": "book_2"}, None),
