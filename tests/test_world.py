@@ -173,6 +173,10 @@ def _spawn(object_id, location, kind="book"):
     (_spawn("book_9", "slot:shelf_slot_1"),
      ("SLOT_CONFLICT", "slot shelf_slot_1 already holds book_2")),
     (_spawn("book_9", "slot:shelf_slot_2"), None),
+    (_spawn("toy_9", "fixture:box_1", "toy"), None),
+    (_spawn("book_9", "cell:1,2"), None),
+    ({"kind": "break_fixture", "fixture": "shelf_1"}, None),
+    ({"kind": "remove_object", "object_id": "book_2"}, None),
     (_spawn("book_9", "fixture:box_1"),
      ("WRONG_KIND", "fixture box_1 does not accept kind book")),
     (_spawn("toy_9", "slot:shelf_slot_2", "toy"),
@@ -180,10 +184,6 @@ def _spawn(object_id, location, kind="book"):
     # The kind is checked before the slot's holder.
     (_spawn("toy_9", "slot:shelf_slot_1", "toy"),
      ("WRONG_KIND", "fixture shelf_1 does not accept kind toy")),
-    (_spawn("toy_9", "fixture:box_1", "toy"), None),
-    (_spawn("book_9", "cell:1,2"), None),
-    ({"kind": "break_fixture", "fixture": "shelf_1"}, None),
-    ({"kind": "remove_object", "object_id": "book_2"}, None),
 ])
 def test_effect_problem(small_world, effect, problem):
     world = dataclasses.replace(small_world, objects={
