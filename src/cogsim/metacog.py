@@ -14,9 +14,7 @@ the commitment) or replanning against the relaxed goal variant.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -68,14 +66,14 @@ class TraceEvent:
     reasons: tuple[str, ...] = ()
 
 
-_TICK_SEQ = attrgetter("tick", "seq")
-
-
 class ReasoningTrace:
     """Append-only event sequence with (tick, seq) ordering."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
+        # The last event's (tick, seq), so that neither ``append`` nor
+        # ``head`` reads an event back.
+        self._head = (-1, -1)
 
     def append(self, tick: int, layer: str, kind: str, payload: dict,
                reasons: tuple[str, ...] = ()) -> TraceEvent:
@@ -83,32 +81,37 @@ class ReasoningTrace:
             raise ValueError(f"unknown trace event kind: {kind}")
         if layer not in LAYERS:
             raise ValueError(f"unknown trace layer: {layer}")
-        if self.events:
-            last = self.events[-1]
-            if tick < last.tick:
-                raise OutOfOrder(f"tick {tick} after tick {last.tick}")
-            seq = last.seq + 1 if tick == last.tick else 0
-        else:
-            seq = 0
+        last_tick, last_seq = self._head
+        if tick < last_tick and self.events:
+            raise OutOfOrder(f"tick {tick} after tick {last_tick}")
+        seq = last_seq + 1 if tick == last_tick else 0
         event = TraceEvent(tick, seq, layer, kind, payload, tuple(reasons))
         self.events.append(event)
+        self._head = (tick, seq)
         return event
 
     def since(self, cursor: tuple[int, int]) -> list[TraceEvent]:
         """Events strictly after the (tick, seq) cursor, in trace order.
 
         ``append`` keeps the events strictly increasing in (tick, seq),
-        so one binary search finds the first event after the cursor and
-        the result is the slice from there: O(log N) probes plus the
-        events returned, not a read of the whole trace.
+        and the monitor's cursor trails the head by the few events of
+        one tick, so the walk goes back from the end while the events
+        are after the cursor and returns that tail: k + 1 reads and a
+        slice of the k events returned, not a search of the whole trace.
         """
-        return self.events[bisect_right(self.events, cursor, key=_TICK_SEQ):]
+        events = self.events
+        tick, seq = cursor
+        start = len(events)
+        while start:
+            event = events[start - 1]
+            if event.tick < tick or (event.tick == tick and event.seq <= seq):
+                break
+            start -= 1
+        return events[start:]
 
     def head(self) -> tuple[int, int]:
-        if not self.events:
-            return (-1, -1)
-        last = self.events[-1]
-        return (last.tick, last.seq)
+        """The last event's (tick, seq); (-1, -1) for an empty trace."""
+        return self._head
 
 
 @dataclass(frozen=True)
@@ -274,8 +277,14 @@ def control(
     """Answer one finding with the first matching library entry; return
     True when the answer asks for a same-tick replanning pass.
 
-    With no match the failure is still observable: a
-    CountermeasureApplied event with outcome "none" is recorded.
+    A redescription upserts a con argument as a sticky argument.  One
+    that equals the standing argument (the last sticky one, also last in
+    the case) reuses it: no argument is built and neither list changes,
+    so the case memo finds its sticky arguments by identity.  Every
+    application, reused or not, is traced as CountermeasureApplied and
+    counted in ``countermeasures_fired``.  With no match the failure is
+    still observable: a CountermeasureApplied event with outcome "none"
+    is recorded.
     """
     now = state.world.tick
     for entry in library:
@@ -301,15 +310,30 @@ def control(
             raise UnknownEntity(f"unknown argument template: {template_id}")
         weight = state.weight_overrides.get(template_id, finding.commitment.weight)
         option = _violating_option(finding, state)
-        new_arg = Argument(
-            id=argument_id(template_id, option),
-            option=option,
-            polarity="con",
-            weight=weight,
-            grounds=template.grounds or (finding.commitment.atom,),
-            source_process=template.process,
-        )
-        state.upsert_argument(new_arg)
+        arg_id = argument_id(template_id, option)
+        grounds = template.grounds or (finding.commitment.atom,)
+        sticky, args = state.sticky_arguments, state.arguments
+        standing = sticky[-1] if sticky else None
+        # A re-application reuses the last sticky argument when it is also
+        # the case's last and equals the one it would build: upserting that
+        # would leave both lists equal to what they are.  The weight is read
+        # off the same override or commitment each time, so identity finds
+        # it, and it keeps 0.0 and -0.0 apart, which print differently.
+        if not (standing is not None and args and args[-1] is standing
+                and standing.id == arg_id and standing.option == option
+                and standing.polarity == "con" and standing.weight is weight
+                and standing.grounds == grounds
+                and standing.source_process == template.process
+                and standing.undercuts is None):
+            standing = Argument(
+                id=arg_id,
+                option=option,
+                polarity="con",
+                weight=weight,
+                grounds=grounds,
+                source_process=template.process,
+            )
+            state.upsert_argument(standing)
         state.countermeasures_fired += 1
         state.trace.append(
             tick=now,
@@ -318,7 +342,7 @@ def control(
             payload={
                 "countermeasure": entry.id,
                 "outcome": "redescription",
-                "argument": new_arg.id,
+                "argument": standing.id,
                 "option": option,
                 "weight": weight,
             },

@@ -353,7 +353,9 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
 
     An object goes into a fixture or slot only if the fixture accepts its
     kind, as for ``place``: the planner never takes an object back out of
-    a fixture, so one of another kind there would stay put for good."""
+    a fixture, so one of another kind there would stay put for good.  As
+    for ``place`` too, a slot holds one object and a bulk fixture at most
+    ``capacity``."""
     kind, layout = effect.get("kind"), world.layout
     if kind == "break_fixture":
         if not layout.has_fixture(effect["fixture"]):
@@ -376,9 +378,14 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
             if fixture.accepts != spawned["kind"]:
                 return ("WRONG_KIND",
                         f"fixture {fixture.id} does not accept kind {spawned['kind']}")
-            holders = _occupants(world, fixture, name) if where == "slot" else []
-            if holders:
-                return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}"
+            if where == "slot":
+                holders = _occupants(world, fixture, name)
+                if holders:
+                    return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}"
+            elif (fixture.capacity is not None
+                  and len(_occupants(world, fixture, None)) >= fixture.capacity):
+                return ("SLOT_CONFLICT",
+                        f"fixture {name} is full (capacity {fixture.capacity})")
         elif where == "cell":
             cell = parse_cell(spawned["location"])
             if not layout.passable(cell):

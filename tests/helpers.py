@@ -14,7 +14,7 @@ from unittest import mock
 from cogsim import agent
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal, run_affective_cycle
-from cogsim.arguments import Argument, tally
+from cogsim.arguments import Argument, argument_id, tally
 from cogsim.errors import IllegalAction, NonFiniteForce
 from cogsim.metacog import Inconsistency
 from cogsim.planner import (
@@ -114,6 +114,37 @@ def recompute_over(
     with mock.patch.object(agent, "_rebuild_case", lambda _: tally(args, active)):
         agent.recompute_forces(state)
     return state.tendency_pool
+
+
+# -- reference redescription ---------------------------------------------------
+# What a redescription leaves as control once made it: an argument built
+# afresh, then upserted into the sticky and the case argument lists.
+
+
+def reference_redescription(state, finding, library, sticky, case):
+    """The (sticky, case) argument lists that upserting a freshly built
+    argument leaves, for the redescription from ``library`` that
+    ``control`` traced last in answer to ``finding``, from the lists
+    ``sticky`` and ``case`` it found; None when the last answer was not a
+    redescription."""
+    applied = state.trace.events[-1].payload
+    if applied.get("outcome") != "redescription":
+        return None
+    (entry,) = [e for e in library if e.id == applied["countermeasure"]]
+    (template,) = [t for t in state.config.argument_templates
+                   if t.id == entry.action["template"]]
+    option = applied["option"]
+    fresh = Argument(
+        id=argument_id(template.id, option),
+        option=option,
+        polarity="con",
+        weight=state.weight_overrides.get(template.id, finding.commitment.weight),
+        grounds=template.grounds or (finding.commitment.atom,),
+        source_process=template.process,
+    )
+    assert applied["argument"] == fresh.id and applied["weight"] == fresh.weight
+    return ([a for a in sticky if a.id != fresh.id] + [fresh],
+            [a for a in case if a.id != fresh.id] + [fresh])
 
 
 def random_argument_instance(

@@ -339,6 +339,39 @@ class TestValidateCommand:
                      "--metrics", str(tmp_path / "m.csv")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("capacity, events, message", [
+        (1, [], "SLOT_CONFLICT @ starting_state.objects[toy_2]: "
+                "fixture box_1 is full (capacity 1)"),
+        (2, [{"fire_tick": 0, "effect": {"kind": "spawn_object", "object": {
+            "id": "toy_9", "kind": "toy", "location": {"fixture": "box_1"}}}}],
+         "SLOT_CONFLICT @ events[1].effect: fixture box_1 is full (capacity 2)"),
+        (2, [], None),
+    ], ids=["starting_objects", "spawn", "within_capacity"])
+    def test_a_bulk_fixture_holds_at_most_its_capacity(self, tmp_path, capsys,
+                                                         capacity, events, message):
+        # As for place: apply_action refuses an object into a full fixture.
+        # Validation knows what the box holds only up to the tick-0 events.
+        doc = json.loads(bundled_document("room_tidy"))
+        for fixture in doc["ontology"]["fixtures"]:
+            if fixture["id"] == "box_1":
+                fixture["capacity"] = capacity
+        for obj in doc["starting_state"]["objects"]:
+            if obj["kind"] == "toy":
+                obj["location"] = {"fixture": "box_1"}
+        doc["events"] += events
+        path = tmp_path / "box_capacity.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", str(path), "--ticks", "60", "--trace", str(tmp_path / "t.jsonl"),
+                "--metrics", str(tmp_path / "m.csv")]
+        if message is None:
+            assert main(["validate", str(path)]) == 0
+            assert main(argv) == 0
+            return
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
         # Validation cannot know which slots are held after tick 0; the run
         # skips the spawn and traces why, so the slot keeps one object.

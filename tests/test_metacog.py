@@ -7,20 +7,23 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cogsim import agent
+from cogsim import agent, metacog
 from cogsim import world as W
+from cogsim.arguments import Argument
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
     Commitment,
+    CountermeasureSpec,
     ReasoningTrace,
     TraceEvent,
     check_consistency,
+    control,
     monitor,
 )
 from cogsim.runner import RunConfig, run_simulation, trace_lines
-from cogsim.scenario import load_bundled
+from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
-from helpers import reference_check_consistency
+from helpers import reference_check_consistency, reference_redescription
 
 
 def commitment(atom="smoke", valence="negative", weight=1.2):
@@ -323,9 +326,6 @@ class TestMonitor:
 
 class TestControl:
     def test_empty_library_records_observable_failure(self):
-        from cogsim.metacog import control
-        from cogsim.scenario import instantiate, load_bundled
-
         state = instantiate(load_bundled("non_smoking"), seed=1)
         finding = check_consistency(
             appraisal("smoke", "positive"),
@@ -346,9 +346,6 @@ class TestControl:
         assert state.countermeasures_fired == 0
 
     def test_first_matching_entry_wins(self):
-        from cogsim.metacog import CountermeasureSpec, control
-        from cogsim.scenario import instantiate, load_bundled
-
         state = instantiate(load_bundled("non_smoking"), seed=1)
         library = [
             CountermeasureSpec(
@@ -371,6 +368,105 @@ class TestControl:
             e for e in state.trace.events if e.kind == "CountermeasureApplied"
         ]
         assert applied[0].payload["countermeasure"] == "broad"
+
+    GUARD = [CountermeasureSpec(
+        id="guard", matches={"kind": "any", "atom": "smoke"},
+        action={"kind": "redescription", "template": "broken_commitment"},
+    )]
+
+    def _redescribed_state(self):
+        """non_smoking after one redescription against smoking, and the
+        finding it answered."""
+        state = instantiate(load_bundled("non_smoking"), seed=1)
+        finding = check_consistency(appraisal("smoke", "positive"),
+                                    state.config.commitments)
+        control(finding, self.GUARD, state)
+        return state, finding
+
+    def test_a_reapplied_redescription_reuses_the_standing_argument(self):
+        state, finding = self._redescribed_state()
+        standing = state.sticky_arguments[-1]
+        control(finding, self.GUARD, state)
+        assert state.sticky_arguments == [standing]
+        assert state.sticky_arguments[-1] is standing
+        assert state.arguments[-1] is standing
+        applied = [e.payload for e in state.trace.events
+                   if e.kind == "CountermeasureApplied"]
+        assert len(applied) == 2 and applied[0] == applied[1]
+        assert state.countermeasures_fired == 2
+
+    def test_a_changed_or_buried_redescription_is_upserted_afresh(self):
+        state, finding = self._redescribed_state()
+        standing = state.sticky_arguments[-1]
+        state.weight_overrides["broken_commitment"] = 2.5
+        control(finding, self.GUARD, state)
+        (reweighed,) = state.sticky_arguments
+        assert reweighed is not standing and reweighed.weight == 2.5
+        assert state.arguments[-1] is reweighed
+
+        other = Argument("other@smoke", "smoke", "con", 1.0)
+        state.upsert_argument(other)
+        sticky, case = list(state.sticky_arguments), list(state.arguments)
+        control(finding, self.GUARD, state)
+        assert state.sticky_arguments[0] is other
+        assert state.sticky_arguments[-1] is not reweighed
+        assert (state.sticky_arguments, state.arguments) == reference_redescription(
+            state, finding, self.GUARD, sticky, case)
+
+
+PROFILES = {
+    "default": {},
+    "no_metacog": {"metacognition_enabled": False},
+    "ceos": {"bct_profile": "ceos"},
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_control_leaves_the_lists_a_fresh_upsert_would(monkeypatch, name, profile):
+    """After every ``control`` call of a 600-tick run, the sticky and the
+    case argument lists equal, in order, what upserting a freshly built
+    argument would leave, also where control reuses the standing one."""
+    checked = 0
+
+    def checked_control(finding, library, state):
+        nonlocal checked
+        sticky, case = list(state.sticky_arguments), list(state.arguments)
+        replan = control(finding, library, state)
+        expected = reference_redescription(state, finding, library, sticky, case)
+        if expected is not None:
+            checked += 1
+            assert (state.sticky_arguments, state.arguments) == expected
+        return replan
+
+    monkeypatch.setattr(agent, "control", checked_control)
+    result = run_simulation(load_bundled(name),
+                            RunConfig(ticks=600, seed=1, **PROFILES[profile]))
+    assert checked == sum(e.kind == "CountermeasureApplied"
+                          and e.payload["outcome"] == "redescription"
+                          for e in result.state.trace.events)
+
+
+def test_a_reapplied_redescription_builds_no_argument(monkeypatch):
+    """``room_tidy_redescription`` re-applies one redescription on most
+    ticks.  Control builds an argument at most once per distinct (id,
+    weight) and reuses it after, and still traces and counts every
+    application."""
+    built = []
+
+    def counted(*args, **kwargs):
+        arg = Argument(*args, **kwargs)
+        built.append((arg.id, arg.weight))
+        return arg
+
+    monkeypatch.setattr(metacog, "Argument", counted)
+    result = run_simulation(load_bundled("room_tidy_redescription"),
+                            RunConfig(ticks=600, seed=1))
+    applied = [e for e in result.state.trace.events
+               if e.kind == "CountermeasureApplied"
+               and e.payload["outcome"] == "redescription"]
+    assert 0 < len(built) == len(set(built)) < len(applied)
+    assert len(applied) == result.state.countermeasures_fired
 
 
 @pytest.mark.parametrize("name", ["room_tidy_redescription", "non_smoking"])
@@ -472,3 +568,13 @@ def test_monitor_reads_per_tick_stay_flat_across_horizons(monkeypatch):
     assert engine[1] == pytest.approx(engine[0], rel=0.25)
     for reads, after_cursor in counts:
         assert reads >= after_cursor > 0
+
+
+def test_monitor_reads_at_most_two_per_new_event_and_one_per_tick(monkeypatch):
+    """``since`` reads back from the trace head: one read per event after
+    the cursor plus the one that stops the walk, then the slice of those
+    events.  With one monitor pass per tick that is at most
+    ``2 * after_cursor + ticks`` reads; a binary search's probes exceed it."""
+    for ticks in (200, 400):
+        reads, after_cursor = _monitor_reads(monkeypatch, ticks)
+        assert after_cursor <= reads <= 2 * after_cursor + ticks

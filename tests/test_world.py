@@ -184,11 +184,25 @@ def _spawn(object_id, location, kind="book"):
     # The kind is checked before the slot's holder.
     (_spawn("toy_9", "slot:shelf_slot_1", "toy"),
      ("WRONG_KIND", "fixture shelf_1 does not accept kind toy")),
+    # A bulk fixture holds at most its capacity, as for ``place``.
+    (_spawn("toy_9", "fixture:bin_1", "toy"),
+     ("SLOT_CONFLICT", "fixture bin_1 is full (capacity 1)")),
+    (_spawn("book_9", "fixture:bin_1"),
+     ("WRONG_KIND", "fixture bin_1 does not accept kind book")),
+    (_spawn("toy_9", "fixture:crate_1", "toy"), None),
 ])
 def test_effect_problem(small_world, effect, problem):
-    world = dataclasses.replace(small_world, objects={
+    # bin_1 is full at capacity 1; crate_1 has room left at capacity 2.
+    layout = dataclasses.replace(small_world.layout, fixtures=(
+        *small_world.layout.fixtures,
+        W.Fixture("bin_1", (1, 0), "toy", capacity=1),
+        W.Fixture("crate_1", (2, 1), "toy", capacity=2),
+    ))
+    world = dataclasses.replace(small_world, layout=layout, objects={
         **small_world.objects,
         "book_2": W.ObjectState("book_2", "book", "slot:shelf_slot_1"),
+        "toy_2": W.ObjectState("toy_2", "toy", "fixture:bin_1"),
+        "toy_3": W.ObjectState("toy_3", "toy", "fixture:crate_1"),
     })
     assert W.effect_problem(world, effect) == problem
 
