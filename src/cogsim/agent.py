@@ -22,7 +22,9 @@ a tendency injected since the last read, or every one after a build, is
 folded.  ``act`` selects the strongest tendency, applies exactly one
 world action, advances the plan cursor and returns the tick's metrics
 row; an illegal or absent selection degrades to idle and is traced,
-never raised.
+never raised.  A payload or forces dict equal to the last one of its
+kind is that same object, kept on the state: payloads and rows are
+read-only, and one may be shared within a run, never across runs.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -130,6 +132,17 @@ class SimulationState:
     weight_overrides: dict[str, float] = field(default_factory=dict)
     countermeasures_fired: int = 0
     last_option_set: tuple = ()
+    # What a steady tick would otherwise build equal to the last one, so
+    # passed again: one object is shared by events or rows of this run
+    # only.  The NoTendency payload, the ActionExecuted payload of an idle
+    # with no tendency behind it, the (library entry, standing argument,
+    # payload) of the last redescription, and the last metrics row's forces.
+    no_tendency_payload: dict = field(default_factory=dict)
+    idle_payload: dict = field(default_factory=lambda: {
+        "action": "idle", "option": None, "process": None, "tendency": None,
+        "fallback": True})
+    last_redescription: tuple | None = None
+    last_forces: dict[str, float] | None = None
     _tendency_counter: int = 0
 
     # -- small helpers shared with the metacognition module ------------------
@@ -585,7 +598,8 @@ def _select_tendency(state: SimulationState) -> ActionTendency | None:
     now = state.world.tick
     candidates = [t for t in state.tendency_pool if t.force > 0]
     if not candidates:
-        state.trace.append(tick=now, layer="reactive", kind="NoTendency", payload={})
+        state.trace.append(tick=now, layer="reactive", kind="NoTendency",
+                           payload=state.no_tendency_payload)
         return None
     best = min(
         candidates,
@@ -628,6 +642,11 @@ def act(state: SimulationState) -> dict:
     for tendency in state.tendency_pool:
         pid = tendency.source_process
         forces[pid] = max(forces.get(pid, 0.0), tendency.force)
+    # Forces are finite and never -0.0, so equal dicts print alike.
+    if forces == state.last_forces:
+        forces = state.last_forces
+    else:
+        state.last_forces = forces
 
     tendency = _select_tendency(state)
     selected = "idle" if tendency is None else tendency.action
@@ -639,11 +658,12 @@ def act(state: SimulationState) -> dict:
         executed, error = "idle", exc.reason
         state.world = W.apply_action(state.world, "idle")
     fallback = tendency is None or error is not None
-    payload = {"action": executed, "option": None, "process": None,
-               "tendency": None, "fallback": fallback}
-    if tendency is not None:
-        payload.update(option=tendency.option, process=tendency.source_process,
-                       tendency=tendency.id)
+    if tendency is None:
+        payload = state.idle_payload  # idle cannot fail, so it is always this
+    else:
+        payload = {"action": executed, "option": tendency.option,
+                   "process": tendency.source_process, "tendency": tendency.id,
+                   "fallback": fallback}
         if error is not None:
             payload["error"] = error
         if state.bct_profile == "ceos":

@@ -56,6 +56,9 @@ class TraceEvent:
     Slotted, so an event is one object with no instance dict, and not
     frozen: a frozen ``__init__`` sets every field through
     ``object.__setattr__``.  Nothing mutates an event once appended.
+    The payload is read-only too: a steady tick passes the payload it
+    would build equal to an earlier one again, so one payload may be
+    shared by several events of the same run, never by two runs.
     """
 
     tick: int
@@ -335,17 +338,25 @@ def control(
             )
             state.upsert_argument(standing)
         state.countermeasures_fired += 1
-        state.trace.append(
-            tick=now,
-            layer="metacognitive",
-            kind="CountermeasureApplied",
-            payload={
+        # The same entry and standing argument give the same payload: the
+        # argument's id, option and weight are the ones that payload holds.
+        last = state.last_redescription
+        if last is not None and last[0] is entry and last[1] is standing:
+            payload = last[2]
+        else:
+            payload = {
                 "countermeasure": entry.id,
                 "outcome": "redescription",
                 "argument": standing.id,
                 "option": option,
                 "weight": weight,
-            },
+            }
+            state.last_redescription = (entry, standing, payload)
+        state.trace.append(
+            tick=now,
+            layer="metacognitive",
+            kind="CountermeasureApplied",
+            payload=payload,
         )
         return False
 

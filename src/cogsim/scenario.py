@@ -353,7 +353,8 @@ _FIXTURE = _Record(
     _Field("cell", _CELL),
     _Field("accepts", _STR),
     _Field("slots", _IDS, ()),
-    _Field("capacity", _OPT_INT, None),
+    _Field("capacity", _checked(_OPT_INT, lambda v: v is not None and v < 1,
+                                "must be >= 1 or null"), None),
 )
 _ONTOLOGY = _Record(
     Ontology,

@@ -354,8 +354,8 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
     An object goes into a fixture or slot only if the fixture accepts its
     kind, as for ``place``: the planner never takes an object back out of
     a fixture, so one of another kind there would stay put for good.  As
-    for ``place`` too, a slot holds one object and a bulk fixture at most
-    ``capacity``."""
+    for ``place`` too, a slot holds one object, a bulk fixture at most
+    ``capacity``, and a slot-addressed fixture only through its slots."""
     kind, layout = effect.get("kind"), world.layout
     if kind == "break_fixture":
         if not layout.has_fixture(effect["fixture"]):
@@ -382,6 +382,8 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
                 holders = _occupants(world, fixture, name)
                 if holders:
                     return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}"
+            elif fixture.slots:
+                return "SLOT_CONFLICT", f"fixture {name} is slot-addressed: name a slot"
             elif (fixture.capacity is not None
                   and len(_occupants(world, fixture, None)) >= fixture.capacity):
                 return ("SLOT_CONFLICT",

@@ -207,6 +207,19 @@ class TestTick:
         assert bad[0].payload["fallback"] is True
         assert bad[0].payload["tendency"] == stuck.id
 
+    def test_a_spawn_onto_a_slot_addressed_fixture_is_rejected(self, room_state):
+        # Validation refuses such a schedule; a state built around it traces
+        # the spawn as rejected and leaves the book out of the world.
+        effect = {"kind": "spawn_object", "object": {
+            "id": "book_9", "kind": "book", "location": "fixture:shelf_1"}}
+        room_state.events = (W.WorldEvent(0, effect),)
+        tick(room_state)
+        rejected = [e.payload for e in room_state.trace.events
+                    if e.kind == "EventRejected"]
+        assert [(p["code"], p["reason"]) for p in rejected] == [
+            ("SLOT_CONFLICT", "fixture shelf_1 is slot-addressed: name a slot")]
+        assert "book_9" not in room_state.world.objects
+
     def test_first_deliberation_plans_toward_nearest_object(self):
         # Hand-simulated tick 0: the agent stands next to toy_1, so the
         # plan's first step is the pick-up, and the case argues for it.
@@ -958,6 +971,45 @@ class TestSteadyTicks:
         monkeypatch.setattr(runner, "tick", checked_tick)
         run_simulation(load_bundled(name), RunConfig(ticks=600, seed=1, **RUN_MODES[mode]))
         assert max(n for _, n in compared.values()) == 1
+
+
+class TestSharedPayloads:
+    """A steady tick passes the payloads and forces dict it would build
+    equal to the last ones again, and only within its own run."""
+
+    def test_steady_ticks_share_their_payloads(self):
+        result = run_simulation(load_bundled("room_tidy_redescription"),
+                                RunConfig(ticks=600, seed=1))
+        events = result.state.trace.events
+        applied = [e for e in events if e.kind == "CountermeasureApplied"]
+        # Every application redescribes with one standing argument: the
+        # first builds it, every later one reuses it.
+        assert [e.payload["outcome"] for e in applied] == ["redescription"] * len(applied)
+        idle = [e for e in events if e.kind == "NoTendency"]
+        unselected = [e for e in events
+                      if e.kind == "ActionExecuted" and e.payload["tendency"] is None]
+        for shared in (applied, idle, unselected):
+            assert len(shared) > 100
+            assert all(e.payload is shared[0].payload for e in shared)
+        rows = result.metrics
+        steady = [(a["forces"], b["forces"]) for a, b in zip(rows, rows[1:])]
+        assert sum(a == b for a, b in steady) > 500
+        assert all((a is b) == (a == b) for a, b in steady)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_run_shares_nothing_with_the_next(self, name):
+        # Every run of one spec; editing one run's payloads and forces
+        # must leave the next run's trace and metrics as a fresh run's.
+        spec, config = load_bundled(name), RunConfig(ticks=100, seed=1)
+        fresh = run_simulation(spec, config)
+        expected = (trace_lines(fresh.state), repr(fresh.metrics))
+        edited = run_simulation(spec, config)
+        for event in edited.state.trace.events:
+            event.payload["edited"] = True
+        for row in edited.metrics:
+            row["forces"]["edited"] = 1.0
+        again = run_simulation(spec, config)
+        assert (trace_lines(again.state), repr(again.metrics)) == expected
 
 
 class TestThresholdMonotonicity:

@@ -372,6 +372,47 @@ class TestValidateCommand:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_a_capacity_below_one_exits_1(self, tmp_path, capsys, capacity):
+        # A box that can never hold a toy is a schema error, as a negative
+        # fire tick is.
+        doc = json.loads(bundled_document("room_tidy"))
+        for fixture in doc["ontology"]["fixtures"]:
+            if fixture["id"] == "box_1":
+                fixture["capacity"] = capacity
+        path = tmp_path / "box_capacity.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = "ontology.fixtures[2].capacity: must be >= 1 or null"
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("starting, events, message", [
+        (True, [], "SLOT_CONFLICT @ starting_state.objects[book_1]: "
+                   "fixture shelf_1 is slot-addressed: name a slot"),
+        (False, [{"fire_tick": 1, "effect": {"kind": "spawn_object", "object": {
+            "id": "book_9", "kind": "book", "location": {"fixture": "shelf_1"}}}}],
+         "SLOT_CONFLICT @ events[1].effect: "
+         "fixture shelf_1 is slot-addressed: name a slot"),
+    ], ids=["starting_object", "spawn"])
+    def test_a_slot_addressed_fixture_takes_objects_only_in_its_slots(
+            self, tmp_path, capsys, starting, events, message):
+        # As for place: a book put on the shelf outside its slots would
+        # count as placed.
+        doc = json.loads(bundled_document("room_tidy"))
+        if starting:
+            doc["starting_state"]["objects"][0]["location"] = {"fixture": "shelf_1"}
+        doc["events"] += events
+        path = tmp_path / "on_the_shelf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
         # Validation cannot know which slots are held after tick 0; the run
         # skips the spawn and traces why, so the slot keeps one object.

@@ -190,6 +190,12 @@ def _spawn(object_id, location, kind="book"):
     (_spawn("book_9", "fixture:bin_1"),
      ("WRONG_KIND", "fixture bin_1 does not accept kind book")),
     (_spawn("toy_9", "fixture:crate_1", "toy"), None),
+    # A slot-addressed fixture takes objects only in its slots, as for
+    # ``place``; the kind is checked first.
+    (_spawn("book_9", "fixture:shelf_1"),
+     ("SLOT_CONFLICT", "fixture shelf_1 is slot-addressed: name a slot")),
+    (_spawn("toy_9", "fixture:shelf_1", "toy"),
+     ("WRONG_KIND", "fixture shelf_1 does not accept kind toy")),
 ])
 def test_effect_problem(small_world, effect, problem):
     # bin_1 is full at capacity 1; crate_1 has room left at capacity 2.
