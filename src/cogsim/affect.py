@@ -62,9 +62,14 @@ class ProcessOption:
     sustains: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionTendency:
-    """A proposed action carrying affective force."""
+    """A proposed action carrying affective force.
+
+    Slotted (no ``__dict__``), as one is built per injection.  Read-only
+    by convention, apart from the id that ``_inject`` sets and the force,
+    reasons and ``folded`` that ``recompute_forces`` writes.
+    """
 
     action: str
     source_process: str

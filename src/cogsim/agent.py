@@ -23,8 +23,9 @@ folded.  ``act`` selects the strongest tendency, applies exactly one
 world action, advances the plan cursor and returns the tick's metrics
 row; an illegal or absent selection degrades to idle and is traced,
 never raised.  A payload or forces dict equal to the last one of its
-kind is that same object, kept on the state: payloads and rows are
-read-only, and one may be shared within a run, never across runs.
+kind is that same object, kept on the state, and so is the focus
+payload of each (process, phase): payloads and rows are read-only, and
+one may be shared within a run, never across runs.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -34,7 +35,8 @@ saw.  Perception is skipped when those are unchanged: every belief
 already holds what it would set.  A reused plan is the same steps; no
 tick is stamped on it.  The memo follows the newest world found equal to
 its own, so each world object is compared once, and a second look at it
-is one identity test.
+is one identity test.  An idle changes only the tick, so ``act`` moves
+the memo to an idle's successor without comparing it.
 
 A plan covers only the stretch up to the next deliberation: the planner
 stops after the first whole leg that reaches ``deliberation_period``
@@ -44,14 +46,17 @@ by control, sets the plan cursor back to 0, and between two of them
 the affective cycle reads only the first step and whether there is a
 plan, which a prefix answers alike.
 
-Deliberation and ``recompute_forces`` each ask for the argument case.  The
-template triggers are evaluated again only when a belief value (the
-belief store's version) or an active appraisal changed since their last
-evaluation.  The case is built again only when the live options and
-their sources, the templates or the truth of a trigger, the sticky
-arguments or the weight overrides differ from the last build; otherwise
-the last case and its force table are reused and no new OptionSet is
-traced.  The table is tallied once per build.
+A condition reads only the beliefs, the active appraisals and the
+config's commitments.  So the reactive rules that held and the truth of
+the template triggers are kept under one key, ``_condition_key`` (the
+config, the belief store's version and the active appraisals), and
+evaluated again only when it changes; a rule that holds still injects a
+fresh tendency on every tick.  Deliberation and ``recompute_forces``
+each ask for the argument case.  It is built again only when the live
+options and their sources, the templates or the truth of a trigger, the
+sticky arguments or the weight overrides differ from the last build;
+otherwise the last case and its force table are reused and no new
+OptionSet is traced.  The table is tallied once per build.
 """
 
 from __future__ import annotations
@@ -124,9 +129,10 @@ class SimulationState:
     # overrides of the last build_case call, then its case and force table.
     case_memo: tuple[tuple, list[Argument], dict[str, float],
                      list[Argument], ForceTable] | None = None
-    # The (config, belief version, active appraisals) key of the last
-    # triggered call, then its result.
+    # The _condition_key of the last triggered call, then its result; and
+    # of the last evaluation of the reactive rules, then the rules that held.
     fired_memo: tuple[tuple, list[bool]] | None = None
+    reactive_memo: tuple[tuple, list[ReactiveRule]] | None = None
     monitor_cursor: tuple[int, int] = (-1, -1)
     metacognition_enabled: bool = True
     weight_overrides: dict[str, float] = field(default_factory=dict)
@@ -136,13 +142,15 @@ class SimulationState:
     # passed again: one object is shared by events or rows of this run
     # only.  The NoTendency payload, the ActionExecuted payload of an idle
     # with no tendency behind it, the (library entry, standing argument,
-    # payload) of the last redescription, and the last metrics row's forces.
+    # payload) of the last redescription, the last metrics row's forces,
+    # and the focus AttentionShift payload of each (process, phase).
     no_tendency_payload: dict = field(default_factory=dict)
     idle_payload: dict = field(default_factory=lambda: {
         "action": "idle", "option": None, "process": None, "tendency": None,
         "fallback": True})
     last_redescription: tuple | None = None
     last_forces: dict[str, float] | None = None
+    focus_payloads: dict[tuple[str, str], dict] = field(default_factory=dict)
     _tendency_counter: int = 0
 
     # -- small helpers shared with the metacognition module ------------------
@@ -264,32 +272,35 @@ def _world_memo(state: SimulationState) -> WorldMemo:
 
 def reactive_step(state: SimulationState) -> list[ActionTendency]:
     """Fire every reactive rule whose condition holds, in declaration
-    order; runs every tick while the agent is engaged."""
+    order; runs every tick while the agent is engaged.  The rules that
+    held are kept under ``_condition_key``, so the conditions are
+    evaluated again only when that key changes; each rule that holds
+    still injects a fresh tendency."""
     if state.world.abandoned:
         return []
     os_pid = state.os_process_id()
     if os_pid is None:
         return []
-    ctx = RuleContext(
-        beliefs=state.beliefs,
-        appraisals=_all_appraisals(state),
-        commitments=state.config.commitments,
-    )
-    out: list[ActionTendency] = []
-    for rule in state.config.reactive_rules:
-        if not eval_condition(rule.when, ctx):
-            continue
-        out.append(
-            ActionTendency(
-                action=rule.action,
-                source_process=os_pid,
-                base_urgency=rule.urgency,
-                created_tick=state.world.tick,
-                label=rule.label or rule.id,
-                origin="reactive",
-            )
+    key = _condition_key(state)
+    if state.reactive_memo is not None and state.reactive_memo[0] == key:
+        fired = state.reactive_memo[1]
+    else:
+        ctx = RuleContext(state.beliefs, key[2], state.config.commitments)
+        fired = [rule for rule in state.config.reactive_rules
+                 if eval_condition(rule.when, ctx)]
+        state.reactive_memo = (key, fired)
+    now = state.world.tick
+    return [
+        ActionTendency(
+            action=rule.action,
+            source_process=os_pid,
+            base_urgency=rule.urgency,
+            created_tick=now,
+            label=rule.label or rule.id,
+            origin="reactive",
         )
-    return out
+        for rule in fired
+    ]
 
 
 def _all_appraisals(state: SimulationState) -> list:
@@ -297,6 +308,14 @@ def _all_appraisals(state: SimulationState) -> list:
     for proc in state.processes:
         out.extend(proc.active_appraisals)
     return out
+
+
+def _condition_key(state: SimulationState) -> tuple:
+    """``(config, belief version, active appraisals)``: a condition reads
+    only the beliefs, the appraisals and the config's commitments, so
+    under an equal key every condition has the same truth.  The reactive
+    rules and the template triggers are both kept under it."""
+    return (state.config, state.beliefs.version, _all_appraisals(state))
 
 
 def _inject(state: SimulationState, tendency: ActionTendency) -> None:
@@ -413,12 +432,12 @@ def deliberative_step(state: SimulationState) -> SimulationState:
             _inject(state, tendency)
 
     if focus is not None:
-        state.trace.append(
-            tick=now,
-            layer="deliberative",
-            kind="AttentionShift",
-            payload={"process": focus[0], "phase": focus[1], "focus": True},
-        )
+        payload = state.focus_payloads.get(focus)
+        if payload is None:
+            payload = state.focus_payloads[focus] = {
+                "process": focus[0], "phase": focus[1], "focus": True}
+        state.trace.append(tick=now, layer="deliberative", kind="AttentionShift",
+                           payload=payload)
 
     # The fresh plan becomes the committed task goal's intention, then the
     # argument case over everything now proposed (the fresh plan step
@@ -469,23 +488,20 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
 
     The options are the keys of ``sources``, so the memo key need not
     hold them apart.  On a reuse no OptionSet is traced: the last build
-    traced the same signature.  A trigger reads only the beliefs, the
-    active appraisals and the config's commitments, so the last trigger
-    values stand while the config, the belief version and the appraisals
-    do.
+    traced the same signature.  The last trigger values stand while
+    ``_condition_key`` does.
     """
     now, ttl = state.world.tick, state.config.tendency_ttl
     sources: dict[str, set[str]] = {}
     for t in state.tendency_pool:
         if not t.expired(now, ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
-    appraisals = _all_appraisals(state)
     templates = state.config.argument_templates
-    fired_key = (state.config, state.beliefs.version, appraisals)
+    fired_key = _condition_key(state)
     if state.fired_memo is not None and state.fired_memo[0] == fired_key:
         fired = state.fired_memo[1]
     else:
-        ctx = RuleContext(state.beliefs, appraisals, state.config.commitments)
+        ctx = RuleContext(state.beliefs, fired_key[2], state.config.commitments)
         fired = triggered(templates, ctx)
         state.fired_memo = (fired_key, fired)
     key = (sources, templates, fired)
@@ -651,12 +667,13 @@ def act(state: SimulationState) -> dict:
     tendency = _select_tendency(state)
     selected = "idle" if tendency is None else tendency.action
     executed, error = selected, None
+    before = state.world
+    applied = selected if W.is_world_action(selected) else "idle"
     try:
-        state.world = W.apply_action(
-            state.world, selected if W.is_world_action(selected) else "idle")
+        state.world = W.apply_action(before, applied)
     except IllegalAction as exc:
-        executed, error = "idle", exc.reason
-        state.world = W.apply_action(state.world, "idle")
+        executed, error, applied = "idle", exc.reason, "idle"
+        state.world = W.apply_action(before, "idle")
     fallback = tendency is None or error is not None
     if tendency is None:
         payload = state.idle_payload  # idle cannot fail, so it is always this
@@ -679,7 +696,13 @@ def act(state: SimulationState) -> dict:
     if plan and cursor < len(plan) and not fallback and executed == plan[cursor]:
         state.plan_cursor += 1
 
-    status = _world_memo(state).status
+    memo = state.world_memo
+    if (applied == "idle" and memo is not None and memo.world is before
+            and memo.goal is state.goal):
+        memo.world = state.world  # an idle changes only the tick
+    else:
+        memo = _world_memo(state)
+    status = memo.status
     return {
         "tick": now,
         "selected_action": selected,

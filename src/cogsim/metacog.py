@@ -146,8 +146,16 @@ class CountermeasureSpec:
     action: dict
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Inconsistency:
+    """One monitor finding: the commitment an event violates, what kind of
+    item it was, its atom and option, and why.
+
+    The monitor builds one per violation, so the record is slotted and,
+    as ``TraceEvent``, not frozen.  A finding is read-only by convention;
+    two equal findings compare equal, but a finding is not hashable.
+    """
+
     commitment: Commitment
     item_kind: str  # "appraisal" | "goal" | "tendency"
     atom: str

@@ -60,9 +60,10 @@ class BeliefStore:
         return self._changed.get(atom, -1)
 
 
-@dataclass
+@dataclass(slots=True)
 class RuleContext:
-    """Everything a condition may inspect."""
+    """Everything a condition may inspect; slotted, as one is built per
+    evaluation pass."""
 
     beliefs: BeliefStore
     appraisals: list = field(default_factory=list)

@@ -15,7 +15,7 @@ from cogsim.agent import (
 )
 from cogsim.arguments import Argument, active_set, build_case, tally, triggered
 from cogsim.planner import plan_tidy_task
-from cogsim.rules import RuleContext, compile_condition
+from cogsim.rules import RuleContext, compile_condition, eval_condition
 from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
@@ -791,6 +791,120 @@ class TestTriggerReuse:
             assert len(checked) > 60, name
 
 
+@pytest.fixture
+def reactive_calls(monkeypatch):
+    """Every reactive condition that ``reactive_step`` evaluates."""
+    calls = []
+
+    def counting(cond, ctx):
+        calls.append(cond)
+        return eval_condition(cond, ctx)
+
+    monkeypatch.setattr(agent, "eval_condition", counting)
+    return calls
+
+
+def _fresh_reactive(state):
+    """The tendencies ``reactive_step`` gives with every condition
+    evaluated afresh."""
+    if state.world.abandoned or state.os_process_id() is None:
+        return []
+    ctx = _context(state)
+    return [
+        ActionTendency(action=rule.action, source_process=state.os_process_id(),
+                       base_urgency=rule.urgency, created_tick=state.world.tick,
+                       label=rule.label or rule.id, origin="reactive")
+        for rule in state.config.reactive_rules
+        if eval_condition(rule.when, ctx)
+    ]
+
+
+def _change_belief(state):
+    assert state.set_belief("broken(shelf_1)", False)
+
+
+def _replace_condition(state):
+    always = compile_condition({"const": True})
+    rules = tuple(dataclasses.replace(rule, when=always)
+                  for rule in state.config.reactive_rules)
+    state.config = dataclasses.replace(state.config, reactive_rules=rules)
+
+
+RUN_MODES = {
+    "default": {},
+    "no_metacog": {"metacognition_enabled": False},
+    "ceos": {"bct_profile": "ceos"},
+}
+
+
+class TestReactiveReuse:
+    """The reactive rules that held are kept under the key of the trigger
+    memo, and their conditions are evaluated again only when it changes;
+    every rule that holds still injects a fresh tendency."""
+
+    def _blocked(self):
+        state = instantiate(load_bundled("room_tidy"), seed=1)
+        state.world = dataclasses.replace(
+            state.world, broken_fixtures=frozenset({"shelf_1"}))
+        perceive(state)
+        return state
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reused_rules_match_a_fresh_evaluation(self, monkeypatch, name, mode):
+        step = agent.reactive_step
+        checked = []
+
+        def checking(state):
+            fresh = _fresh_reactive(state)
+            out = step(state)
+            assert out == fresh, state.world.tick
+            pooled_ids = {id(t) for t in state.tendency_pool}
+            assert not any(id(t) in pooled_ids for t in out)  # fresh objects
+            checked.append(state.world.tick)
+            return out
+
+        monkeypatch.setattr(agent, "reactive_step", checking)
+        result = run_simulation(load_bundled(name),
+                                RunConfig(ticks=600, seed=1, **RUN_MODES[mode]))
+        assert len(checked) == result.summary["ticks_executed"]
+
+    def test_only_a_changed_input_is_re_evaluated(self, reactive_calls):
+        state = self._blocked()
+        rules = len(state.config.reactive_rules)
+        first = reactive_step(state)
+        second = reactive_step(state)
+        assert len(reactive_calls) == rules > 0
+        # Equal tendencies, but each injection gets a new one.
+        assert second == first and all(a is not b for a, b in zip(first, second))
+        assert not state.set_belief("broken(shelf_1)", True)
+        reactive_step(state)
+        assert len(reactive_calls) == rules
+
+    @pytest.mark.parametrize(
+        "change", [_change_belief, _appraise, _drop_appraisal, _replace_condition],
+        ids=["belief", "new_appraisal", "dropped_appraisal", "config"],
+    )
+    def test_a_changed_input_is_re_evaluated(self, reactive_calls, change):
+        state = self._blocked()
+        _appraise(state)
+        reactive_step(state)
+        change(state)
+        out = reactive_step(state)
+        assert len(reactive_calls) == 2 * len(state.config.reactive_rules)
+        assert out == _fresh_reactive(state)
+
+    def test_a_steady_run_evaluates_few_conditions(self, reactive_calls):
+        # From tick 14 give_up_when_blocked fires every tick, but the
+        # beliefs and appraisals seldom change.
+        result = run_simulation(load_bundled("room_tidy_redescription"),
+                                RunConfig(ticks=600, seed=1))
+        fired = [e for e in result.state.trace.events
+                 if e.kind == "TendencyInjected" and e.layer == "reactive"]
+        assert len(fired) > 500
+        assert 0 < len(reactive_calls) <= 40
+
+
 def _without_memos(monkeypatch):
     """Start a fresh world memo on every call: perceive, evaluate the goal
     and plan from scratch."""
@@ -907,6 +1021,14 @@ class TestSteadyState:
             assert counts[0] == counts[1] > 0, name
 
 
+def _pool_abstract(state):
+    pooled(state, action="smoke")
+
+
+def _pool_refused(state):
+    pooled(state, action="pick_up:book_1")  # not adjacent: refused
+
+
 class _CountingMath:
     """``math`` with its ``isfinite`` calls counted: ``recompute_forces``
     checks each fold of a tendency's force with it once."""
@@ -926,16 +1048,10 @@ def _force_table(state):
     return None if state.case_memo is None else state.case_memo[4]
 
 
-RUN_MODES = {
-    "default": {},
-    "no_metacog": {"metacognition_enabled": False},
-    "ceos": {"bct_profile": "ceos"},
-}
-
-
 class TestSteadyTicks:
     """A steady tick does only new work: a tendency is folded once per
-    force table, and each world object is compared with the memo's once."""
+    force table, each world object is compared with the memo's at most
+    once, and an idle's successor is not compared at all."""
 
     @pytest.mark.parametrize("mode", RUN_MODES)
     @pytest.mark.parametrize("name", BUNDLED)
@@ -969,8 +1085,32 @@ class TestSteadyTicks:
             return row
 
         monkeypatch.setattr(runner, "tick", checked_tick)
-        run_simulation(load_bundled(name), RunConfig(ticks=600, seed=1, **RUN_MODES[mode]))
-        assert max(n for _, n in compared.values()) == 1
+        result = run_simulation(load_bundled(name),
+                                RunConfig(ticks=600, seed=1, **RUN_MODES[mode]))
+        assert all(n == 1 for _, n in compared.values())
+        # Only a world that a non-idle action or a fired event made is
+        # compared: an idle successor is followed without a compare, so
+        # the one-cell scenarios, which only idle, compare no world.
+        moved = sum(not row["idle"] for row in result.metrics)
+        fired = {e.tick for e in result.state.trace.events if e.kind == "WorldEventFired"}
+        assert len(compared) <= moved + len(fired)
+
+    @pytest.mark.parametrize(
+        "pool", [lambda state: None, _pool_abstract, _pool_refused],
+        ids=["nothing_selected", "abstract_act", "refused_action"])
+    def test_an_idle_successor_is_followed_without_a_compare(self, monkeypatch,
+                                                             room_state, pool):
+        perceive(room_state)
+        pool(room_state)
+        before = room_state.world
+        calls = []
+        monkeypatch.setattr(W, "same_but_tick", lambda a, b: calls.append(b))
+        row = agent.act(room_state)
+        assert room_state.world == before._replace(tick=before.tick + 1)
+        assert room_state.world_memo.world is room_state.world
+        assert calls == []
+        assert row["misplaced_count"] == W.evaluate_goal(
+            room_state.world, room_state.goal).misplaced_count
 
 
 class TestSharedPayloads:
@@ -991,6 +1131,12 @@ class TestSharedPayloads:
         for shared in (applied, idle, unselected):
             assert len(shared) > 100
             assert all(e.payload is shared[0].payload for e in shared)
+        # Equal focus payloads are one dict, though their values cycle.
+        focus = [e.payload for e in events
+                 if e.kind == "AttentionShift" and "focus" in e.payload]
+        by_key = {(p["process"], p["phase"]): p for p in focus}
+        assert len(focus) > 100 and 1 < len(by_key) < 10
+        assert all(p is by_key[p["process"], p["phase"]] for p in focus)
         rows = result.metrics
         steady = [(a["forces"], b["forces"]) for a, b in zip(rows, rows[1:])]
         assert sum(a == b for a, b in steady) > 500
@@ -1004,6 +1150,8 @@ class TestSharedPayloads:
         fresh = run_simulation(spec, config)
         expected = (trace_lines(fresh.state), repr(fresh.metrics))
         edited = run_simulation(spec, config)
+        assert any(e.kind == "AttentionShift" and "focus" in e.payload
+                   for e in edited.state.trace.events)
         for event in edited.state.trace.events:
             event.payload["edited"] = True
         for row in edited.metrics:

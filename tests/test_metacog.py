@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from cogsim import agent, metacog
 from cogsim import world as W
+from cogsim.affect import ActionTendency
 from cogsim.arguments import Argument
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
     Commitment,
     CountermeasureSpec,
+    Inconsistency,
     ReasoningTrace,
     TraceEvent,
     check_consistency,
     control,
     monitor,
 )
+from cogsim.rules import BeliefStore, RuleContext
 from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
@@ -84,6 +87,21 @@ class TestTrace:
         assert event == TraceEvent(2, 0, "deliberative", "OptionSelected",
                                    payload, ("a1",))
         assert not hasattr(event, "__dict__")
+
+    def test_per_tick_records_are_slotted(self):
+        commitment = Commitment("current_situation", "positive")
+        finding = Inconsistency(commitment, "tendency", "abandon", "abandon", "why")
+        records = [
+            finding,
+            ActionTendency("abandon", "proc1", 0.9, 3),
+            RuleContext(BeliefStore()),
+        ]
+        assert not any(hasattr(record, "__dict__") for record in records)
+        # Not frozen, so a finding is not hashable; equal ones compare equal.
+        assert finding == Inconsistency(commitment, "tendency", "abandon",
+                                        "abandon", "why")
+        with pytest.raises(TypeError):
+            hash(finding)
 
     def test_append_only_prefix_property(self):
         trace = ReasoningTrace()
