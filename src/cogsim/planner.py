@@ -107,25 +107,15 @@ def _adjacent_cells(layout: W.RoomLayout, cell: tuple[int, int]) -> set[tuple[in
 def _free_target(
     sim: W.WorldState, obj: W.ObjectState, allowed: tuple[str, ...]
 ) -> str | None:
-    """First legal placement target for the object among allowed fixtures."""
+    """The first location among the allowed fixtures, each slot of a
+    slot-addressed fixture in turn, that ``W.placement_problem`` accepts
+    for the object."""
     for fixture_id in allowed:
-        if not sim.layout.has_fixture(fixture_id):
-            continue
-        fixture = sim.layout.fixture(fixture_id)
-        if fixture.id in sim.broken_fixtures or fixture.accepts != obj.kind:
-            continue
-        if fixture.slots:
-            for slot in fixture.slots:
-                if not any(
-                    o.location == f"slot:{slot}" for o in sim.objects.values()
-                ):
-                    return slot
-            continue
-        occupants = sum(
-            1 for o in sim.objects.values() if o.location == f"fixture:{fixture.id}"
-        )
-        if fixture.capacity is None or occupants < fixture.capacity:
-            return fixture_id
+        fixture = sim.layout.fixture_at(f"fixture:{fixture_id}")
+        slots = fixture.slots if fixture is not None else ()
+        for location in [f"slot:{s}" for s in slots] or [f"fixture:{fixture_id}"]:
+            if W.placement_problem(sim, obj.kind, location) is None:
+                return location
     return None
 
 
@@ -230,14 +220,14 @@ def _deliver(
     sim: W.WorldState, obj: W.ObjectState, goal: W.GoalSpec, variant: str
 ) -> tuple[W.WorldState, list[str]] | None:
     """Steps that carry the held object to a legal target and place it."""
-    target = _free_target(sim, obj, _target_allowance(goal, obj.kind, variant))
-    if target is None:
+    location = _free_target(sim, obj, _target_allowance(goal, obj.kind, variant))
+    if location is None:
         return None
-    fixture = sim.layout.slot_parent(target) or sim.layout.fixture(target)
-    path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, fixture.cell))
+    cell = sim.layout.fixture_at(location).cell
+    path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell))
     if path is None:
         return None
-    place = f"place:{target}"
+    place = f"place:{location.partition(':')[2]}"
     try:
         sim = W.apply_action(_walk(sim, path), place)
     except IllegalAction:

@@ -598,6 +598,9 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
                 report.error("DUPLICATE_SLOT", f"ontology.fixtures[{f.id}]",
                              f"slot {slot} declared twice")
             slot_ids.add(slot)
+        if f.slots and f.capacity is not None:
+            report.error("SLOT_CONFLICT", f"ontology.fixtures[{f.id}]",
+                         f"fixture {f.id} is slot-addressed: capacity does not apply")
         if not (0 <= f.cell[0] < width and 0 <= f.cell[1] < height):
             report.error("OUT_OF_BOUNDS", f"ontology.fixtures[{f.id}]",
                          f"fixture cell {f.cell} outside the {width}x{height} grid")

@@ -18,6 +18,8 @@ an abstract (non-spatial) act and leaves the grid untouched.
 
 Every scheduled event passes :func:`effect_problem` first: a run skips
 one it rejects, and scenario validation replays the schedule through it.
+Where an object may go into a fixture is :func:`placement_problem`, the
+one rule that ``place``, events, starting objects and the planner obey.
 """
 
 from __future__ import annotations
@@ -67,24 +69,25 @@ class RoomLayout:
     height: int
     fixtures: tuple[Fixture, ...] = ()
 
-    def fixture(self, fixture_id: str) -> Fixture:
-        for f in self.fixtures:
-            if f.id == fixture_id:
-                return f
-        raise UnknownEntity(f"unknown fixture: {fixture_id}")
-
     def has_fixture(self, fixture_id: str) -> bool:
         return any(f.id == fixture_id for f in self.fixtures)
-
-    def slot_parent(self, slot_id: str) -> Fixture | None:
-        for f in self.fixtures:
-            if slot_id in f.slots:
-                return f
-        return None
 
     @cached_property
     def fixture_cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(f.cell for f in self.fixtures)
+
+    def fixture_at(self, location: str) -> Fixture | None:
+        """The fixture of a ``"slot:ID"`` or ``"fixture:ID"`` location, or
+        None for an undeclared id or any other location."""
+        return self._fixture_locations.get(location)
+
+    @cached_property
+    def _fixture_locations(self) -> dict[str, Fixture]:
+        out: dict[str, Fixture] = {}
+        for f in self.fixtures:  # the first declaration of an id wins
+            for location in (f"fixture:{f.id}", *(f"slot:{s}" for s in f.slots)):
+                out.setdefault(location, f)
+        return out
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         x, y = cell
@@ -225,22 +228,41 @@ def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _fixture_of_target(layout: RoomLayout, target: str) -> tuple[Fixture, str | None]:
-    """Resolve a place target to (fixture, slot id or None)."""
-    if layout.has_fixture(target):
-        return layout.fixture(target), None
-    parent = layout.slot_parent(target)
-    if parent is not None:
-        return parent, target
-    raise UnknownEntity(f"unknown placement target: {target}")
+def placement_problem(
+    world: WorldState, kind: str, location: str
+) -> tuple[str, str, str] | None:
+    """Why an object of ``kind`` cannot go to a ``"slot:ID"`` or
+    ``"fixture:ID"`` location, as ``(code, reason, refusal)``, or None.
 
-
-def _occupants(world: WorldState, fixture: Fixture, slot: str | None) -> list[str]:
-    if slot is not None:
-        wanted = f"slot:{slot}"
-    else:
-        wanted = f"fixture:{fixture.id}"
-    return [o.id for o in world.objects.values() if o.location == wanted]
+    The one placement rule: ``place`` raises the ``refusal``, and an event
+    or a starting object is rejected with ``code`` and ``reason``.  A
+    broken fixture takes nothing.  A fixture takes only the kind it
+    accepts: the planner never takes an object back out of a fixture, so
+    one of another kind would stay put for good.  A slot holds one
+    object, a slot-addressed fixture takes objects only through its
+    slots, and a bulk fixture holds at most ``capacity``.
+    """
+    fixture = world.layout.fixture_at(location)
+    where, _, name = location.partition(":")
+    if fixture is None:
+        return ("DANGLING_REF", f"undeclared {where}: {name}",
+                f"unknown placement target: {name}")
+    if fixture.id in world.broken_fixtures:
+        return "BROKEN_FIXTURE", f"fixture {fixture.id} is broken", "fixture broken"
+    if fixture.accepts != kind:
+        return ("WRONG_KIND", f"fixture {fixture.id} does not accept kind {kind}",
+                f"fixture does not accept kind {kind}")
+    holders = [o.id for o in world.objects.values() if o.location == location]
+    if where == "slot":
+        if holders:
+            return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}", "slot full"
+    elif fixture.slots:
+        return ("SLOT_CONFLICT", f"fixture {name} is slot-addressed: name a slot",
+                "fixture is slot-addressed: name a slot")
+    elif fixture.capacity is not None and len(holders) >= fixture.capacity:
+        return ("SLOT_CONFLICT", f"fixture {name} is full (capacity {fixture.capacity})",
+                "fixture full")
+    return None
 
 
 # -- operations ---------------------------------------------------------------
@@ -284,8 +306,9 @@ def apply_action(world: WorldState, action: str) -> WorldState:
             if obj.location == "held":
                 raise IllegalAction("object already held")
             # In a fixture: stand next to the fixture to take it back out.
-            target = obj.location.split(":", 1)[1]
-            fixture, _ = _fixture_of_target(world.layout, target)
+            fixture = world.layout.fixture_at(obj.location)
+            if fixture is None:
+                raise UnknownEntity(f"unknown placement target: {obj.location}")
             cell = fixture.cell
             if manhattan(world.agent_pos, cell) > 1:
                 raise IllegalAction("fixture not adjacent")
@@ -297,25 +320,19 @@ def apply_action(world: WorldState, action: str) -> WorldState:
             tick=world.tick + 1, agent_holding=obj.id, objects=objects
         )
 
-    # place
+    # place: the target is a fixture id, else a slot id.
     if world.agent_holding is None:
         raise IllegalAction("nothing held")
-    fixture, slot = _fixture_of_target(world.layout, arg)  # type: ignore[arg-type]
-    if fixture.id in world.broken_fixtures:
-        raise IllegalAction("fixture broken")
+    location = f"fixture:{arg}" if world.layout.has_fixture(arg) else f"slot:{arg}"
+    fixture = world.layout.fixture_at(location)
+    if fixture is None:
+        raise UnknownEntity(f"unknown placement target: {arg}")
     if manhattan(world.agent_pos, fixture.cell) > 1:
         raise IllegalAction("fixture not adjacent")
     held = world.object(world.agent_holding)
-    if fixture.accepts != held.kind:
-        raise IllegalAction(f"fixture does not accept kind {held.kind}")
-    if fixture.slots and slot is None:
-        raise IllegalAction("fixture is slot-addressed: name a slot")
-    if slot is not None and _occupants(world, fixture, slot):
-        raise IllegalAction("slot full")
-    if slot is None and fixture.capacity is not None:
-        if len(_occupants(world, fixture, None)) >= fixture.capacity:
-            raise IllegalAction("fixture full")
-    location = f"slot:{slot}" if slot is not None else f"fixture:{fixture.id}"
+    problem = placement_problem(world, held.kind, location)
+    if problem is not None:
+        raise IllegalAction(problem[2])
     objects = dict(world.objects)
     objects[held.id] = replace(held, location=location)
     return world._replace(tick=world.tick + 1, agent_holding=None, objects=objects)
@@ -349,13 +366,9 @@ def step_events(
 def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
     """Why an event effect cannot apply to the world, as ``(code, reason)``,
     or None.  A run skips an event it rejects, and scenario validation
-    replays the starting objects and the schedule through it.
-
-    An object goes into a fixture or slot only if the fixture accepts its
-    kind, as for ``place``: the planner never takes an object back out of
-    a fixture, so one of another kind there would stay put for good.  As
-    for ``place`` too, a slot holds one object, a bulk fixture at most
-    ``capacity``, and a slot-addressed fixture only through its slots."""
+    replays the starting objects and the schedule through it.  A spawn
+    into a fixture or slot obeys :func:`placement_problem`, as ``place``
+    does."""
     kind, layout = effect.get("kind"), world.layout
     if kind == "break_fixture":
         if not layout.has_fixture(effect["fixture"]):
@@ -367,29 +380,13 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
         spawned = effect["object"]
         if spawned["id"] in world.objects:
             return "DUPLICATE_OBJECT", f"object already present: {spawned['id']}"
-        where, _, name = spawned["location"].partition(":")
-        if where in ("slot", "fixture"):
-            if where == "slot":
-                fixture = layout.slot_parent(name)
-            else:
-                fixture = layout.fixture(name) if layout.has_fixture(name) else None
-            if fixture is None:
-                return "DANGLING_REF", f"undeclared {where}: {name}"
-            if fixture.accepts != spawned["kind"]:
-                return ("WRONG_KIND",
-                        f"fixture {fixture.id} does not accept kind {spawned['kind']}")
-            if where == "slot":
-                holders = _occupants(world, fixture, name)
-                if holders:
-                    return "SLOT_CONFLICT", f"slot {name} already holds {holders[0]}"
-            elif fixture.slots:
-                return "SLOT_CONFLICT", f"fixture {name} is slot-addressed: name a slot"
-            elif (fixture.capacity is not None
-                  and len(_occupants(world, fixture, None)) >= fixture.capacity):
-                return ("SLOT_CONFLICT",
-                        f"fixture {name} is full (capacity {fixture.capacity})")
-        elif where == "cell":
-            cell = parse_cell(spawned["location"])
+        location = spawned["location"]
+        if location.startswith(("slot:", "fixture:")):
+            problem = placement_problem(world, spawned["kind"], location)
+            if problem is not None:
+                return problem[:2]
+        elif location.startswith("cell:"):
+            cell = parse_cell(location)
             if not layout.passable(cell):
                 return "OUT_OF_BOUNDS", f"object placed on unusable cell {cell}"
     return None
@@ -418,12 +415,8 @@ def _apply_effect(world: WorldState, effect: dict) -> WorldState:
 
 def placed_ok(world: WorldState, obj: ObjectState, allowed: tuple[str, ...]) -> bool:
     """True iff the object sits in one of the allowed fixtures."""
-    if obj.location.startswith("slot:"):
-        parent = world.layout.slot_parent(obj.location[5:])
-        return parent is not None and parent.id in allowed
-    if obj.location.startswith("fixture:"):
-        return obj.location[8:] in allowed
-    return False
+    fixture = world.layout.fixture_at(obj.location)
+    return fixture is not None and fixture.id in allowed
 
 
 def evaluate_goal(world: WorldState, goal: GoalSpec) -> GoalStatus:

@@ -221,6 +221,32 @@ def reference_bfs_path(layout, start, goals) -> list[str] | None:
     return None
 
 
+def reference_free_target(sim, obj, allowed):
+    """The planner's choice of a placement target with its own broken,
+    kind, slot and capacity checks, apart from ``world.placement_problem``:
+    a slot id or a fixture id, or None.  ``_free_target`` must name the
+    same target."""
+    for fixture_id in allowed:
+        fixture = next((f for f in sim.layout.fixtures if f.id == fixture_id), None)
+        if fixture is None:
+            continue
+        if fixture.id in sim.broken_fixtures or fixture.accepts != obj.kind:
+            continue
+        if fixture.slots:
+            for slot in fixture.slots:
+                if not any(
+                    o.location == f"slot:{slot}" for o in sim.objects.values()
+                ):
+                    return slot
+            continue
+        occupants = sum(
+            1 for o in sim.objects.values() if o.location == f"fixture:{fixture.id}"
+        )
+        if fixture.capacity is None or occupants < fixture.capacity:
+            return fixture_id
+    return None
+
+
 def reference_plan_tidy_task(start, goal, variant="strict"):
     """The tidy planner with an exhaustive candidate loop: every leg
     searches a path to every remaining object, then takes the least

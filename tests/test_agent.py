@@ -220,6 +220,21 @@ class TestTick:
             ("SLOT_CONFLICT", "fixture shelf_1 is slot-addressed: name a slot")]
         assert "book_9" not in room_state.world.objects
 
+    def test_a_spawn_into_a_broken_fixture_is_rejected(self, room_state):
+        # The shelf breaks at tick 12; validation refuses a tick-13 spawn
+        # into one of its slots, and a state built around that schedule
+        # traces the spawn as rejected and leaves the book out of the world.
+        effect = {"kind": "spawn_object", "object": {
+            "id": "book_9", "kind": "book", "location": "slot:shelf_slot_2"}}
+        room_state.events += (W.WorldEvent(13, effect),)
+        while room_state.world.tick < 14:
+            tick(room_state)
+        rejected = [(e.tick, e.payload["code"], e.payload["reason"])
+                    for e in room_state.trace.events if e.kind == "EventRejected"]
+        assert rejected == [(13, "BROKEN_FIXTURE", "fixture shelf_1 is broken")]
+        assert "shelf_1" in room_state.world.broken_fixtures
+        assert "book_9" not in room_state.world.objects
+
     def test_first_deliberation_plans_toward_nearest_object(self):
         # Hand-simulated tick 0: the agent stands next to toy_1, so the
         # plan's first step is the pick-up, and the case argues for it.

@@ -413,6 +413,45 @@ class TestValidateCommand:
                      "--metrics", str(tmp_path / "m.csv")]) == 2
         assert message in capsys.readouterr().err
 
+    # The shelf breaks at tick 12; a break fired earlier in the same tick
+    # counts, as it does for the run.
+    @pytest.mark.parametrize("tick, message", [
+        (11, None),
+        (12, "BROKEN_FIXTURE @ events[1].effect: fixture shelf_1 is broken"),
+        (13, "BROKEN_FIXTURE @ events[1].effect: fixture shelf_1 is broken"),
+    ], ids=["before_the_break", "same_tick_after_the_break", "after_the_break"])
+    def test_spawning_into_a_broken_fixture_exits_2(self, tmp_path, capsys, tick,
+                                                     message):
+        # As for place: a book spawned on the broken shelf would count as
+        # placed.
+        path = self._with_events(tmp_path, [self._spawn(tick, "book_9", "shelf_slot_2")])
+        argv = ["run", path, "--ticks", "60", "--trace", str(tmp_path / "t.jsonl"),
+                "--metrics", str(tmp_path / "m.csv")]
+        if message is None:
+            assert main(["validate", path]) == 0
+            assert main(argv) == 0
+            return
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_capacity_on_a_slot_addressed_fixture_exits_2(self, tmp_path, capsys):
+        # Each slot holds one object, so nothing would ever read it.
+        doc = json.loads(bundled_document("room_tidy"))
+        for fixture in doc["ontology"]["fixtures"]:
+            if fixture["id"] == "shelf_1":
+                fixture["capacity"] = 3
+        path = tmp_path / "shelf_capacity.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = ("SLOT_CONFLICT @ ontology.fixtures[shelf_1]: "
+                   "fixture shelf_1 is slot-addressed: capacity does not apply")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
         # Validation cannot know which slots are held after tick 0; the run
         # skips the spawn and traces why, so the slot keeps one object.

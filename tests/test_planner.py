@@ -5,10 +5,16 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cogsim import world as W
-from cogsim.planner import bfs_path, plan_tidy_task
+from cogsim.planner import _free_target, bfs_path, plan_tidy_task
 from cogsim.scenario import instantiate, load_bundled
 
-from helpers import bfs_distance, reference_bfs_path, reference_plan_tidy_task, replay
+from helpers import (
+    bfs_distance,
+    reference_bfs_path,
+    reference_free_target,
+    reference_plan_tidy_task,
+    replay,
+)
 
 
 def test_bfs_path_matches_independent_distance_oracle():
@@ -306,3 +312,34 @@ def _leg_prefix(plan, min_steps):
         if end >= min_steps and step.startswith("place:"):
             return plan[:end]
     return plan
+
+
+def _free_target_case(rng):
+    """A drawn room whose slots and bulk fixtures hold up to two more
+    objects each (often of the accepted kind, so capacities fill), an
+    object of any kind and an allowance that may name any fixture, in
+    any order, or an undeclared one."""
+    world, _, _ = _tidy_world(rng)
+    objects = dict(world.objects)
+    for f in world.layout.fixtures:
+        for location in [f"slot:{s}" for s in f.slots] or [f"fixture:{f.id}"]:
+            for _ in range(rng.randint(0, 2)):
+                n = len(objects)
+                kind = rng.choice((f.accepts, "book", "toy"))
+                objects[f"extra_{n}"] = W.ObjectState(f"extra_{n}", kind, location)
+    ids = [f.id for f in world.layout.fixtures] + ["ghost"]
+    allowed = tuple(rng.sample(ids, rng.randint(0, min(len(ids), 4))))
+    obj = W.ObjectState("new_1", rng.choice(("book", "toy") * 2 + ("wall",)), "held")
+    return dataclasses.replace(world, objects=objects), obj, allowed
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=st.randoms(use_true_random=False).map(_free_target_case))
+def test_free_target_matches_the_planner_s_former_checks(case):
+    world, obj, allowed = case
+    location = _free_target(world, obj, allowed)
+    expected = reference_free_target(world, obj, allowed)
+    assert (None if location is None else location.partition(":")[2]) == expected
+    if location is not None:
+        assert W.placement_problem(world, obj.kind, location) is None

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cogsim import world as W
@@ -196,21 +196,96 @@ def _spawn(object_id, location, kind="book"):
      ("SLOT_CONFLICT", "fixture shelf_1 is slot-addressed: name a slot")),
     (_spawn("toy_9", "fixture:shelf_1", "toy"),
      ("WRONG_KIND", "fixture shelf_1 does not accept kind toy")),
+    # A broken fixture takes nothing, as for ``place``: into a slot of a
+    # broken shelf or into a broken bulk fixture.
+    (_spawn("book_9", "slot:ledge_slot_1"),
+     ("BROKEN_FIXTURE", "fixture ledge_1 is broken")),
+    (_spawn("toy_9", "fixture:bin_2", "toy"),
+     ("BROKEN_FIXTURE", "fixture bin_2 is broken")),
+    # The break is checked before the kind, the slot's holder and the
+    # slot-addressing.
+    (_spawn("toy_9", "slot:ledge_slot_1", "toy"),
+     ("BROKEN_FIXTURE", "fixture ledge_1 is broken")),
+    (_spawn("book_9", "slot:ledge_slot_2"),
+     ("BROKEN_FIXTURE", "fixture ledge_1 is broken")),
+    (_spawn("book_9", "fixture:ledge_1"),
+     ("BROKEN_FIXTURE", "fixture ledge_1 is broken")),
 ])
 def test_effect_problem(small_world, effect, problem):
     # bin_1 is full at capacity 1; crate_1 has room left at capacity 2.
+    # ledge_1 (ledge_slot_2 held) and bin_2 are broken; fixture cells play
+    # no part in these checks.
     layout = dataclasses.replace(small_world.layout, fixtures=(
         *small_world.layout.fixtures,
         W.Fixture("bin_1", (1, 0), "toy", capacity=1),
         W.Fixture("crate_1", (2, 1), "toy", capacity=2),
+        W.Fixture("ledge_1", (0, 2), "book", slots=("ledge_slot_1", "ledge_slot_2")),
+        W.Fixture("bin_2", (2, 2), "toy"),
     ))
     world = dataclasses.replace(small_world, layout=layout, objects={
         **small_world.objects,
         "book_2": W.ObjectState("book_2", "book", "slot:shelf_slot_1"),
         "toy_2": W.ObjectState("toy_2", "toy", "fixture:bin_1"),
         "toy_3": W.ObjectState("toy_3", "toy", "fixture:crate_1"),
-    })
+        "book_3": W.ObjectState("book_3", "book", "slot:ledge_slot_2"),
+    }, broken_fixtures=frozenset({"ledge_1", "bin_2"}))
     assert W.effect_problem(world, effect) == problem
+
+
+@st.composite
+def _placements(draw):
+    """A world whose agent, at (1, 1), holds an object next to up to three
+    fixtures (slot-addressed or bulk, of either kind, perhaps full or
+    broken, holding objects of either kind), and a location in one of
+    them: a slot, or a fixture named whole."""
+    kinds = st.sampled_from(("book", "toy"))
+    cells = draw(st.permutations([(1, 0), (0, 1), (2, 1), (1, 2)]))
+    fixtures, locations = [], []
+    for i in range(draw(st.integers(1, 3))):
+        slots = tuple(f"f{i}_s{j}" for j in range(draw(st.integers(0, 2))))
+        capacity = None if slots else draw(st.sampled_from((None, 1, 2)))
+        fixtures.append(W.Fixture(f"f{i}", cells[i], draw(kinds), slots, capacity))
+        locations += [f"fixture:f{i}", *(f"slot:{s}" for s in slots)]
+    objects = {"held_1": W.ObjectState("held_1", draw(kinds), "held")}
+    for n, location in enumerate(draw(st.lists(st.sampled_from(locations), max_size=4))):
+        objects[f"o{n}"] = W.ObjectState(f"o{n}", draw(kinds), location)
+    broken = draw(st.sets(st.sampled_from([f.id for f in fixtures])))
+    world = W.WorldState(tick=0, layout=W.RoomLayout(3, 3, tuple(fixtures)),
+                         agent_pos=(1, 1), agent_holding="held_1", objects=objects,
+                         broken_fixtures=frozenset(broken))
+    return world, draw(st.sampled_from(locations))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_placements())
+def test_place_succeeds_exactly_where_a_spawn_may_go(case):
+    # One placement rule: an adjacent agent can place the object it holds
+    # exactly where a spawn of that object passes, broken fixtures included.
+    world, location = case
+    held = world.object("held_1")
+    try:
+        placed = W.apply_action(world, f"place:{location.partition(':')[2]}")
+    except IllegalAction:
+        placed = None
+    else:
+        assert placed.objects["held_1"].location == location
+    before = world._replace(agent_holding=None, objects={
+        k: o for k, o in world.objects.items() if k != "held_1"})
+    spawn = {"kind": "spawn_object",
+             "object": {"id": "held_1", "kind": held.kind, "location": location}}
+    assert (placed is not None) == (W.effect_problem(before, spawn) is None)
+
+
+def test_fixture_at_resolves_slot_and_fixture_locations(small_layout):
+    shelf, box = small_layout.fixtures
+    assert small_layout.fixture_at("slot:shelf_slot_2") is shelf
+    assert small_layout.fixture_at("fixture:shelf_1") is shelf
+    assert small_layout.fixture_at("fixture:box_1") is box
+    for location in ("slot:box_1", "fixture:shelf_slot_1", "cell:0,0", "held", "slot:"):
+        assert small_layout.fixture_at(location) is None
+    moved = dataclasses.replace(small_layout, fixtures=(box,))
+    assert moved.fixture_at("slot:shelf_slot_2") is None
 
 
 def test_evaluate_goal_all_placed(small_world, small_goal):
