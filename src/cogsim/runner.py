@@ -7,10 +7,14 @@ event per line, sorted keys), metrics files are CSV with LF endings;
 neither contains wall-clock data, so identical configuration and seed
 produce byte-identical files.
 
+Each writer streams its lines: a line is encoded as the file takes it,
+so a write holds no encoded copy of the whole file.
+
 Each writer replaces an existing file's contents in place: the new bytes
 go over the old ones and the tail is cut off at the end, so the file
 keeps its inode and, once the write completes, holds exactly the bytes
-of a fresh write; a write that fails partway leaves the file empty.
+of a fresh write; a write that fails partway, encoding a line included,
+leaves the file empty.
 Truncating to zero before writing instead makes a rerun to the same path
 wait on the previous output's writeback on file systems such as ext4,
 whether it follows milliseconds or seconds later.
@@ -21,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import stat
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -90,21 +94,27 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def trace_lines(state: SimulationState) -> list[str]:
-    """One JSON object per event, keys in sorted order.
+def _encoded_trace(state: SimulationState) -> Iterator[str]:
+    """One JSON object per event, keys in sorted order, one event at a time.
 
     Only the payload and non-empty reasons go through the encoder:
     ``append`` admits only kinds and layers from ``EVENT_KINDS`` and
     ``LAYERS``, whose names need no escaping, and tick and seq are ints.
     """
     encode = _TRACE_ENCODER.encode
-    return [
+    return (
         f'{{"kind":"{event.kind}","layer":"{event.layer}",'
         f'"payload":{encode(event.payload)},'
         f'"reasons":{encode(event.reasons) if event.reasons else "[]"},'
         f'"seq":{event.seq},"tick":{event.tick}}}'
         for event in state.trace.events
-    ]
+    )
+
+
+def trace_lines(state: SimulationState) -> list[str]:
+    """The trace file's lines, without line ends: ``write_trace`` writes
+    the same lines, encoding each as the file takes it."""
+    return list(_encoded_trace(state))
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -134,7 +144,7 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def write_trace(state: SimulationState, path: str) -> None:
-    _write_lines(path, (line + "\n" for line in trace_lines(state)))
+    _write_lines(path, (line + "\n" for line in _encoded_trace(state)))
 
 
 def metrics_header(state: SimulationState) -> list[str]:

@@ -592,11 +592,22 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
     width, height = spec.starting_state.grid
 
     seen_cells: set[tuple[int, int]] = set()
+    seen_fixtures: set[str] = set()
     for f in onto.fixtures:
+        # The layout and place find a fixture or slot by its id alone, so
+        # a second fixture of one id, or a slot named as a fixture, could
+        # never be the target of a placement.
+        if f.id in seen_fixtures:
+            report.error("DUPLICATE_FIXTURE", f"ontology.fixtures[{f.id}]",
+                         f"fixture {f.id} declared twice")
+        seen_fixtures.add(f.id)
         for slot in f.slots:
             if slot in slot_ids:
                 report.error("DUPLICATE_SLOT", f"ontology.fixtures[{f.id}]",
                              f"slot {slot} declared twice")
+            if slot in fixture_ids:
+                report.error("DUPLICATE_SLOT", f"ontology.fixtures[{f.id}]",
+                             f"slot {slot} has the id of fixture {slot}")
             slot_ids.add(slot)
         if f.slots and f.capacity is not None:
             report.error("SLOT_CONFLICT", f"ontology.fixtures[{f.id}]",

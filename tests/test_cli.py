@@ -452,6 +452,30 @@ class TestValidateCommand:
                      "--metrics", str(tmp_path / "m.csv")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clash, message", [
+        ("fixture", "DUPLICATE_FIXTURE @ ontology.fixtures[box_1]: "
+                    "fixture box_1 declared twice"),
+        ("slot", "DUPLICATE_SLOT @ ontology.fixtures[shelf_1]: "
+                 "slot box_1 has the id of fixture box_1"),
+    ], ids=["fixture_declared_twice", "slot_named_as_a_fixture"])
+    def test_a_fixture_id_taken_twice_exits_2(self, tmp_path, capsys, clash, message):
+        # The layout and place find a target by its id alone: a second box
+        # could never be counted, and place would put into the box what
+        # the planner meant for the slot.
+        doc = json.loads(bundled_document("room_tidy"))
+        fixtures = doc["ontology"]["fixtures"]
+        if clash == "fixture":
+            fixtures.append({"id": "box_1", "cell": [6, 6], "accepts": "toy"})
+        else:
+            next(f for f in fixtures if f["id"] == "shelf_1")["slots"][0] = "box_1"
+        path = tmp_path / "id_twice.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
         # Validation cannot know which slots are held after tick 0; the run
         # skips the spawn and traces why, so the slot keeps one object.

@@ -1,8 +1,10 @@
 """The trace encoding: ``trace_lines`` writes each event's keys in a fixed
 order with only the payload and reasons through the JSON encoder, and
-must give the lines of a whole-dict encoding with sorted keys."""
+must give the lines of a whole-dict encoding with sorted keys.
+``write_trace`` streams the same lines into the file."""
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cogsim.metacog import EVENT_KINDS, LAYERS, ReasoningTrace
-from cogsim.runner import RunConfig, run_simulation, trace_lines
+from cogsim.runner import RunConfig, run_simulation, trace_lines, write_trace
 from cogsim.scenario import BUNDLED, load_bundled
 
 from helpers import reference_trace_lines
@@ -24,9 +26,13 @@ CONFIGS = {
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_runs_match_the_whole_dict_encoding(name, config):
+def test_bundled_runs_match_the_whole_dict_encoding(name, config, tmp_path):
     result = run_simulation(load_bundled(name), RunConfig(ticks=600, **CONFIGS[config]))
-    assert trace_lines(result.state) == reference_trace_lines(result.state)
+    lines = trace_lines(result.state)
+    assert lines == reference_trace_lines(result.state)
+    path = tmp_path / "trace.jsonl"
+    write_trace(result.state, str(path))
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def test_kind_and_layer_names_need_no_escaping():
@@ -70,3 +76,62 @@ def test_appended_events_match_the_whole_dict_encoding(events):
         trace.append(tick, layer, kind, payload, reasons)
     state = SimpleNamespace(trace=trace)
     assert trace_lines(state) == reference_trace_lines(state)
+
+
+def _trace_of(*events):
+    trace = ReasoningTrace()
+    for kind, payload, reasons in events:
+        trace.append(0, "deliberative", kind, payload, reasons)
+    return SimpleNamespace(trace=trace)
+
+
+# Each pair is equal under ``==`` but encodes apart, or is equal and
+# distinct: each event of the kind is encoded from its own payload.
+@pytest.mark.parametrize("first, second", [
+    ({"x": 0.0}, {"x": -0.0}),
+    ({"x": 1}, {"x": 1.0}),
+    ({"x": True}, {"x": 1}),
+    ({"x": [1, 2]}, {"x": [1, 2]}),
+], ids=["signed_zero", "int_float", "bool_int", "equal_copy"])
+def test_equal_payloads_of_one_kind_encode_as_a_fresh_encode(first, second):
+    reasons = ("serves_tidy_goal",)
+    state = _trace_of(
+        ("OptionSelected", first, reasons),
+        ("OptionSelected", second, tuple(list(reasons))),
+        ("OptionSelected", second, ("a",)),
+        ("OptionSelected", first, ()),
+    )
+    assert trace_lines(state) == reference_trace_lines(state)
+
+
+def test_write_trace_holds_no_encoded_copy_of_the_trace(tmp_path):
+    # Counts allocations only: the whole list of lines would be over ten
+    # times what streaming them into the file holds at its peak.
+    state = run_simulation(load_bundled("room_tidy_redescription"),
+                           RunConfig(ticks=1600, seed=1)).state
+    path = str(tmp_path / "trace.jsonl")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lines = trace_lines(state)
+        listed = tracemalloc.get_traced_memory()[1] - base
+        del lines
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_trace(state, path)
+        streamed = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(state.trace.events) > 10_000
+    assert streamed < 0.1 * listed, (streamed, listed)
+
+
+def test_an_encode_that_fails_partway_empties_the_file(tmp_path):
+    # Enough lines to flush past the text layer's buffer before the failure.
+    events = [("ActionExecuted", {"action": f"a{i}"}, ()) for i in range(5000)]
+    state = _trace_of(*events, ("ActionExecuted", {"action": object()}, ()))
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"old output\n" * 100_000)
+    with pytest.raises(TypeError):
+        write_trace(state, str(path))
+    assert path.read_bytes() == b""
