@@ -16,9 +16,9 @@ from .runner import (
     RunConfig,
     run_simulation,
     summary_line,
+    trace_sink,
     write_metrics,
     write_sweep,
-    write_trace,
 )
 from .scenario import parse_scenario, validate_scenario
 
@@ -119,9 +119,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     stem = Path(args.scenario).stem
     trace_path = args.trace or f"{stem}.trace.jsonl"
     metrics_path = args.metrics or f"{stem}.metrics.csv"
-    result = run_simulation(spec, _run_config(args, overrides))
     try:
-        write_trace(result.state, trace_path)
+        with trace_sink(trace_path) as sink:
+            result = run_simulation(spec, _run_config(args, overrides), sink)
         write_metrics(result, metrics_path)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
@@ -167,7 +167,7 @@ def _sweep_row(args: argparse.Namespace, spec, base_overrides: dict[str, float],
     outlives the call, so the run's state is freed before the next run."""
     overrides = dict(base_overrides)
     overrides[args.template] = weight
-    summary = run_simulation(spec, _run_config(args, overrides)).summary
+    summary = run_simulation(spec, _run_config(args, overrides), _drop).summary
     return {
         "weight": weight,
         "final_strict": summary["final_strict"],
@@ -175,6 +175,10 @@ def _sweep_row(args: argparse.Namespace, spec, base_overrides: dict[str, float],
         "abandoned": summary["abandoned"],
         "countermeasures_fired": summary["countermeasures_fired"],
     }
+
+
+def _drop(events) -> None:
+    """The trace sink of a sweep, which writes no trace."""
 
 
 def build_parser() -> argparse.ArgumentParser:

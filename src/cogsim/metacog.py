@@ -70,13 +70,21 @@ class TraceEvent:
 
 
 class ReasoningTrace:
-    """Append-only event sequence with (tick, seq) ordering."""
+    """Append-only event sequence with (tick, seq) ordering.
+
+    ``drain`` takes the oldest events out, so ``events`` may hold only
+    the tail of what was appended; order and seq numbering still run
+    from the head, which a drain leaves where it was.
+    """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         # The last event's (tick, seq), so that neither ``append`` nor
         # ``head`` reads an event back.
         self._head = (-1, -1)
+        # The InconsistencyDetected events ``monitor`` has recorded; a
+        # drain does not take them back.
+        self.inconsistencies = 0
 
     def append(self, tick: int, layer: str, kind: str, payload: dict,
                reasons: tuple[str, ...] = ()) -> TraceEvent:
@@ -85,7 +93,7 @@ class ReasoningTrace:
         if layer not in LAYERS:
             raise ValueError(f"unknown trace layer: {layer}")
         last_tick, last_seq = self._head
-        if tick < last_tick and self.events:
+        if tick < last_tick:
             raise OutOfOrder(f"tick {tick} after tick {last_tick}")
         seq = last_seq + 1 if tick == last_tick else 0
         event = TraceEvent(tick, seq, layer, kind, payload, tuple(reasons))
@@ -113,8 +121,20 @@ class ReasoningTrace:
         return events[start:]
 
     def head(self) -> tuple[int, int]:
-        """The last event's (tick, seq); (-1, -1) for an empty trace."""
+        """The last event's (tick, seq); (-1, -1) before the first append.
+        A drain leaves it as it was."""
         return self._head
+
+    def drain(self, cursor: tuple[int, int]) -> list[TraceEvent]:
+        """Take out and return the events at or before the (tick, seq)
+        cursor, in trace order.  They are deleted from ``events`` in
+        place, since the monitor's ``since`` still needs every later one.
+        """
+        events = self.events
+        cut = len(events) - len(self.since(cursor))
+        drained = events[:cut]
+        del events[:cut]
+        return drained
 
 
 @dataclass(frozen=True)
@@ -231,7 +251,8 @@ def monitor(
     goal: W.GoalSpec | None = None,
 ) -> list[Inconsistency]:
     """Analyse flagged trace kinds after the cursor; one finding per
-    violating event, recorded into the trace as InconsistencyDetected."""
+    violating event, recorded into the trace as InconsistencyDetected
+    and counted in ``trace.inconsistencies``."""
     findings: list[Inconsistency] = []
     for event in trace.since(since):
         if event.kind not in MONITORED_KINDS:
@@ -254,6 +275,7 @@ def monitor(
                 "source_event": [event.tick, event.seq],
             },
         )
+        trace.inconsistencies += 1
     return findings
 
 

@@ -7,14 +7,21 @@ event per line, sorted keys), metrics files are CSV with LF endings;
 neither contains wall-clock data, so identical configuration and seed
 produce byte-identical files.
 
+A run given a trace sink keeps no trace: whenever the trace holds
+``DRAIN_EVENTS`` events, the events the monitor has read leave it in
+one batch for the sink, and the rest follow at the end of the run.  So
+its memory does not grow with its trace events, and ``write_trace``,
+which writes only the events a trace still holds, writes nothing for
+it.  ``cogsim run`` passes the sink of ``trace_sink``, which writes each
+batch to the trace file as it arrives; ``cogsim sweep`` drops them.
 Each writer streams its lines: a line is encoded as the file takes it,
 so a write holds no encoded copy of the whole file.
 
 Each writer replaces an existing file's contents in place: the new bytes
 go over the old ones and the tail is cut off at the end, so the file
 keeps its inode and, once the write completes, holds exactly the bytes
-of a fresh write; a write that fails partway, encoding a line included,
-leaves the file empty.
+of a fresh write; a write that fails partway, encoding a line or (for a
+trace sink) the run itself included, leaves the file empty.
 Truncating to zero before writing instead makes a rerun to the same path
 wait on the previous output's writeback on file systems such as ext4,
 whether it follows milliseconds or seconds later.
@@ -25,14 +32,24 @@ from __future__ import annotations
 import json
 import os
 import stat
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TextIO
 
 from .agent import SimulationState, tick
+from .metacog import TraceEvent
 from .scenario import ScenarioSpec, instantiate
 
 QUIESCENT_IDLE_TICKS = 5
+
+# A run with a sink drains its trace once it holds this many events.
+# Each drain costs a 60-tick room run measurable time (64 events: about
+# 2% more; 32: about 4%); a larger batch only holds more events.
+DRAIN_EVENTS = 128
+
+TraceSink = Callable[[list[TraceEvent]], None]
 
 
 @dataclass
@@ -51,19 +68,31 @@ class RunResult:
     summary: dict
 
 
-def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
+def run_simulation(spec: ScenarioSpec, config: RunConfig,
+                   sink: TraceSink | None = None) -> RunResult:
+    """Run ``spec`` under ``config``.  Without a sink the trace keeps every
+    event.  With one, whenever the trace holds ``DRAIN_EVENTS`` events,
+    those the monitor has read (all of them under ``--no-metacog``,
+    since nothing reads the trace then) go to the sink in one batch, and
+    the rest go at the end.  So the run's memory does not grow with its
+    trace, and the result's trace is empty: ``write_trace`` writes only
+    the events a trace still holds."""
     state = instantiate(spec, config.seed)
     if config.bct_profile is not None:
         state.bct_profile = config.bct_profile
     state.metacognition_enabled = config.metacognition_enabled
     state.weight_overrides = dict(config.weight_overrides)
 
+    trace = state.trace
     metrics: list[dict] = []
     idle_streak = 0
     acted = False
     for _ in range(config.ticks):
         stats = tick(state)
         metrics.append(stats)
+        if sink is not None and len(trace.events) >= DRAIN_EVENTS:
+            read = state.monitor_cursor if state.metacognition_enabled else trace.head()
+            sink(trace.drain(read))
         if stats["idle"]:
             idle_streak += 1
         else:
@@ -71,6 +100,8 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
             acted = True
         if stats["strict_tidy"] and acted and idle_streak >= QUIESCENT_IDLE_TICKS:
             break
+    if sink is not None:
+        sink(trace.drain(trace.head()))
 
     summary = {
         "scenario": spec.meta.name,
@@ -82,9 +113,7 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
         # Selection draws only from the tendency pool, so no action can
         # reach execution without a pooled tendency behind it.
         "routing_violations": 0,
-        "inconsistencies": sum(
-            1 for e in state.trace.events if e.kind == "InconsistencyDetected"
-        ),
+        "inconsistencies": trace.inconsistencies,
     }
     return RunResult(state=state, metrics=metrics, summary=summary)
 
@@ -94,7 +123,7 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _encoded_trace(state: SimulationState) -> Iterator[str]:
+def _encoded_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     """One JSON object per event, keys in sorted order, one event at a time.
 
     Only the payload and non-empty reasons go through the encoder:
@@ -107,22 +136,24 @@ def _encoded_trace(state: SimulationState) -> Iterator[str]:
         f'"payload":{encode(event.payload)},'
         f'"reasons":{encode(event.reasons) if event.reasons else "[]"},'
         f'"seq":{event.seq},"tick":{event.tick}}}'
-        for event in state.trace.events
+        for event in events
     )
 
 
 def trace_lines(state: SimulationState) -> list[str]:
-    """The trace file's lines, without line ends: ``write_trace`` writes
-    the same lines, encoding each as the file takes it."""
-    return list(_encoded_trace(state))
+    """The lines of the trace file of the events the trace holds, without
+    line ends: ``write_trace`` writes the same lines, encoding each as
+    the file takes it."""
+    return list(_encoded_trace(state.trace.events))
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    """Replace the file's contents with ``lines`` in place (see the module
-    docstring).
+@contextmanager
+def _rewritten(path: str) -> Iterator[TextIO]:
+    """A text file whose contents the writes in the block replace in place
+    (see the module docstring).
 
     ``O_BINARY`` keeps LF endings on Windows.  Only a regular file is
-    truncated, so ``/dev/null`` and pipes still work.  A write that fails
+    truncated, so ``/dev/null`` and pipes still work.  A block that fails
     partway, or is interrupted, empties the file rather than leave the
     new head over the previous output's tail.  The text layer is closed
     before the descriptor is cut, so no buffered bytes land after the cut.
@@ -132,7 +163,7 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
             with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
-                fh.writelines(lines)
+                yield fh
         except BaseException:
             if regular:
                 os.ftruncate(fd, 0)
@@ -143,8 +174,26 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
         os.close(fd)
 
 
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    with _rewritten(path) as fh:
+        fh.writelines(lines)
+
+
+@contextmanager
+def trace_sink(path: str) -> Iterator[TraceSink]:
+    """A sink that writes each batch of events to the trace file at
+    ``path`` as it arrives, for ``run_simulation``.  The file is replaced
+    as every writer replaces it: if the block raises, the run included,
+    the file is left empty."""
+    with _rewritten(path) as fh:
+        yield lambda events: fh.writelines(
+            line + "\n" for line in _encoded_trace(events))
+
+
 def write_trace(state: SimulationState, path: str) -> None:
-    _write_lines(path, (line + "\n" for line in _encoded_trace(state)))
+    """Write the events the trace holds; a run given a sink holds none."""
+    with trace_sink(path) as sink:
+        sink(state.trace.events)
 
 
 def metrics_header(state: SimulationState) -> list[str]:

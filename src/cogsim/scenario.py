@@ -197,15 +197,23 @@ class _Record:
         return doc
 
     def many(self) -> _Conv:
-        """The converter of a list of these records, loaded as a tuple."""
+        """The converter of a list of these records, loaded as a tuple.
+        An item is named ``[<id>]`` when it has a string id, as validation
+        names it, and ``[<index>]`` otherwise."""
 
         def load(value, path):
             if not isinstance(value, list):
                 raise SchemaError(path, "expected a list")
             inner = _inner(path)
-            return tuple(self.walk(item, f"{inner}[{i}]") for i, item in enumerate(value))
+            return tuple(self.walk(item, f"{inner}[{_item_name(item, i)}]")
+                         for i, item in enumerate(value))
 
         return _Conv(load, lambda value: [self.dump(item) for item in value])
+
+
+def _item_name(item, index: int):
+    name = item.get("id") if isinstance(item, dict) else None
+    return name if isinstance(name, str) else index
 
 
 def _inner(path: str) -> str:

@@ -54,7 +54,8 @@ class TestValidateCommand:
                      "--metrics", str(tmp_path / "m.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "agent.appraisal_rules[0].when: malformed condition" in err
+        assert ("agent.appraisal_rules[untidiness_bothers].when: "
+                "malformed condition") in err
 
     @pytest.mark.parametrize(
         "name, section, index, when",
@@ -76,14 +77,15 @@ class TestValidateCommand:
     )
     def test_condition_typo_exits_1(self, tmp_path, capsys, name, section, index, when):
         doc = json.loads(bundled_document(name))
-        doc["agent"][section][index]["when"] = when
+        item = doc["agent"][section][index]
+        item["when"] = when
         path = tmp_path / "typo.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
                      "--metrics", str(tmp_path / "m.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"agent.{section}[{index}].when: malformed condition" in err
+        assert f"agent.{section}[{item['id']}].when: malformed condition" in err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize(
@@ -119,7 +121,7 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "agent.processes[0].urgency: number out of range" in err
+        assert "agent.processes[proc0].urgency: number out of range" in err
 
     def test_non_finite_words_inside_strings_are_text(self, tmp_path):
         doc = json.loads(bundled_document("room_tidy"))
@@ -171,7 +173,8 @@ class TestValidateCommand:
                      "--metrics", str(tmp_path / "m.csv")]) == code
         err = capsys.readouterr().err
         if code:
-            assert err == 2 * (f"error: {path}: agent.appraisal_rules[0].when: "
+            assert err == 2 * (f"error: {path}: "
+                               "agent.appraisal_rules[offer_is_awkward].when: "
                                "malformed condition: nested deeper than 100 levels\n")
         else:
             assert err == ""
@@ -192,7 +195,8 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 300
-        assert "agent.appraisal_rules[0].when: malformed condition: " in err
+        assert ("agent.appraisal_rules[untidiness_bothers].when: "
+                "malformed condition: ") in err
 
     @staticmethod
     def _with_events(tmp_path, events, starting_slot=None):
@@ -382,7 +386,7 @@ class TestValidateCommand:
                 fixture["capacity"] = capacity
         path = tmp_path / "box_capacity.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        message = "ontology.fixtures[2].capacity: must be >= 1 or null"
+        message = "ontology.fixtures[box_1].capacity: must be >= 1 or null"
         assert main(["validate", str(path)]) == 1
         assert message in capsys.readouterr().err
         assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
@@ -626,9 +630,9 @@ class TestSweepCommand:
         run_simulation = cli.run_simulation
         states = []
 
-        def spying(spec, config):
+        def spying(spec, config, sink):
             assert all(ref() is None for ref in states)
-            result = run_simulation(spec, config)
+            result = run_simulation(spec, config, sink)
             states.append(weakref.ref(result.state))
             return result
 

@@ -53,10 +53,10 @@ def test_mutant_is_rejected_or_runs_to_the_horizon(tmp_path_factory, site, value
     [
         # A non-string selector once reached set membership at run time.
         ("room_tidy", ("agent", "argument_templates", 0, "options", "from_process"),
-         [1], "agent.argument_templates[0].options.from_process"),
+         [1], "agent.argument_templates[serves_tidy_goal].options.from_process"),
         # A non-string template once reached set membership in validate.
         ("room_tidy_redescription", ("agent", "countermeasures", 0, "action", "template"),
-         [1], "agent.countermeasures[0].action.template"),
+         [1], "agent.countermeasures[recommit_to_tidy].action.template"),
         # A list-valued fixture once reached set membership in parse.
         ("room_tidy", ("events", 0, "effect", "fixture"), [1], "events[0].effect"),
     ],

@@ -1,18 +1,30 @@
 """The trace encoding: ``trace_lines`` writes each event's keys in a fixed
 order with only the payload and reasons through the JSON encoder, and
 must give the lines of a whole-dict encoding with sorted keys.
-``write_trace`` streams the same lines into the file."""
+``write_trace`` streams the same lines into the file, and ``cogsim run``
+writes them as its run drains the trace."""
 
 import json
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import cogsim
+from cogsim import runner
+from cogsim.cli import main
+from cogsim.errors import CogsimError, OutOfOrder
 from cogsim.metacog import EVENT_KINDS, LAYERS, ReasoningTrace
-from cogsim.runner import RunConfig, run_simulation, trace_lines, write_trace
+from cogsim.runner import (
+    RunConfig,
+    run_simulation,
+    trace_lines,
+    write_metrics,
+    write_trace,
+)
 from cogsim.scenario import BUNDLED, load_bundled
 
 from helpers import reference_trace_lines
@@ -22,6 +34,10 @@ CONFIGS = {
     "no_metacog": {"metacognition_enabled": False},
     "ceos": {"bct_profile": "ceos"},
 }
+# The ``cogsim run`` options of each config.
+OPTIONS = {"default": [], "no_metacog": ["--no-metacog"], "ceos": ["--bct", "ceos"]}
+
+ASSETS = Path(cogsim.__file__).parent / "assets"
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -135,3 +151,113 @@ def test_an_encode_that_fails_partway_empties_the_file(tmp_path):
     with pytest.raises(TypeError):
         write_trace(state, str(path))
     assert path.read_bytes() == b""
+
+
+def _run_argv(name, trace, metrics, ticks, options=()):
+    return ["run", str(ASSETS / f"{name}.json"), "--ticks", str(ticks),
+            "--trace", str(trace), "--metrics", str(metrics), *options]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_streamed_run_writes_the_files_of_the_kept_run(name, config, tmp_path,
+                                                         capsys):
+    kept = run_simulation(load_bundled(name), RunConfig(ticks=600, **CONFIGS[config]))
+    write_trace(kept.state, str(tmp_path / "kept.jsonl"))
+    write_metrics(kept, str(tmp_path / "kept.csv"))
+    streamed = [tmp_path / "t.jsonl", tmp_path / "m.csv"]
+    assert main(_run_argv(name, *streamed, 600, OPTIONS[config])) == 0
+    assert streamed[0].read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+    assert streamed[1].read_bytes() == (tmp_path / "kept.csv").read_bytes()
+    assert capsys.readouterr().out == runner.summary_line(kept.summary) + "\n"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_inconsistency_count_holds_after_the_trace_is_drained(name, config):
+    spec, run_config = load_bundled(name), RunConfig(ticks=600, **CONFIGS[config])
+    kept = run_simulation(spec, run_config)
+    batches = []
+    drained = run_simulation(spec, run_config, batches.append)
+    found = sum(e.kind == "InconsistencyDetected" for e in kept.state.trace.events)
+    assert kept.summary["inconsistencies"] == found
+    assert drained.summary == kept.summary
+    assert drained.state.trace.events == []
+    assert [e for batch in batches for e in batch] == kept.state.trace.events
+    assert len(batches) > 1
+
+
+def test_a_run_that_raises_after_drains_leaves_the_trace_empty(tmp_path, monkeypatch,
+                                                               capsys):
+    drains = []
+    drain, step = ReasoningTrace.drain, runner.tick
+
+    def counted(trace, cursor):
+        drains.append(cursor)
+        return drain(trace, cursor)
+
+    def failing(state):
+        if state.world.tick == 300:
+            raise CogsimError("raised at tick 300")
+        return step(state)
+
+    monkeypatch.setattr(ReasoningTrace, "drain", counted)
+    monkeypatch.setattr(runner, "tick", failing)
+    trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.csv"
+    trace.write_bytes(b"old output\n" * 100_000)
+    assert main(_run_argv("room_tidy_redescription", trace, metrics, 600)) == 2
+    assert "raised at tick 300" in capsys.readouterr().err
+    assert len(drains) > 10
+    assert trace.read_bytes() == b""
+    assert not metrics.exists()
+
+
+def _peak(action) -> int:
+    """The tracemalloc peak of ``action()`` above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_streamed_run_holds_under_half_of_a_kept_one(tmp_path, capsys):
+    name, ticks = "room_tidy_redescription", 1600
+    paths = [tmp_path / "t.jsonl", tmp_path / "m.csv"]
+
+    def kept():
+        result = run_simulation(load_bundled(name), RunConfig(ticks=ticks))
+        write_trace(result.state, str(paths[0]))
+
+    streamed = _peak(lambda: main(_run_argv(name, *paths, ticks)))
+    assert _peak(kept) > 2 * streamed
+
+
+class TestDrain:
+    def test_an_earlier_tick_after_a_drain_is_rejected(self):
+        trace = ReasoningTrace()
+        trace.append(5, "world", "BeliefChange", {})
+        assert len(trace.drain(trace.head())) == 1 and trace.events == []
+        with pytest.raises(OutOfOrder):
+            trace.append(4, "world", "BeliefChange", {})
+        event = trace.append(5, "world", "BeliefChange", {})
+        assert (event.tick, event.seq) == (5, 1)
+
+    @seed(20211019)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(gaps=st.lists(st.integers(0, 2), max_size=20), cut=st.integers(-1, 25))
+    def test_a_drain_takes_what_since_leaves(self, gaps, cut):
+        trace = ReasoningTrace()
+        tick = 0
+        for gap in gaps:
+            tick += gap
+            trace.append(tick, "world", "BeliefChange", {})
+        events = list(trace.events)
+        cursor = (events[cut].tick, events[cut].seq) if 0 <= cut < len(events) else (
+            -1, -1)
+        after = trace.since(cursor)
+        drained = trace.drain(cursor)
+        assert drained + after == events
+        assert trace.events == after and trace.since(cursor) == after
