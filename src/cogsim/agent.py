@@ -22,10 +22,10 @@ a tendency injected since the last read, or every one after a build, is
 folded.  ``act`` selects the strongest tendency, applies exactly one
 world action, advances the plan cursor and returns the tick's metrics
 row; an illegal or absent selection degrades to idle and is traced,
-never raised.  A payload or forces dict equal to the last one of its
-kind is that same object, kept on the state, and so is the focus
-payload of each (process, phase): payloads and rows are read-only, and
-one may be shared within a run, never across runs.
+never raised.  What a run keeps to skip work, or to pass an equal
+payload again, lives in ``SimulationState.memo``: ``state.memo = Memo()``
+changes no output byte, and a payload or ``forces`` dict is shared only
+within one run.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -106,6 +106,31 @@ class WorldMemo:
     perceived: tuple[str, int] | None = None
 
 
+@dataclass(slots=True)
+class Memo:
+    """What a run keeps to skip work, or to pass an equal payload again:
+    the world memo; the key of the last case build, trigger evaluation and
+    reactive rule evaluation, then what it gave; and the last payload or
+    ``forces`` dict of each kind (a redescription's with its library entry
+    and standing argument; a focus payload per process and phase).  Each
+    is derived from the rest of the state or equal to what a tick would
+    build, so ``state.memo = Memo()`` at any stage changes no output byte.
+    Payloads and rows are read-only; one is shared within its run only."""
+
+    world: WorldMemo | None = None
+    case: tuple[tuple, list[Argument], dict[str, float],
+                list[Argument], ForceTable] | None = None
+    fired: tuple[tuple, list[bool]] | None = None
+    reactive: tuple[tuple, list[ReactiveRule]] | None = None
+    no_tendency_payload: dict = field(default_factory=dict)
+    idle_payload: dict = field(default_factory=lambda: {
+        "action": "idle", "option": None, "process": None, "tendency": None,
+        "fallback": True})
+    redescription: tuple | None = None
+    forces: dict[str, float] | None = None
+    focus_payloads: dict[tuple[str, str], dict] = field(default_factory=dict)
+
+
 @dataclass
 class SimulationState:
     """Complete state of one simulation instance."""
@@ -124,33 +149,12 @@ class SimulationState:
     goal_variant: str = "strict"
     plan: tuple[str, ...] | None = None
     plan_cursor: int = 0
-    world_memo: WorldMemo | None = None
-    # The (sources, templates, triggers) key, sticky arguments and weight
-    # overrides of the last build_case call, then its case and force table.
-    case_memo: tuple[tuple, list[Argument], dict[str, float],
-                     list[Argument], ForceTable] | None = None
-    # The _condition_key of the last triggered call, then its result; and
-    # of the last evaluation of the reactive rules, then the rules that held.
-    fired_memo: tuple[tuple, list[bool]] | None = None
-    reactive_memo: tuple[tuple, list[ReactiveRule]] | None = None
+    memo: Memo = field(default_factory=Memo)
     monitor_cursor: tuple[int, int] = (-1, -1)
     metacognition_enabled: bool = True
     weight_overrides: dict[str, float] = field(default_factory=dict)
     countermeasures_fired: int = 0
     last_option_set: tuple = ()
-    # What a steady tick would otherwise build equal to the last one, so
-    # passed again: one object is shared by events or rows of this run
-    # only.  The NoTendency payload, the ActionExecuted payload of an idle
-    # with no tendency behind it, the (library entry, standing argument,
-    # payload) of the last redescription, the last metrics row's forces,
-    # and the focus AttentionShift payload of each (process, phase).
-    no_tendency_payload: dict = field(default_factory=dict)
-    idle_payload: dict = field(default_factory=lambda: {
-        "action": "idle", "option": None, "process": None, "tendency": None,
-        "fallback": True})
-    last_redescription: tuple | None = None
-    last_forces: dict[str, float] | None = None
-    focus_payloads: dict[tuple[str, str], dict] = field(default_factory=dict)
     _tendency_counter: int = 0
 
     # -- small helpers shared with the metacognition module ------------------
@@ -222,7 +226,7 @@ def fire_events(state: SimulationState) -> None:
         )
 
 
-def perceive(state: SimulationState) -> SimulationState:
+def perceive(state: SimulationState) -> None:
     """Refresh beliefs from the world; every change is traced.
 
     The perceived values depend only on the world apart from its tick,
@@ -233,7 +237,7 @@ def perceive(state: SimulationState) -> SimulationState:
     world, variant = state.world, state.goal_variant
     memo = _world_memo(state)
     if memo.perceived == (variant, state.beliefs.version):
-        return state
+        return
     snapshot: list[tuple[str, object]] = []
     for obj_id in sorted(world.objects):
         snapshot.append((f"location({obj_id})", world.objects[obj_id].location))
@@ -252,21 +256,19 @@ def perceive(state: SimulationState) -> SimulationState:
     for atom, value in snapshot:
         state.set_belief(atom, value)
     memo.perceived = (variant, state.beliefs.version)
-    return state
 
 
 def _world_memo(state: SimulationState) -> WorldMemo:
     """The memo of the current world and goal, started afresh (with the
     goal evaluated) when the world apart from its tick or the goal
-    differs from the memo's.  The memo keeps the newest world found
-    equal, so each world object is compared at most once."""
+    differs from the memo's; it keeps the newest world found equal."""
     world, goal = state.world, state.goal
-    memo = state.world_memo
+    memo = state.memo.world
     if memo is not None and memo.goal is goal and (
             memo.world is world or W.same_but_tick(memo.world, world)):
         memo.world = world  # the next check of this world is one identity test
         return memo
-    memo = state.world_memo = WorldMemo(world, goal, W.evaluate_goal(world, goal))
+    memo = state.memo.world = WorldMemo(world, goal, W.evaluate_goal(world, goal))
     return memo
 
 
@@ -281,14 +283,14 @@ def reactive_step(state: SimulationState) -> list[ActionTendency]:
     os_pid = state.os_process_id()
     if os_pid is None:
         return []
-    key = _condition_key(state)
-    if state.reactive_memo is not None and state.reactive_memo[0] == key:
-        fired = state.reactive_memo[1]
+    key, memo = _condition_key(state), state.memo
+    if memo.reactive is not None and memo.reactive[0] == key:
+        fired = memo.reactive[1]
     else:
         ctx = RuleContext(state.beliefs, key[2], state.config.commitments)
         fired = [rule for rule in state.config.reactive_rules
                  if eval_condition(rule.when, ctx)]
-        state.reactive_memo = (key, fired)
+        memo.reactive = (key, fired)
     now = state.world.tick
     return [
         ActionTendency(
@@ -367,7 +369,7 @@ def follow_plan(state: SimulationState) -> None:
     )
 
 
-def deliberative_step(state: SimulationState) -> SimulationState:
+def deliberative_step(state: SimulationState) -> None:
     """One slow-layer pass: step each process one phase in place (in
     priority-rank order) and trace what it changed, rebuild the argument
     case over the proposed options, and generate or repair the task plan."""
@@ -432,9 +434,9 @@ def deliberative_step(state: SimulationState) -> SimulationState:
             _inject(state, tendency)
 
     if focus is not None:
-        payload = state.focus_payloads.get(focus)
+        payload = state.memo.focus_payloads.get(focus)
         if payload is None:
-            payload = state.focus_payloads[focus] = {
+            payload = state.memo.focus_payloads[focus] = {
                 "process": focus[0], "phase": focus[1], "focus": True}
         state.trace.append(tick=now, layer="deliberative", kind="AttentionShift",
                            payload=payload)
@@ -448,8 +450,6 @@ def deliberative_step(state: SimulationState) -> SimulationState:
         follow_plan(state)
 
     _rebuild_case(state)
-
-    return state
 
 
 def _task_plan(state: SimulationState) -> tuple[str, ...] | None:
@@ -497,16 +497,16 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
         if not t.expired(now, ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
     templates = state.config.argument_templates
-    fired_key = _condition_key(state)
-    if state.fired_memo is not None and state.fired_memo[0] == fired_key:
-        fired = state.fired_memo[1]
+    fired_key, memo = _condition_key(state), state.memo
+    if memo.fired is not None and memo.fired[0] == fired_key:
+        fired = memo.fired[1]
     else:
         ctx = RuleContext(state.beliefs, fired_key[2], state.config.commitments)
         fired = triggered(templates, ctx)
-        state.fired_memo = (fired_key, fired)
+        memo.fired = (fired_key, fired)
     key = (sources, templates, fired)
-    if state.case_memo is not None:
-        built, sticky, overrides, args, table = state.case_memo
+    if memo.case is not None:
+        built, sticky, overrides, args, table = memo.case
         if (built == key and sticky == state.sticky_arguments
                 and overrides == state.weight_overrides):
             state.arguments = args
@@ -520,8 +520,8 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
             args.append(sticky)
     active = active_set(args)
     table = tally(args, active)
-    state.case_memo = (key, list(state.sticky_arguments),
-                       dict(state.weight_overrides), args, table)
+    memo.case = (key, list(state.sticky_arguments),
+                 dict(state.weight_overrides), args, table)
     state.arguments = args
     _emit_option_set(state, options, active)
     return table
@@ -615,7 +615,7 @@ def _select_tendency(state: SimulationState) -> ActionTendency | None:
     candidates = [t for t in state.tendency_pool if t.force > 0]
     if not candidates:
         state.trace.append(tick=now, layer="reactive", kind="NoTendency",
-                           payload=state.no_tendency_payload)
+                           payload=state.memo.no_tendency_payload)
         return None
     best = min(
         candidates,
@@ -653,16 +653,16 @@ def metacognition(state: SimulationState) -> None:
 def act(state: SimulationState) -> dict:
     """Select, execute exactly one world action, advance the plan cursor;
     return the tick's metrics row."""
-    now = state.world.tick
+    now, memo = state.world.tick, state.memo
     forces: dict[str, float] = {p.id: 0.0 for p in state.processes}
     for tendency in state.tendency_pool:
         pid = tendency.source_process
         forces[pid] = max(forces.get(pid, 0.0), tendency.force)
     # Forces are finite and never -0.0, so equal dicts print alike.
-    if forces == state.last_forces:
-        forces = state.last_forces
+    if forces == memo.forces:
+        forces = memo.forces
     else:
-        state.last_forces = forces
+        memo.forces = forces
 
     tendency = _select_tendency(state)
     selected = "idle" if tendency is None else tendency.action
@@ -676,7 +676,7 @@ def act(state: SimulationState) -> dict:
         state.world = W.apply_action(before, "idle")
     fallback = tendency is None or error is not None
     if tendency is None:
-        payload = state.idle_payload  # idle cannot fail, so it is always this
+        payload = memo.idle_payload  # idle cannot fail, so it is always this
     else:
         payload = {"action": executed, "option": tendency.option,
                    "process": tendency.source_process, "tendency": tendency.id,
@@ -696,13 +696,13 @@ def act(state: SimulationState) -> dict:
     if plan and cursor < len(plan) and not fallback and executed == plan[cursor]:
         state.plan_cursor += 1
 
-    memo = state.world_memo
-    if (applied == "idle" and memo is not None and memo.world is before
-            and memo.goal is state.goal):
-        memo.world = state.world  # an idle changes only the tick
+    known = memo.world
+    if (applied == "idle" and known is not None and known.world is before
+            and known.goal is state.goal):
+        known.world = state.world  # an idle changes only the tick
     else:
-        memo = _world_memo(state)
-    status = memo.status
+        known = _world_memo(state)
+    status = known.status
     return {
         "tick": now,
         "selected_action": selected,

@@ -370,7 +370,7 @@ def control(
         state.countermeasures_fired += 1
         # The same entry and standing argument give the same payload: the
         # argument's id, option and weight are the ones that payload holds.
-        last = state.last_redescription
+        last = state.memo.redescription
         if last is not None and last[0] is entry and last[1] is standing:
             payload = last[2]
         else:
@@ -381,7 +381,7 @@ def control(
                 "option": option,
                 "weight": weight,
             }
-            state.last_redescription = (entry, standing, payload)
+            state.memo.redescription = (entry, standing, payload)
         state.trace.append(
             tick=now,
             layer="metacognitive",

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -15,7 +16,7 @@ from cogsim import agent
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal, run_affective_cycle
 from cogsim.arguments import Argument, argument_id, tally
-from cogsim.errors import IllegalAction, NonFiniteForce
+from cogsim.errors import CogsimError, IllegalAction, NonFiniteForce
 from cogsim.metacog import Inconsistency
 from cogsim.planner import (
     _adjacent_cells,
@@ -24,6 +25,7 @@ from cogsim.planner import (
     _walk,
     bfs_path,
 )
+from cogsim.runner import run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, bundled_document, instantiate, load_bundled
 
 
@@ -521,7 +523,43 @@ def reference_deliberative_step(state):
         state.plan_cursor = 0
         agent.follow_plan(state)
     agent._rebuild_case(state)
-    return state
+
+
+# -- the forgetful run ---------------------------------------------------------
+# Every memo and shared payload of a run lives in ``state.memo``, and each
+# claims to change no output byte.  So a run that forgets them all before
+# every stage must write what a run that keeps them writes.
+
+FORGETFUL_STAGES = ("fire_events", "perceive", "reactive_step", "deliberative_step",
+                    "follow_plan", "metacognition", "recompute_forces", "act",
+                    "_rebuild_case")
+
+
+@contextmanager
+def forgetful():
+    """Within the block, each of ``FORGETFUL_STAGES`` starts from a fresh
+    ``agent.Memo``: every memo is rebuilt and every payload built afresh."""
+
+    def forgetting(stage):
+        def run(state):
+            state.memo = agent.Memo()
+            return stage(state)
+        return run
+
+    stages = {name: forgetting(getattr(agent, name)) for name in FORGETFUL_STAGES}
+    with mock.patch.multiple(agent, **stages):
+        yield
+
+
+def run_bytes(spec, config):
+    """What a run of ``spec`` under ``config`` writes: its trace lines and
+    the text of its metrics rows and summary, or the type of the
+    ``CogsimError`` it stopped on."""
+    try:
+        result = run_simulation(spec, config)
+    except CogsimError as exc:
+        return type(exc)
+    return trace_lines(result.state), repr(result.metrics), repr(result.summary)
 
 
 # -- trace encoding ------------------------------------------------------------

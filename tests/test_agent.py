@@ -19,7 +19,13 @@ from cogsim.rules import RuleContext, compile_condition, eval_condition
 from cogsim.runner import RunConfig, run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
-from helpers import compute_force, reference_deliberative_step, supporting_argument_ids
+from helpers import (
+    compute_force,
+    forgetful,
+    reference_deliberative_step,
+    run_bytes,
+    supporting_argument_ids,
+)
 
 
 @pytest.fixture
@@ -449,7 +455,7 @@ class TestPlanReuse:
             room_state.goal_variant = variant
             plan = self._deliberate_at(room_state, tick_)
             assert plan is not None
-            assert plan is room_state.world_memo.plans[variant]
+            assert plan is room_state.memo.world.plans[variant]
             assert plans.setdefault(variant, plan) is plan
         assert [args[2] for args in plan_calls] == ["strict", "relaxed"]
 
@@ -787,7 +793,7 @@ class TestTriggerReuse:
         change(state)
         agent._rebuild_case(state)
         assert len(trigger_calls) == 2
-        assert state.fired_memo[1] == _fresh_fired(state)
+        assert state.memo.fired[1] == _fresh_fired(state)
 
     def test_reused_triggers_match_a_fresh_evaluation(self, monkeypatch):
         rebuild = agent._rebuild_case
@@ -795,7 +801,7 @@ class TestTriggerReuse:
 
         def checking(state):
             active = rebuild(state)
-            assert state.fired_memo[1] == _fresh_fired(state)
+            assert state.memo.fired[1] == _fresh_fired(state)
             checked.append(state.world.tick)
             return active
 
@@ -920,18 +926,6 @@ class TestReactiveReuse:
         assert 0 < len(reactive_calls) <= 40
 
 
-def _without_memos(monkeypatch):
-    """Start a fresh world memo on every call: perceive, evaluate the goal
-    and plan from scratch."""
-    world_memo = agent._world_memo
-
-    def fresh(state):
-        state.world_memo = None
-        return world_memo(state)
-
-    monkeypatch.setattr(agent, "_world_memo", fresh)
-
-
 # One change of every WorldState field but tick.
 WORLD_CHANGES = {
     "layout": lambda w: dataclasses.replace(w.layout, width=w.layout.width + 1),
@@ -956,21 +950,18 @@ class TestSteadyState:
     """Perception is skipped while the world apart from its tick, the
     goal, the goal variant and the beliefs are as the last perceive left
     them, and the goal is evaluated and each variant planned once per
-    distinct world; a run gives what it gives when the world memo starts
-    afresh on every call."""
+    distinct world; a run gives what it gives when it forgets its memo
+    before every stage."""
 
-    @pytest.mark.parametrize("metacog", [True, False], ids=["metacog", "no_metacog"])
+    @pytest.mark.parametrize("mode", RUN_MODES, ids=["metacog", "no_metacog", "ceos"])
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_the_memos_change_no_output(self, monkeypatch, name, metacog):
-        config = RunConfig(ticks=200, seed=1, metacognition_enabled=metacog)
-
-        def outputs():
-            result = run_simulation(load_bundled(name), config)
-            return trace_lines(result.state), result.metrics
-
-        memoized = outputs()
-        _without_memos(monkeypatch)
-        assert outputs() == memoized
+    def test_the_memos_change_no_output(self, name, mode):
+        spec = load_bundled(name)
+        config = RunConfig(ticks=600, seed=1, **RUN_MODES[mode])
+        kept = run_bytes(spec, config)
+        assert isinstance(kept, tuple)  # the bundled scenarios run
+        with forgetful():
+            assert run_bytes(spec, config) == kept
 
     def test_every_field_but_tick_is_compared(self, room_state):
         world = room_state.world
@@ -1060,7 +1051,7 @@ class _CountingMath:
 
 
 def _force_table(state):
-    return None if state.case_memo is None else state.case_memo[4]
+    return None if state.memo.case is None else state.memo.case[4]
 
 
 class TestSteadyTicks:
@@ -1122,7 +1113,7 @@ class TestSteadyTicks:
         monkeypatch.setattr(W, "same_but_tick", lambda a, b: calls.append(b))
         row = agent.act(room_state)
         assert room_state.world == before._replace(tick=before.tick + 1)
-        assert room_state.world_memo.world is room_state.world
+        assert room_state.memo.world.world is room_state.world
         assert calls == []
         assert row["misplaced_count"] == W.evaluate_goal(
             room_state.world, room_state.goal).misplaced_count

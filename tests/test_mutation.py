@@ -6,7 +6,9 @@ or ``validate_scenario`` returns a report without raising.  Every mutant
 then goes through ``cogsim run`` for 60 ticks: a rejected one exits 1,
 an invalid one exits 2, and a clean one runs (exit 0) or stops on a
 ``CogsimError`` (exit 2).  Any other exception escapes ``cli.main`` and
-fails the test.
+fails the test.  A clean mutant also runs in-process, once as is and
+once forgetting its memo before every stage: both write the same bytes,
+or both stop on the same ``CogsimError`` type.
 """
 
 import pytest
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 
 from cogsim.cli import main
 from cogsim.errors import ParseError, SchemaError
+from cogsim.runner import RunConfig
 from cogsim.scenario import parse_scenario, validate_scenario
 
-from helpers import MUTANT_VALUES, mutant_document, mutation_sites
+from helpers import MUTANT_VALUES, forgetful, mutant_document, mutation_sites, run_bytes
 
 SITES = st.sampled_from(mutation_sites())
 VALUES = st.sampled_from(MUTANT_VALUES)
@@ -29,7 +32,8 @@ VALUES = st.sampled_from(MUTANT_VALUES)
 def test_mutant_is_rejected_or_runs_to_the_horizon(tmp_path_factory, site, value):
     text = mutant_document(*site, value)
     try:
-        report = validate_scenario(parse_scenario(text))
+        spec = parse_scenario(text)
+        report = validate_scenario(spec)
     except (ParseError, SchemaError):
         report = None
 
@@ -46,6 +50,10 @@ def test_mutant_is_rejected_or_runs_to_the_horizon(tmp_path_factory, site, value
         assert code == 2
     else:
         assert code in (0, 2)
+        config = RunConfig(ticks=60, seed=1)
+        kept = run_bytes(spec, config)
+        with forgetful():
+            assert run_bytes(spec, config) == kept
 
 
 @pytest.mark.parametrize(
