@@ -108,6 +108,16 @@ class AffectiveProcess:
     os_role: bool = False
 
 
+def option_for_state(processes, atom: str, default: str) -> str:
+    """The action of the first option, over ``processes`` in order, whose
+    response state is ``atom``; ``default`` when none is."""
+    for proc in processes:
+        for option in proc.options:
+            if option.state == atom:
+                return option.action
+    return default
+
+
 def _salience_pick(
     proc: AffectiveProcess, beliefs: BeliefStore, ctx: RuleContext
 ) -> str | None:

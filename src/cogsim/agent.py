@@ -47,16 +47,17 @@ the affective cycle reads only the first step and whether there is a
 plan, which a prefix answers alike.
 
 A condition reads only the beliefs, the active appraisals and the
-config's commitments.  So the reactive rules that held and the truth of
-the template triggers are kept under one key, ``_condition_key`` (the
-config, the belief store's version and the active appraisals), and
-evaluated again only when it changes; a rule that holds still injects a
-fresh tendency on every tick.  Deliberation and ``recompute_forces``
-each ask for the argument case.  It is built again only when the live
-options and their sources, the templates or the truth of a trigger, the
-sticky arguments or the weight overrides differ from the last build;
-otherwise the last case and its force table are reused and no new
-OptionSet is traced.  The table is tallied once per build.
+config's commitments.  So ``_conditions`` keeps the reactive rules that
+held and the truth of the template triggers in one entry, under the
+config, the belief store's version and the active appraisals, and
+evaluates both again only when those change; a rule that holds still
+injects a fresh tendency on every tick.  Deliberation and
+``recompute_forces`` each ask for the argument case.  It is built again
+only when the live options and their sources, the templates or the
+truth of a trigger, the sticky arguments or the weight overrides differ
+from the last build; otherwise the last case and its force table are
+reused and no new OptionSet is traced.  The table is tallied once per
+build.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
-from .affect import ActionTendency, AffectiveProcess, run_affective_cycle
+from .affect import ActionTendency, AffectiveProcess, option_for_state, run_affective_cycle
 from .arguments import Argument, ForceTable, active_set, build_case, tally, triggered
 from .errors import IllegalAction, NonFiniteForce
 from .metacog import ReasoningTrace, control, monitor
@@ -109,8 +110,8 @@ class WorldMemo:
 @dataclass(slots=True)
 class Memo:
     """What a run keeps to skip work, or to pass an equal payload again:
-    the world memo; the key of the last case build, trigger evaluation and
-    reactive rule evaluation, then what it gave; and the last payload or
+    the world memo; the key of the last case build and of the last
+    condition evaluation, then what each gave; and the last payload or
     ``forces`` dict of each kind (a redescription's with its library entry
     and standing argument; a focus payload per process and phase).  Each
     is derived from the rest of the state or equal to what a tick would
@@ -120,8 +121,7 @@ class Memo:
     world: WorldMemo | None = None
     case: tuple[tuple, list[Argument], dict[str, float],
                 list[Argument], ForceTable] | None = None
-    fired: tuple[tuple, list[bool]] | None = None
-    reactive: tuple[tuple, list[ReactiveRule]] | None = None
+    conditions: tuple[tuple, list[ReactiveRule], list[bool]] | None = None
     no_tendency_payload: dict = field(default_factory=dict)
     idle_payload: dict = field(default_factory=lambda: {
         "action": "idle", "option": None, "process": None, "tendency": None,
@@ -164,7 +164,6 @@ class SimulationState:
         if changed:
             self.trace.append(
                 tick=self.world.tick,
-                layer="world",
                 kind="BeliefChange",
                 payload={"atom": atom, "value": value},
             )
@@ -212,14 +211,12 @@ def fire_events(state: SimulationState) -> None:
     for event in fired:
         state.trace.append(
             tick=now,
-            layer="world",
             kind="WorldEventFired",
             payload={"effect": dict(event.effect), "fire_tick": event.fire_tick},
         )
     for event, code, reason in rejected:
         state.trace.append(
             tick=now,
-            layer="world",
             kind="EventRejected",
             payload={"effect": dict(event.effect), "fire_tick": event.fire_tick,
                      "code": code, "reason": reason},
@@ -275,22 +272,13 @@ def _world_memo(state: SimulationState) -> WorldMemo:
 def reactive_step(state: SimulationState) -> list[ActionTendency]:
     """Fire every reactive rule whose condition holds, in declaration
     order; runs every tick while the agent is engaged.  The rules that
-    held are kept under ``_condition_key``, so the conditions are
-    evaluated again only when that key changes; each rule that holds
-    still injects a fresh tendency."""
+    held come from ``_conditions``; each one still injects a fresh
+    tendency."""
     if state.world.abandoned:
         return []
     os_pid = state.os_process_id()
     if os_pid is None:
         return []
-    key, memo = _condition_key(state), state.memo
-    if memo.reactive is not None and memo.reactive[0] == key:
-        fired = memo.reactive[1]
-    else:
-        ctx = RuleContext(state.beliefs, key[2], state.config.commitments)
-        fired = [rule for rule in state.config.reactive_rules
-                 if eval_condition(rule.when, ctx)]
-        memo.reactive = (key, fired)
     now = state.world.tick
     return [
         ActionTendency(
@@ -301,7 +289,7 @@ def reactive_step(state: SimulationState) -> list[ActionTendency]:
             label=rule.label or rule.id,
             origin="reactive",
         )
-        for rule in fired
+        for rule in _conditions(state)[1]
     ]
 
 
@@ -312,21 +300,26 @@ def _all_appraisals(state: SimulationState) -> list:
     return out
 
 
-def _condition_key(state: SimulationState) -> tuple:
-    """``(config, belief version, active appraisals)``: a condition reads
-    only the beliefs, the appraisals and the config's commitments, so
-    under an equal key every condition has the same truth.  The reactive
-    rules and the template triggers are both kept under it."""
-    return (state.config, state.beliefs.version, _all_appraisals(state))
+def _conditions(state: SimulationState) -> tuple[tuple, list[ReactiveRule], list[bool]]:
+    """The memo entry ``(key, the reactive rules that held, the template
+    triggers' truth)``, evaluated again only when the key ``(config,
+    belief version, active appraisals)`` changes: a condition reads only
+    the beliefs, the appraisals and the config's commitments, so under an
+    equal key every condition has the same truth."""
+    config, memo = state.config, state.memo
+    key = (config, state.beliefs.version, _all_appraisals(state))
+    if memo.conditions is None or memo.conditions[0] != key:
+        ctx = RuleContext(state.beliefs, key[2], config.commitments)
+        held = [r for r in config.reactive_rules if eval_condition(r.when, ctx)]
+        memo.conditions = (key, held, triggered(config.argument_templates, ctx))
+    return memo.conditions
 
 
 def _inject(state: SimulationState, tendency: ActionTendency) -> None:
     tendency.id = state.next_tendency_id()
     state.tendency_pool.append(tendency)
-    layer = "reactive" if tendency.origin == "reactive" else "deliberative"
     state.trace.append(
         tick=state.world.tick,
-        layer=layer,
         kind="TendencyInjected",
         payload={
             "tendency": tendency.id,
@@ -336,6 +329,7 @@ def _inject(state: SimulationState, tendency: ActionTendency) -> None:
             "label": tendency.label,
             "base_urgency": tendency.base_urgency,
         },
+        layer="reactive" if tendency.origin == "reactive" else "deliberative",
     )
 
 
@@ -397,21 +391,18 @@ def deliberative_step(state: SimulationState) -> None:
         if proc.attention_target != target:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="AttentionShift",
                 payload={"process": proc.id, "target": proc.attention_target},
             )
         for appraisal in dropped:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="AppraisalChange",
                 payload=_appraisal_payload(appraisal, active=False),
             )
         for appraisal in new_apps:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="AppraisalChange",
                 payload=_appraisal_payload(appraisal, active=True),
             )
@@ -420,12 +411,11 @@ def deliberative_step(state: SimulationState) -> None:
         for candidate in proc.candidate_goals[n_candidates:]:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="GoalChange",
                 payload={
                     "process": proc.id,
                     "state": candidate,
-                    "option": _option_for_state(proc, candidate),
+                    "option": option_for_state((proc,), candidate, candidate),
                 },
             )
         for tendency in new_tends:
@@ -438,8 +428,7 @@ def deliberative_step(state: SimulationState) -> None:
         if payload is None:
             payload = state.memo.focus_payloads[focus] = {
                 "process": focus[0], "phase": focus[1], "focus": True}
-        state.trace.append(tick=now, layer="deliberative", kind="AttentionShift",
-                           payload=payload)
+        state.trace.append(tick=now, kind="AttentionShift", payload=payload)
 
     # The fresh plan becomes the committed task goal's intention, then the
     # argument case over everything now proposed (the fresh plan step
@@ -464,13 +453,6 @@ def _task_plan(state: SimulationState) -> tuple[str, ...] | None:
     return plans[variant]
 
 
-def _option_for_state(proc: AffectiveProcess, state_atom: str) -> str:
-    for option in proc.options:
-        if option.state == state_atom:
-            return option.action
-    return state_atom
-
-
 def _appraisal_payload(appraisal, active: bool) -> dict:
     return {
         "process": appraisal.source_process,
@@ -488,22 +470,16 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
 
     The options are the keys of ``sources``, so the memo key need not
     hold them apart.  On a reuse no OptionSet is traced: the last build
-    traced the same signature.  The last trigger values stand while
-    ``_condition_key`` does.
+    traced the same signature.  The trigger values come from
+    ``_conditions``.
     """
     now, ttl = state.world.tick, state.config.tendency_ttl
     sources: dict[str, set[str]] = {}
     for t in state.tendency_pool:
         if not t.expired(now, ttl):
             sources.setdefault(t.option, set()).add(t.source_process)
-    templates = state.config.argument_templates
-    fired_key, memo = _condition_key(state), state.memo
-    if memo.fired is not None and memo.fired[0] == fired_key:
-        fired = memo.fired[1]
-    else:
-        ctx = RuleContext(state.beliefs, fired_key[2], state.config.commitments)
-        fired = triggered(templates, ctx)
-        memo.fired = (fired_key, fired)
+    templates, memo = state.config.argument_templates, state.memo
+    fired = _conditions(state)[2]
     key = (sources, templates, fired)
     if memo.case is not None:
         built, sticky, overrides, args, table = memo.case
@@ -539,7 +515,6 @@ def _emit_option_set(state: SimulationState, options: list[str],
     state.last_option_set = signature
     state.trace.append(
         tick=state.world.tick,
-        layer="deliberative",
         kind="OptionSet",
         payload={
             "options": list(options),
@@ -575,7 +550,6 @@ def recompute_forces(state: SimulationState) -> None:
         if tendency.expired(now, ttl):
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="TendencyExpired",
                 payload={"tendency": tendency.id, "option": tendency.option},
             )
@@ -614,7 +588,7 @@ def _select_tendency(state: SimulationState) -> ActionTendency | None:
     now = state.world.tick
     candidates = [t for t in state.tendency_pool if t.force > 0]
     if not candidates:
-        state.trace.append(tick=now, layer="reactive", kind="NoTendency",
+        state.trace.append(tick=now, kind="NoTendency",
                            payload=state.memo.no_tendency_payload)
         return None
     best = min(
@@ -623,7 +597,6 @@ def _select_tendency(state: SimulationState) -> ActionTendency | None:
     )
     state.trace.append(
         tick=now,
-        layer="deliberative",
         kind="OptionSelected",
         payload={
             "option": best.option,
@@ -687,7 +660,7 @@ def act(state: SimulationState) -> dict:
             payload["os_tendency"] = tendency.id
         else:
             payload["momentary_need"] = tendency.force
-    state.trace.append(tick=now, layer="world", kind="ActionExecuted", payload=payload)
+    state.trace.append(tick=now, kind="ActionExecuted", payload=payload)
     if state.world.abandoned:
         # Walking out discharges every impulse; the agent is disengaged.
         state.tendency_pool = []

@@ -151,30 +151,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if base_overrides is None:
         return 2
 
-    rows = [_sweep_row(args, spec, base_overrides, weight) for weight in weights]
+    runs = [(weight, _sweep_summary(args, spec, base_overrides, weight))
+            for weight in weights]
     try:
-        write_sweep(rows, args.out)
+        write_sweep(runs, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
-    print(f"{spec.meta.name}: swept {args.template} over {len(rows)} weight(s)")
+    print(f"{spec.meta.name}: swept {args.template} over {len(runs)} weight(s)")
     return 0
 
 
-def _sweep_row(args: argparse.Namespace, spec, base_overrides: dict[str, float],
-               weight: float) -> dict:
-    """Run the sweep at one weight and return its CSV row.  Only the row
-    outlives the call, so the run's state is freed before the next run."""
+def _sweep_summary(args: argparse.Namespace, spec, base_overrides: dict[str, float],
+                   weight: float) -> dict:
+    """Run the sweep at one weight and return the run's summary.  Only the
+    summary outlives the call, so the run's state is freed before the next
+    run."""
     overrides = dict(base_overrides)
     overrides[args.template] = weight
-    summary = run_simulation(spec, _run_config(args, overrides), _drop).summary
-    return {
-        "weight": weight,
-        "final_strict": summary["final_strict"],
-        "final_relaxed": summary["final_relaxed"],
-        "abandoned": summary["abandoned"],
-        "countermeasures_fired": summary["countermeasures_fired"],
-    }
+    return run_simulation(spec, _run_config(args, overrides), _drop).summary
 
 
 def _drop(events) -> None:

@@ -18,33 +18,33 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import world as W
+from .affect import option_for_state
 from .arguments import Argument, argument_id
 from .errors import OutOfOrder, UnknownEntity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .agent import SimulationState
 
-LAYERS = frozenset({"world", "reactive", "deliberative", "metacognitive"})
-
-EVENT_KINDS = frozenset(
-    {
-        "WorldEventFired",
-        "EventRejected",
-        "BeliefChange",
-        "AttentionShift",
-        "AppraisalChange",
-        "GoalChange",
-        "OptionSet",
-        "OptionSelected",
-        "TendencyInjected",
-        "TendencyExpired",
-        "ActionExecuted",
-        "InconsistencyDetected",
-        "CountermeasureApplied",
-        "DeliberationRequested",
-        "NoTendency",
-    }
-)
+# Each trace event kind and the layers that trace it, the default first:
+# a tendency's layer follows its origin, and control's goal-variant
+# switch is metacognitive.
+KIND_LAYERS: dict[str, tuple[str, ...]] = {
+    "WorldEventFired": ("world",),
+    "EventRejected": ("world",),
+    "BeliefChange": ("world",),
+    "ActionExecuted": ("world",),
+    "NoTendency": ("reactive",),
+    "TendencyInjected": ("deliberative", "reactive"),
+    "AttentionShift": ("deliberative",),
+    "AppraisalChange": ("deliberative",),
+    "GoalChange": ("deliberative", "metacognitive"),
+    "OptionSet": ("deliberative",),
+    "OptionSelected": ("deliberative",),
+    "TendencyExpired": ("deliberative",),
+    "InconsistencyDetected": ("metacognitive",),
+    "CountermeasureApplied": ("metacognitive",),
+    "DeliberationRequested": ("metacognitive",),
+}
 
 MONITORED_KINDS = frozenset({"AppraisalChange", "GoalChange", "TendencyInjected"})
 
@@ -86,12 +86,18 @@ class ReasoningTrace:
         # drain does not take them back.
         self.inconsistencies = 0
 
-    def append(self, tick: int, layer: str, kind: str, payload: dict,
-               reasons: tuple[str, ...] = ()) -> TraceEvent:
-        if kind not in EVENT_KINDS:
+    def append(self, tick: int, kind: str, payload: dict,
+               reasons: tuple[str, ...] = (), layer: str | None = None) -> TraceEvent:
+        """Append one event, traced by ``layer`` or else by the kind's
+        default layer in ``KIND_LAYERS``; an unknown kind, or a layer the
+        table does not list for the kind, is a ValueError."""
+        layers = KIND_LAYERS.get(kind)
+        if layers is None:
             raise ValueError(f"unknown trace event kind: {kind}")
-        if layer not in LAYERS:
-            raise ValueError(f"unknown trace layer: {layer}")
+        if layer is None:
+            layer = layers[0]
+        elif layer not in layers:
+            raise ValueError(f"unknown trace layer for {kind}: {layer}")
         last_tick, last_seq = self._head
         if tick < last_tick:
             raise OutOfOrder(f"tick {tick} after tick {last_tick}")
@@ -263,7 +269,6 @@ def monitor(
         findings.append(finding)
         trace.append(
             tick=trace.head()[0],
-            layer="metacognitive",
             kind="InconsistencyDetected",
             payload={
                 "commitment_atom": finding.commitment.atom,
@@ -285,21 +290,6 @@ def _matches(pattern: dict, finding: Inconsistency) -> bool:
         return False
     atom = pattern.get("atom", "*")
     return atom in ("*", finding.atom, finding.option)
-
-
-def _violating_option(finding: Inconsistency, state: "SimulationState") -> str:
-    """The option a redescription should argue against.
-
-    Appraisal findings name an evaluation atom; when some process knows
-    that atom as a response state, the argued-against option is that
-    response's action.
-    """
-    if finding.item_kind == "appraisal":
-        for proc in state.processes:
-            for option in proc.options:
-                if option.state == finding.atom:
-                    return option.action
-    return finding.option
 
 
 def control(
@@ -326,7 +316,6 @@ def control(
     else:
         state.trace.append(
             tick=now,
-            layer="metacognitive",
             kind="CountermeasureApplied",
             payload={"countermeasure": None, "outcome": "none",
                      "finding_atom": finding.atom},
@@ -342,7 +331,12 @@ def control(
         else:
             raise UnknownEntity(f"unknown argument template: {template_id}")
         weight = state.weight_overrides.get(template_id, finding.commitment.weight)
-        option = _violating_option(finding, state)
+        # The option to argue against.  An appraisal finding names an
+        # evaluation atom; when some process knows that atom as a response
+        # state, the option is that response's action.
+        option = finding.option
+        if finding.item_kind == "appraisal":
+            option = option_for_state(state.processes, finding.atom, option)
         arg_id = argument_id(template_id, option)
         grounds = template.grounds or (finding.commitment.atom,)
         sticky, args = state.sticky_arguments, state.arguments
@@ -384,7 +378,6 @@ def control(
             state.memo.redescription = (entry, standing, payload)
         state.trace.append(
             tick=now,
-            layer="metacognitive",
             kind="CountermeasureApplied",
             payload=payload,
         )
@@ -405,13 +398,11 @@ def control(
         state.countermeasures_fired += 1
         state.trace.append(
             tick=now,
-            layer="metacognitive",
             kind="DeliberationRequested",
             payload={"reason": f"replanning:{entry.id}"},
         )
         state.trace.append(
             tick=now,
-            layer="metacognitive",
             kind="CountermeasureApplied",
             payload={
                 "countermeasure": entry.id,

@@ -35,7 +35,6 @@ import stat
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TextIO
 
 from .agent import SimulationState, tick
@@ -127,8 +126,8 @@ def _encoded_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     """One JSON object per event, keys in sorted order, one event at a time.
 
     Only the payload and non-empty reasons go through the encoder:
-    ``append`` admits only kinds and layers from ``EVENT_KINDS`` and
-    ``LAYERS``, whose names need no escaping, and tick and seq are ints.
+    ``append`` admits only the kinds and layers of ``KIND_LAYERS``,
+    whose names need no escaping, and tick and seq are ints.
     """
     encode = _TRACE_ENCODER.encode
     return (
@@ -174,11 +173,6 @@ def _rewritten(path: str) -> Iterator[TextIO]:
         os.close(fd)
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    with _rewritten(path) as fh:
-        fh.writelines(lines)
-
-
 @contextmanager
 def trace_sink(path: str) -> Iterator[TraceSink]:
     """A sink that writes each batch of events to the trace file at
@@ -206,41 +200,35 @@ def metrics_header(state: SimulationState) -> list[str]:
 
 
 def write_metrics(result: RunResult, path: str) -> None:
-    header = metrics_header(result.state)
     process_ids = [p.id for p in result.state.processes]
-
-    def row_line(row: dict) -> str:
-        cells = [str(row["tick"]), row["selected_action"], row["winning_process"]]
-        cells += [_fmt(row["forces"].get(pid, 0.0)) for pid in process_ids]
-        cells += [
-            str(row["misplaced_count"]),
-            "1" if row["strict_tidy"] else "0",
-            "1" if row["relaxed_tidy"] else "0",
-        ]
-        return ",".join(cells) + "\n"
-
-    _write_lines(path, chain([",".join(header) + "\n"], map(row_line, result.metrics)))
+    _write_csv(path, metrics_header(result.state), (
+        [row["tick"], row["selected_action"], row["winning_process"],
+         *[row["forces"].get(pid, 0.0) for pid in process_ids],
+         row["misplaced_count"], row["strict_tidy"], row["relaxed_tidy"]]
+        for row in result.metrics))
 
 
-def _fmt(value: float) -> str:
-    return repr(round(float(value), 9))
-
-
-def write_sweep(rows: list[dict], path: str) -> None:
+def write_sweep(runs: Iterable[tuple[float, dict]], path: str) -> None:
+    """One row per ``(weight, run summary)`` pair."""
     header = ["weight", "final_strict", "final_relaxed", "abandoned",
               "countermeasures_fired"]
+    _write_csv(path, header, (
+        [weight, summary["final_strict"], summary["final_relaxed"],
+         summary["abandoned"], summary["countermeasures_fired"]]
+        for weight, summary in runs))
 
-    def row_line(row: dict) -> str:
-        cells = [
-            _fmt(row["weight"]),
-            "1" if row["final_strict"] else "0",
-            "1" if row["final_relaxed"] else "0",
-            "1" if row["abandoned"] else "0",
-            str(row["countermeasures_fired"]),
-        ]
-        return ",".join(cells) + "\n"
 
-    _write_lines(path, chain([",".join(header) + "\n"], map(row_line, rows)))
+# How a CSV cell is written, by its type; any other type by ``str``.
+_CELL = {bool: ("0", "1").__getitem__, float: lambda value: repr(round(value, 9))}
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """The header line, then one line per row of cells."""
+    with _rewritten(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join([_CELL.get(type(cell), str)(cell) for cell in row]) + "\n"
+            for row in rows)
 
 
 def summary_line(summary: dict) -> str:

@@ -14,7 +14,7 @@ from unittest import mock
 
 from cogsim import agent
 from cogsim import world as W
-from cogsim.affect import ActionTendency, Appraisal, run_affective_cycle
+from cogsim.affect import ActionTendency, Appraisal, option_for_state, run_affective_cycle
 from cogsim.arguments import Argument, argument_id, tally
 from cogsim.errors import CogsimError, IllegalAction, NonFiniteForce
 from cogsim.metacog import Inconsistency
@@ -468,7 +468,6 @@ def reference_deliberative_step(state):
         if stepped.attention_target != old.attention_target:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="AttentionShift",
                 payload={"process": stepped.id, "target": stepped.attention_target},
             )
@@ -480,14 +479,12 @@ def reference_deliberative_step(state):
         for appraisal in dropped:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="AppraisalChange",
                 payload=agent._appraisal_payload(appraisal, active=False),
             )
         for appraisal in new_apps:
             state.trace.append(
                 tick=now,
-                layer="deliberative",
                 kind="AppraisalChange",
                 payload=agent._appraisal_payload(appraisal, active=True),
             )
@@ -498,12 +495,11 @@ def reference_deliberative_step(state):
             if candidate not in old.candidate_goals:
                 state.trace.append(
                     tick=now,
-                    layer="deliberative",
                     kind="GoalChange",
                     payload={
                         "process": stepped.id,
                         "state": candidate,
-                        "option": agent._option_for_state(stepped, candidate),
+                        "option": option_for_state((stepped,), candidate, candidate),
                     },
                 )
         for tendency in new_tends:
@@ -514,7 +510,6 @@ def reference_deliberative_step(state):
     if focus is not None:
         state.trace.append(
             tick=now,
-            layer="deliberative",
             kind="AttentionShift",
             payload={"process": focus[0], "phase": focus[1], "focus": True},
         )
@@ -608,6 +603,54 @@ def mutation_sites() -> list[tuple[str, tuple]]:
         for name in BUNDLED
         for path in _node_paths(json.loads(bundled_document(name)))
     ]
+
+
+NUMBER_MUTANTS = (0, -1, 2.5, 1e308)
+
+
+@functools.cache
+def _bundled_json(name: str):
+    """The parsed bundled document; read-only, shared by every caller."""
+    return json.loads(bundled_document(name))
+
+
+def _node_at(name: str, path: tuple):
+    node = _bundled_json(name)
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    children = node.values() if isinstance(node, dict) else (
+        node if isinstance(node, list) else ())
+    for child in children:
+        yield from _strings(child)
+
+
+def typed_mutant_values(name: str, path: tuple) -> list:
+    """Values of the JSON type of the node at ``path`` that may replace it:
+    another string of the same document, one of ``NUMBER_MUTANTS``, the
+    other boolean, or the list one element shorter or longer (an element
+    dropped or repeated in place).  Other nodes have none."""
+    node = _node_at(name, path)
+    if isinstance(node, bool):
+        return [not node]
+    if isinstance(node, (int, float)):
+        return [value for value in NUMBER_MUTANTS if value != node]
+    if isinstance(node, str):
+        return sorted(set(_strings(_bundled_json(name))) - {node})
+    if isinstance(node, list):
+        return ([node[:i] + node[i + 1:] for i in range(len(node))]
+                + [node[:i] + node[i:i + 1] + node[i:] for i in range(len(node))])
+    return []
+
+
+def typed_mutation_sites() -> list[tuple[str, tuple]]:
+    """The sites of ``mutation_sites`` with a ``typed_mutant_values`` value."""
+    return [site for site in mutation_sites() if typed_mutant_values(*site)]
 
 
 def mutant_document(name: str, path: tuple, value) -> str:

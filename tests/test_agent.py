@@ -793,7 +793,7 @@ class TestTriggerReuse:
         change(state)
         agent._rebuild_case(state)
         assert len(trigger_calls) == 2
-        assert state.memo.fired[1] == _fresh_fired(state)
+        assert state.memo.conditions[2] == _fresh_fired(state)
 
     def test_reused_triggers_match_a_fresh_evaluation(self, monkeypatch):
         rebuild = agent._rebuild_case
@@ -801,7 +801,7 @@ class TestTriggerReuse:
 
         def checking(state):
             active = rebuild(state)
-            assert state.memo.fired[1] == _fresh_fired(state)
+            assert state.memo.conditions[2] == _fresh_fired(state)
             checked.append(state.world.tick)
             return active
 

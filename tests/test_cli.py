@@ -778,13 +778,13 @@ class TestOutputFiles:
             def __getitem__(self, key):
                 raise error
 
-        row = {"weight": 1.0, "final_strict": True, "final_relaxed": True,
-               "abandoned": False, "countermeasures_fired": 0}
+        summary = {"final_strict": True, "final_relaxed": True,
+                   "abandoned": False, "countermeasures_fired": 0}
         out = tmp_path / "s.csv"
         out.write_bytes(self.JUNK)
         # Enough rows to flush past the text layer's buffer before the failure.
         with pytest.raises(type(error)):
-            cli.write_sweep([row] * 5000 + [Broken()], str(out))
+            cli.write_sweep([(1.0, summary)] * 5000 + [(1.0, Broken())], str(out))
         assert out.read_bytes() == b""
 
     @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")

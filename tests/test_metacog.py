@@ -1,7 +1,9 @@
 import bisect
 import dataclasses
 import itertools
+import re
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -13,6 +15,7 @@ from cogsim.affect import ActionTendency
 from cogsim.arguments import Argument
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
+    KIND_LAYERS,
     Commitment,
     CountermeasureSpec,
     Inconsistency,
@@ -56,33 +59,59 @@ def tendency(action, process="proc1", urgency=0.9):
 class TestTrace:
     def test_append_to_empty_gets_seq_zero(self):
         trace = ReasoningTrace()
-        event = trace.append(0, "world", "BeliefChange", {"atom": "a", "value": 1})
+        event = trace.append(0, "BeliefChange", {"atom": "a", "value": 1})
         assert (event.tick, event.seq) == (0, 0)
 
     def test_same_tick_increments_seq(self):
         trace = ReasoningTrace()
-        trace.append(3, "world", "BeliefChange", {})
-        event = trace.append(3, "world", "BeliefChange", {})
+        trace.append(3, "BeliefChange", {})
+        event = trace.append(3, "BeliefChange", {})
         assert (event.tick, event.seq) == (3, 1)
-        event = trace.append(4, "world", "BeliefChange", {})
+        event = trace.append(4, "BeliefChange", {})
         assert (event.tick, event.seq) == (4, 0)
 
     def test_regressing_tick_rejected(self):
         trace = ReasoningTrace()
-        trace.append(5, "world", "BeliefChange", {})
+        trace.append(5, "BeliefChange", {})
         with pytest.raises(OutOfOrder):
-            trace.append(4, "world", "BeliefChange", {})
+            trace.append(4, "BeliefChange", {})
 
     def test_unknown_layer_rejected(self):
         trace = ReasoningTrace()
         with pytest.raises(ValueError, match="unknown trace layer"):
-            trace.append(0, "limbic", "BeliefChange", {})
+            trace.append(0, "BeliefChange", {}, layer="limbic")
         assert trace.events == []
+
+    @pytest.mark.parametrize("kind, layer", [
+        ("BeliefChange", "deliberative"),
+        ("NoTendency", "world"),
+        ("TendencyInjected", "metacognitive"),
+        ("GoalChange", "reactive"),
+    ])
+    def test_a_layer_that_does_not_trace_the_kind_is_rejected(self, kind, layer):
+        trace = ReasoningTrace()
+        with pytest.raises(ValueError, match=f"unknown trace layer for {kind}: {layer}"):
+            trace.append(0, kind, {}, layer=layer)
+        assert trace.events == []
+
+    def test_unknown_kind_rejected(self):
+        trace = ReasoningTrace()
+        for layer in (None, "world"):
+            with pytest.raises(ValueError, match="unknown trace event kind: Mood"):
+                trace.append(0, "Mood", {}, layer=layer)
+        assert trace.events == []
+
+    def test_each_kind_defaults_to_its_first_layer(self):
+        trace = ReasoningTrace()
+        for kind, layers in KIND_LAYERS.items():
+            assert trace.append(0, kind, {}).layer == layers[0]
+            for layer in layers:
+                assert trace.append(0, kind, {}, layer=layer).layer == layer
 
     def test_appended_event_is_a_slotted_record(self):
         trace = ReasoningTrace()
         payload = {"option": "smoke"}
-        event = trace.append(2, "deliberative", "OptionSelected", payload,
+        event = trace.append(2, "OptionSelected", payload,
                              reasons=["a1"])
         assert event == TraceEvent(2, 0, "deliberative", "OptionSelected",
                                    payload, ("a1",))
@@ -107,7 +136,7 @@ class TestTrace:
         trace = ReasoningTrace()
         snapshots = []
         for tick in range(4):
-            trace.append(tick, "world", "BeliefChange", {"atom": str(tick)})
+            trace.append(tick, "BeliefChange", {"atom": str(tick)})
             snapshots.append(list(trace.events))
         for earlier, later in zip(snapshots, snapshots[1:]):
             assert later[: len(earlier)] == earlier
@@ -122,7 +151,7 @@ class TestTrace:
         tick = first
         for gap in gaps:
             tick += gap
-            trace.append(tick, "world", "BeliefChange", {})
+            trace.append(tick, "BeliefChange", {})
         events = list(trace.events)
         ids = list(map(id, events))
         last_seq = {e.tick: e.seq for e in events}
@@ -135,6 +164,33 @@ class TestTrace:
             want = [e for e in events if (e.tick, e.seq) > cursor]
             assert list(map(id, trace.since(cursor))) == list(map(id, want)), cursor
             assert list(map(id, trace.events)) == ids
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_trace_table() -> dict[str, tuple[tuple[str, ...], set[frozenset[str]]]]:
+    """Kind -> (its layers, its payload key sets), from the rows of the
+    README's "Trace events" table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Trace events\n", 1)[1].split("\n## ", 1)[0]
+    return {
+        kind: (tuple(re.findall(r"`(\w+)`", layers)),
+               {frozenset(filter(None, keys.split(", ")))
+                for keys in re.findall(r"`\{(.*?)\}`", shapes)})
+        for kind, layers, shapes in re.findall(
+            r"^\| `(\w+)` \| (.+?) \| (.+) \|$", section, re.MULTILINE)
+    }
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_readme_lists_each_kind_its_layers_and_payload_keys(name):
+    table = _readme_trace_table()
+    assert {kind: layers for kind, (layers, _) in table.items()} == KIND_LAYERS
+    for mode in ({}, {"metacognition_enabled": False}, {"bct_profile": "ceos"}):
+        result = run_simulation(load_bundled(name), RunConfig(ticks=600, seed=1, **mode))
+        for event in result.state.trace.events:
+            assert frozenset(event.payload) in table[event.kind][1], (mode, event)
 
 
 class TestCheckConsistency:
@@ -266,8 +322,7 @@ class TestMonitor:
     def _trace_with(self, events):
         trace = ReasoningTrace()
         for tick, kind, payload in events:
-            layer = "deliberative"
-            trace.append(tick, layer, kind, payload)
+            trace.append(tick, kind, payload)
         return trace
 
     def test_no_flagged_kinds_empty(self):

@@ -17,7 +17,7 @@ import cogsim
 from cogsim import runner
 from cogsim.cli import main
 from cogsim.errors import CogsimError, OutOfOrder
-from cogsim.metacog import EVENT_KINDS, LAYERS, ReasoningTrace
+from cogsim.metacog import KIND_LAYERS, ReasoningTrace
 from cogsim.runner import (
     RunConfig,
     run_simulation,
@@ -52,7 +52,8 @@ def test_bundled_runs_match_the_whole_dict_encoding(name, config, tmp_path):
 
 
 def test_kind_and_layer_names_need_no_escaping():
-    for name in EVENT_KINDS | LAYERS:
+    layers = {layer for layers in KIND_LAYERS.values() for layer in layers}
+    for name in [*KIND_LAYERS, *layers]:
         assert json.dumps(name)[1:-1] == name
 
 
@@ -72,8 +73,8 @@ _VALUES = st.recursive(
 _EVENTS = st.lists(
     st.tuples(
         st.integers(0, 2),
-        st.sampled_from(sorted(LAYERS)),
-        st.sampled_from(sorted(EVENT_KINDS)),
+        st.sampled_from(sorted((kind, layer) for kind, layers in KIND_LAYERS.items()
+                               for layer in layers)),
         st.dictionaries(_TEXT, _VALUES, max_size=3),
         st.one_of(st.just(()), st.lists(_TEXT, min_size=1, max_size=3)),
     ),
@@ -87,9 +88,9 @@ _EVENTS = st.lists(
 def test_appended_events_match_the_whole_dict_encoding(events):
     trace = ReasoningTrace()
     tick = 0
-    for gap, layer, kind, payload, reasons in events:
+    for gap, (kind, layer), payload, reasons in events:
         tick += gap
-        trace.append(tick, layer, kind, payload, reasons)
+        trace.append(tick, kind, payload, reasons, layer)
     state = SimpleNamespace(trace=trace)
     assert trace_lines(state) == reference_trace_lines(state)
 
@@ -97,7 +98,7 @@ def test_appended_events_match_the_whole_dict_encoding(events):
 def _trace_of(*events):
     trace = ReasoningTrace()
     for kind, payload, reasons in events:
-        trace.append(0, "deliberative", kind, payload, reasons)
+        trace.append(0, kind, payload, reasons)
     return SimpleNamespace(trace=trace)
 
 
@@ -238,11 +239,11 @@ def test_a_streamed_run_holds_under_half_of_a_kept_one(tmp_path, capsys):
 class TestDrain:
     def test_an_earlier_tick_after_a_drain_is_rejected(self):
         trace = ReasoningTrace()
-        trace.append(5, "world", "BeliefChange", {})
+        trace.append(5, "BeliefChange", {})
         assert len(trace.drain(trace.head())) == 1 and trace.events == []
         with pytest.raises(OutOfOrder):
-            trace.append(4, "world", "BeliefChange", {})
-        event = trace.append(5, "world", "BeliefChange", {})
+            trace.append(4, "BeliefChange", {})
+        event = trace.append(5, "BeliefChange", {})
         assert (event.tick, event.seq) == (5, 1)
 
     @seed(20211019)
@@ -253,7 +254,7 @@ class TestDrain:
         tick = 0
         for gap in gaps:
             tick += gap
-            trace.append(tick, "world", "BeliefChange", {})
+            trace.append(tick, "BeliefChange", {})
         events = list(trace.events)
         cursor = (events[cut].tick, events[cut].seq) if 0 <= cut < len(events) else (
             -1, -1)
