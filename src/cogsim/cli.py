@@ -14,10 +14,10 @@ from pathlib import Path
 from .errors import CogsimError, ParseError, SchemaError
 from .runner import (
     RunConfig,
+    metrics_sink,
     run_simulation,
     summary_line,
     trace_sink,
-    write_metrics,
     write_sweep,
 )
 from .scenario import parse_scenario, validate_scenario
@@ -119,10 +119,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     stem = Path(args.scenario).stem
     trace_path = args.trace or f"{stem}.trace.jsonl"
     metrics_path = args.metrics or f"{stem}.metrics.csv"
+    process_ids = [p.id for p in spec.agent.processes]
     try:
-        with trace_sink(trace_path) as sink:
-            result = run_simulation(spec, _run_config(args, overrides), sink)
-        write_metrics(result, metrics_path)
+        with (trace_sink(trace_path) as sink,
+              metrics_sink(metrics_path, process_ids) as rows):
+            result = run_simulation(spec, _run_config(args, overrides), sink, rows)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
@@ -173,7 +174,8 @@ def _sweep_summary(args: argparse.Namespace, spec, base_overrides: dict[str, flo
 
 
 def _drop(events) -> None:
-    """The trace sink of a sweep, which writes no trace."""
+    """The trace sink of a sweep, which writes no trace; with no row sink
+    given, the run drops its metrics rows too."""
 
 
 def build_parser() -> argparse.ArgumentParser:

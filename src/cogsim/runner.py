@@ -7,21 +7,25 @@ event per line, sorted keys), metrics files are CSV with LF endings;
 neither contains wall-clock data, so identical configuration and seed
 produce byte-identical files.
 
-A run given a trace sink keeps no trace: whenever the trace holds
-``DRAIN_EVENTS`` events, the events the monitor has read leave it in
-one batch for the sink, and the rest follow at the end of the run.  So
-its memory does not grow with its trace events, and ``write_trace``,
-which writes only the events a trace still holds, writes nothing for
-it.  ``cogsim run`` passes the sink of ``trace_sink``, which writes each
-batch to the trace file as it arrives; ``cogsim sweep`` drops them.
-Each writer streams its lines: a line is encoded as the file takes it,
-so a write holds no encoded copy of the whole file.
+A run given a trace sink keeps neither its trace nor its metrics rows:
+whenever the trace holds ``DRAIN_EVENTS`` events, the events the
+monitor has read leave it in one batch for the sink, and the rest
+follow at the end of the run; each tick's row goes to the run's row
+sink as the tick ends, or is dropped without one.  So its memory does
+not grow with the horizon, and ``write_trace`` and ``write_metrics``,
+which write only what a run still holds, write no event and no row for
+it.  ``cogsim run`` passes the sinks of ``trace_sink`` and
+``metrics_sink``, which write each batch and each row to their files as
+they arrive; ``cogsim sweep`` drops both.  Each writer streams its
+lines: a line is encoded as the file takes it, so a write holds no
+encoded copy of the whole file.
 
 Each writer replaces an existing file's contents in place: the new bytes
 go over the old ones and the tail is cut off at the end, so the file
 keeps its inode and, once the write completes, holds exactly the bytes
-of a fresh write; a write that fails partway, encoding a line or (for a
-trace sink) the run itself included, leaves the file empty.
+of a fresh write.  A write that fails partway, encoding a line or (for a
+sink) the run itself included, removes the file if the write created
+it, and leaves it empty otherwise.
 Truncating to zero before writing instead makes a rerun to the same path
 wait on the previous output's writeback on file systems such as ext4,
 whether it follows milliseconds or seconds later.
@@ -35,6 +39,7 @@ import stat
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TextIO
 
 from .agent import SimulationState, tick
@@ -49,6 +54,7 @@ QUIESCENT_IDLE_TICKS = 5
 DRAIN_EVENTS = 128
 
 TraceSink = Callable[[list[TraceEvent]], None]
+RowSink = Callable[[dict], None]
 
 
 @dataclass
@@ -63,19 +69,24 @@ class RunConfig:
 @dataclass
 class RunResult:
     state: SimulationState
+    # One row per tick; empty for a run given a sink, which keeps none.
     metrics: list[dict]
     summary: dict
 
 
 def run_simulation(spec: ScenarioSpec, config: RunConfig,
-                   sink: TraceSink | None = None) -> RunResult:
-    """Run ``spec`` under ``config``.  Without a sink the trace keeps every
-    event.  With one, whenever the trace holds ``DRAIN_EVENTS`` events,
-    those the monitor has read (all of them under ``--no-metacog``,
-    since nothing reads the trace then) go to the sink in one batch, and
-    the rest go at the end.  So the run's memory does not grow with its
-    trace, and the result's trace is empty: ``write_trace`` writes only
-    the events a trace still holds."""
+                   sink: TraceSink | None = None,
+                   rows: RowSink | None = None) -> RunResult:
+    """Run ``spec`` under ``config``.  Each tick's metrics row goes to
+    ``rows``, when given, as the tick ends.  Without a sink the run also
+    keeps every trace event and every row.  With one, it keeps neither:
+    whenever the trace holds ``DRAIN_EVENTS`` events, those the monitor
+    has read (all of them under ``--no-metacog``, since nothing reads
+    the trace then) go to the sink in one batch, and the rest go at the
+    end; a row not given to ``rows`` is dropped.  So the run's memory
+    does not grow with the horizon, and the result's trace and
+    ``metrics`` are empty.  The summary reads only a tick count, the
+    last row and counters."""
     state = instantiate(spec, config.seed)
     if config.bct_profile is not None:
         state.bct_profile = config.bct_profile
@@ -84,14 +95,19 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig,
 
     trace = state.trace
     metrics: list[dict] = []
-    idle_streak = 0
+    ticks = idle_streak = 0
     acted = False
+    stats = None
     for _ in range(config.ticks):
         stats = tick(state)
-        metrics.append(stats)
-        if sink is not None and len(trace.events) >= DRAIN_EVENTS:
+        ticks += 1
+        if sink is None:
+            metrics.append(stats)
+        elif len(trace.events) >= DRAIN_EVENTS:
             read = state.monitor_cursor if state.metacognition_enabled else trace.head()
             sink(trace.drain(read))
+        if rows is not None:
+            rows(stats)
         if stats["idle"]:
             idle_streak += 1
         else:
@@ -104,9 +120,9 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig,
 
     summary = {
         "scenario": spec.meta.name,
-        "ticks_executed": len(metrics),
-        "final_strict": bool(metrics[-1]["strict_tidy"]) if metrics else False,
-        "final_relaxed": bool(metrics[-1]["relaxed_tidy"]) if metrics else False,
+        "ticks_executed": ticks,
+        "final_strict": bool(stats["strict_tidy"]) if stats else False,
+        "final_relaxed": bool(stats["relaxed_tidy"]) if stats else False,
         "abandoned": state.world.abandoned,
         "countermeasures_fired": state.countermeasures_fired,
         # Selection draws only from the tendency pool, so no action can
@@ -153,24 +169,33 @@ def _rewritten(path: str) -> Iterator[TextIO]:
 
     ``O_BINARY`` keeps LF endings on Windows.  Only a regular file is
     truncated, so ``/dev/null`` and pipes still work.  A block that fails
-    partway, or is interrupted, empties the file rather than leave the
+    partway, or is interrupted, removes the file if the open created it
+    (``O_EXCL`` tells), and otherwise empties it rather than leave the
     new head over the previous output's tail.  The text layer is closed
     before the descriptor is cut, so no buffered bytes land after the cut.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    try:
+        fd, created = os.open(path, flags | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, flags, 0o666), False
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
             with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
                 yield fh
         except BaseException:
-            if regular:
+            if regular and not created:
                 os.ftruncate(fd, 0)
             raise
         if regular:
             os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-    finally:
+    except BaseException:
         os.close(fd)
+        if created:
+            os.unlink(path)
+        raise
+    os.close(fd)
 
 
 @contextmanager
@@ -178,7 +203,7 @@ def trace_sink(path: str) -> Iterator[TraceSink]:
     """A sink that writes each batch of events to the trace file at
     ``path`` as it arrives, for ``run_simulation``.  The file is replaced
     as every writer replaces it: if the block raises, the run included,
-    the file is left empty."""
+    the file is removed if the sink created it and left empty otherwise."""
     with _rewritten(path) as fh:
         yield lambda events: fh.writelines(
             line + "\n" for line in _encoded_trace(events))
@@ -190,45 +215,59 @@ def write_trace(state: SimulationState, path: str) -> None:
         sink(state.trace.events)
 
 
+# The metrics columns before and after the force columns, one per process.
+_LEADING = ("tick", "selected_action", "winning_process")
+_TRAILING = ("misplaced_count", "strict_tidy", "relaxed_tidy")
+
+
+def _metrics_header(process_ids: list[str]) -> list[str]:
+    return [*_LEADING, *[f"force_{pid}" for pid in process_ids], *_TRAILING]
+
+
 def metrics_header(state: SimulationState) -> list[str]:
-    process_columns = [f"force_{p.id}" for p in state.processes]
-    return (
-        ["tick", "selected_action", "winning_process"]
-        + process_columns
-        + ["misplaced_count", "strict_tidy", "relaxed_tidy"]
-    )
+    return _metrics_header([p.id for p in state.processes])
+
+
+@contextmanager
+def metrics_sink(path: str, process_ids: list[str]) -> Iterator[RowSink]:
+    """A row sink for ``run_simulation`` that writes the metrics file at
+    ``path``: the header as the block starts, then each row's line as the
+    row arrives.  ``process_ids`` name the force columns, in the order of
+    the run's processes.  The file is replaced as ``trace_sink``'s is."""
+    leading, trailing = itemgetter(*_LEADING), itemgetter(*_TRAILING)
+    with _rewritten(path) as fh:
+        write = fh.write
+        write(_csv_line(_metrics_header(process_ids)))
+        yield lambda row: write(_csv_line(
+            [*leading(row), *[row["forces"].get(pid, 0.0) for pid in process_ids],
+             *trailing(row)]))
 
 
 def write_metrics(result: RunResult, path: str) -> None:
-    process_ids = [p.id for p in result.state.processes]
-    _write_csv(path, metrics_header(result.state), (
-        [row["tick"], row["selected_action"], row["winning_process"],
-         *[row["forces"].get(pid, 0.0) for pid in process_ids],
-         row["misplaced_count"], row["strict_tidy"], row["relaxed_tidy"]]
-        for row in result.metrics))
+    """Write the metrics rows the run holds; a run given a sink holds none."""
+    with metrics_sink(path, [p.id for p in result.state.processes]) as rows:
+        for row in result.metrics:
+            rows(row)
 
 
 def write_sweep(runs: Iterable[tuple[float, dict]], path: str) -> None:
     """One row per ``(weight, run summary)`` pair."""
     header = ["weight", "final_strict", "final_relaxed", "abandoned",
               "countermeasures_fired"]
-    _write_csv(path, header, (
-        [weight, summary["final_strict"], summary["final_relaxed"],
-         summary["abandoned"], summary["countermeasures_fired"]]
-        for weight, summary in runs))
+    with _rewritten(path) as fh:
+        fh.write(_csv_line(header))
+        fh.writelines(
+            _csv_line([weight, summary["final_strict"], summary["final_relaxed"],
+                       summary["abandoned"], summary["countermeasures_fired"]])
+            for weight, summary in runs)
 
 
 # How a CSV cell is written, by its type; any other type by ``str``.
 _CELL = {bool: ("0", "1").__getitem__, float: lambda value: repr(round(value, 9))}
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
-    """The header line, then one line per row of cells."""
-    with _rewritten(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join([_CELL.get(type(cell), str)(cell) for cell in row]) + "\n"
-            for row in rows)
+def _csv_line(cells: list) -> str:
+    return ",".join([_CELL.get(type(cell), str)(cell) for cell in cells]) + "\n"
 
 
 def summary_line(summary: dict) -> str:

@@ -24,6 +24,7 @@ from cogsim.planner import (
     _target_allowance,
     _walk,
     bfs_path,
+    plan_tidy_task,
 )
 from cogsim.runner import run_simulation, trace_lines
 from cogsim.scenario import BUNDLED, bundled_document, instantiate, load_bundled
@@ -522,8 +523,9 @@ def reference_deliberative_step(state):
 
 # -- the forgetful run ---------------------------------------------------------
 # Every memo and shared payload of a run lives in ``state.memo``, and each
-# claims to change no output byte.  So a run that forgets them all before
-# every stage must write what a run that keeps them writes.
+# claims to change no output byte, as does the plan cut at
+# ``deliberation_period``.  So a run that forgets them all before every
+# stage, and plans whole, must write what a run that keeps them writes.
 
 FORGETFUL_STAGES = ("fire_events", "perceive", "reactive_step", "deliberative_step",
                     "follow_plan", "metacognition", "recompute_forces", "act",
@@ -533,7 +535,8 @@ FORGETFUL_STAGES = ("fire_events", "perceive", "reactive_step", "deliberative_st
 @contextmanager
 def forgetful():
     """Within the block, each of ``FORGETFUL_STAGES`` starts from a fresh
-    ``agent.Memo``: every memo is rebuilt and every payload built afresh."""
+    ``agent.Memo``: every memo is rebuilt and every payload built afresh.
+    The planner ignores ``min_steps`` and returns whole plans."""
 
     def forgetting(stage):
         def run(state):
@@ -541,8 +544,11 @@ def forgetful():
             return stage(state)
         return run
 
+    def whole_plan(world, goal, variant, *, min_steps):
+        return plan_tidy_task(world, goal, variant)
+
     stages = {name: forgetting(getattr(agent, name)) for name in FORGETFUL_STAGES}
-    with mock.patch.multiple(agent, **stages):
+    with mock.patch.multiple(agent, plan_tidy_task=whole_plan, **stages):
         yield
 
 

@@ -236,6 +236,59 @@ def test_a_streamed_run_holds_under_half_of_a_kept_one(tmp_path, capsys):
     assert _peak(kept) > 2 * streamed
 
 
+@pytest.mark.parametrize("name", ["room_tidy_redescription", "non_smoking"])
+def test_a_streamed_runs_memory_does_not_grow_with_the_horizon(name, tmp_path, capsys):
+    # Neither scenario stops before its horizon.  A short run first, so
+    # that what the first run of a process caches falls in neither peak.
+    paths = [tmp_path / "t.jsonl", tmp_path / "m.csv"]
+    assert main(_run_argv(name, *paths, 60)) == 0
+    short, long = (_peak(lambda: main(_run_argv(name, *paths, ticks)))
+                   for ticks in (600, 3000))
+    assert "ticks=3000 " in capsys.readouterr().out
+    assert abs(long - short) <= 0.15 * short, (short, long)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_run_given_a_sink_keeps_no_rows(name, config):
+    spec, run_config = load_bundled(name), RunConfig(ticks=600, **CONFIGS[config])
+    kept = run_simulation(spec, run_config)
+    dropped = run_simulation(spec, run_config, lambda events: None)
+    rows = []
+    streamed = run_simulation(spec, run_config, lambda events: None, rows.append)
+    assert dropped.metrics == [] and streamed.metrics == []
+    assert dropped.summary == kept.summary == streamed.summary
+    assert rows == kept.metrics
+
+
+def test_a_run_that_raises_empties_the_metrics_file_it_found(tmp_path, monkeypatch,
+                                                              capsys):
+    step = runner.tick
+
+    def failing(state):
+        if state.world.tick == 300:
+            raise CogsimError("raised at tick 300")
+        return step(state)
+
+    monkeypatch.setattr(runner, "tick", failing)
+    trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.csv"
+    metrics.write_bytes(b"old output\n" * 100_000)
+    assert main(_run_argv("room_tidy_redescription", trace, metrics, 600)) == 2
+    assert "raised at tick 300" in capsys.readouterr().err
+    assert metrics.read_bytes() == b""
+    assert not trace.exists()
+
+
+def test_a_write_that_fails_on_a_path_it_created_leaves_no_file(tmp_path):
+    # Enough lines to flush past the text layer's buffer before the failure.
+    events = [("ActionExecuted", {"action": f"a{i}"}, ()) for i in range(5000)]
+    state = _trace_of(*events, ("ActionExecuted", {"action": object()}, ()))
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(TypeError):
+        write_trace(state, str(path))
+    assert not path.exists()
+
+
 class TestDrain:
     def test_an_earlier_tick_after_a_drain_is_rejected(self):
         trace = ReasoningTrace()
