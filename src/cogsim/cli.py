@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -99,6 +101,35 @@ def _checked_spec(args: argparse.Namespace):
     return spec, 0
 
 
+def _file_key(path: str):
+    """What tells apart the file at ``path``: a regular file's device and
+    inode, the resolved path of a file not there yet, and None for what
+    is no regular file (``/dev/null``, a pipe), which any number of
+    outputs may share."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
+
+
+def _outputs_clash(scenario: str, outputs: dict[str, str]) -> bool:
+    """True, after saying so, when an output (by option) names the same
+    file as the scenario or as another output, whose bytes it would
+    overwrite.  Checked before any file is opened."""
+    seen = {_file_key(scenario): "the scenario"}
+    for option, path in outputs.items():
+        key = _file_key(path)
+        if key is None:
+            continue
+        if key in seen:
+            print(f"error: {option} names the same file as {seen[key]}: {path}",
+                  file=sys.stderr)
+            return True
+        seen[key] = option
+    return False
+
+
 def _run_config(args: argparse.Namespace, overrides: dict[str, float]) -> RunConfig:
     return RunConfig(
         ticks=args.ticks,
@@ -110,15 +141,17 @@ def _run_config(args: argparse.Namespace, overrides: dict[str, float]) -> RunCon
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    stem = Path(args.scenario).stem
+    trace_path = args.trace or f"{stem}.trace.jsonl"
+    metrics_path = args.metrics or f"{stem}.metrics.csv"
+    if _outputs_clash(args.scenario, {"--trace": trace_path, "--metrics": metrics_path}):
+        return 2
     spec, status = _checked_spec(args)
     if spec is None:
         return status
     overrides = _parse_weight_overrides(args.set_weight, spec)
     if overrides is None:
         return 2
-    stem = Path(args.scenario).stem
-    trace_path = args.trace or f"{stem}.trace.jsonl"
-    metrics_path = args.metrics or f"{stem}.metrics.csv"
     process_ids = [p.id for p in spec.agent.processes]
     try:
         with (trace_sink(trace_path) as sink,
@@ -132,6 +165,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if _outputs_clash(args.scenario, {"--out": args.out}):
+        return 2
     spec, status = _checked_spec(args)
     if spec is None:
         return status

@@ -46,6 +46,47 @@ KIND_LAYERS: dict[str, tuple[str, ...]] = {
     "DeliberationRequested": ("metacognitive",),
 }
 
+# Each trace event kind and the key sets its payloads have, each sorted;
+# ``runner`` builds one trace line formatter per key set from this table.
+PAYLOAD_KEYS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "WorldEventFired": (("effect", "fire_tick"),),
+    "EventRejected": (("code", "effect", "fire_tick", "reason"),),
+    "BeliefChange": (("atom", "value"),),
+    "ActionExecuted": (
+        ("action", "fallback", "option", "process", "tendency"),  # nothing selected
+        ("action", "fallback", "momentary_need", "option", "process", "tendency"),
+        ("action", "error", "fallback", "momentary_need", "option", "process",
+         "tendency"),  # refused
+        ("action", "fallback", "option", "os_tendency", "process", "tendency"),  # ceos
+        ("action", "error", "fallback", "option", "os_tendency", "process",
+         "tendency"),  # ceos, refused
+    ),
+    "NoTendency": ((),),
+    "TendencyInjected": (("action", "base_urgency", "label", "option", "process",
+                          "tendency"),),
+    "AttentionShift": (
+        ("process", "target"),
+        ("focus", "phase", "process"),  # the phase a deliberation left
+    ),
+    "AppraisalChange": (("active", "atom", "label", "magnitude", "process",
+                         "valence"),),
+    "GoalChange": (
+        ("option", "process", "state"),  # a candidate goal
+        ("process", "variant"),  # control's switch of goal variant
+    ),
+    "OptionSet": (("arguments", "options"),),
+    "OptionSelected": (("force", "option", "process", "tendency"),),
+    "TendencyExpired": (("option", "tendency"),),
+    "InconsistencyDetected": (("atom", "commitment_atom", "detail", "item_kind",
+                               "option", "required_valence", "source_event"),),
+    "CountermeasureApplied": (
+        ("argument", "countermeasure", "option", "outcome", "weight"),  # redescription
+        ("countermeasure", "goal_variant", "outcome"),  # replanning
+        ("countermeasure", "finding_atom", "outcome"),  # no library entry matched
+    ),
+    "DeliberationRequested": (("reason",),),
+}
+
 MONITORED_KINDS = frozenset({"AppraisalChange", "GoalChange", "TendencyInjected"})
 
 

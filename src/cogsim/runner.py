@@ -20,6 +20,15 @@ they arrive; ``cogsim sweep`` drops both.  Each writer streams its
 lines: a line is encoded as the file takes it, so a write holds no
 encoded copy of the whole file.
 
+A trace line is written by the formatter of its payload's shape: at
+import, one formatter is generated as literal code for each key set
+that ``metacog.PAYLOAD_KEYS`` lists for a kind.  It writes the sorted
+keys as text and each value by its exact type, and leaves only what it
+cannot write itself (NaN, the infinities, containers, subclasses) to
+the JSON encoder.  A payload whose keys are no set of its kind is
+encoded whole, so every line is the one a whole-dict encoding with
+sorted keys gives.
+
 Each writer replaces an existing file's contents in place: the new bytes
 go over the old ones and the tail is cut off at the end, so the file
 keeps its inode and, once the write completes, holds exactly the bytes
@@ -39,11 +48,12 @@ import stat
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import isfinite
 from operator import itemgetter
 from typing import TextIO
 
 from .agent import SimulationState, tick
-from .metacog import TraceEvent
+from .metacog import PAYLOAD_KEYS, TraceEvent
 from .scenario import ScenarioSpec, instantiate
 
 QUIESCENT_IDLE_TICKS = 5
@@ -133,26 +143,81 @@ def run_simulation(spec: ScenarioSpec, config: RunConfig,
     return RunResult(state=state, metrics=metrics, summary=summary)
 
 
-# One encoder for every trace line; json.dumps with these options would
-# build a new one per call.
+# The encoder of what no formatter writes itself.  Its ``encode`` builds a
+# new C encoder on every call for anything but a str, so the formatters
+# write the common values themselves.
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _TRACE_ENCODER.encode
+# The one fallback: a payload that no formatter takes is encoded whole.
+_encode_whole = _encode
+
+
+def _value_json(value) -> str:
+    """``value`` as the encoder writes it, by its exact type: a ``str``
+    through the encoder, a finite ``float`` or an ``int`` by its repr,
+    ``bool`` and None as literals, and any other value (NaN and the
+    infinities, containers, subclasses) through the encoder."""
+    kind = type(value)
+    if kind is str:
+        return _encode(value)
+    if kind is float:
+        return repr(value) if isfinite(value) else _encode(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is int:
+        return repr(value)
+    return _encode(value)
+
+
+def _shape_formatters() -> dict[tuple[str, frozenset[str]], Callable[[dict], str]]:
+    """One payload formatter per key set of ``PAYLOAD_KEYS``, by kind and
+    key set.  Each is generated once as literal code, the way
+    ``collections.namedtuple`` builds its methods: it writes the sorted
+    keys as text and each value by ``_value_json``.  The payload keys are
+    identifiers, so they need no escaping in JSON or in the code.  The
+    formatter of ``BeliefChange`` payloads, for one::
+
+        def _BeliefChange_2(p):
+            return f'{{"atom":{value(p["atom"])},"value":{value(p["value"])}}}'
+    """
+    namespace = {"value": _value_json}
+    shapes, source = {}, []
+    for kind, key_sets in PAYLOAD_KEYS.items():
+        for keys in key_sets:
+            name = f"_{kind}_{len(shapes)}"
+            items = ",".join(f'"{key}":{{value(p["{key}"])}}' for key in sorted(keys))
+            source.append(f"def {name}(p):\n    return f'{{{{{items}}}}}'\n")
+            shapes[kind, frozenset(keys)] = name
+    exec("".join(source), namespace)
+    return {shape: namespace[name] for shape, name in shapes.items()}
+
+
+_SHAPE_FORMATTERS = _shape_formatters()
 
 
 def _encoded_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     """One JSON object per event, keys in sorted order, one event at a time.
 
-    Only the payload and non-empty reasons go through the encoder:
     ``append`` admits only the kinds and layers of ``KIND_LAYERS``,
-    whose names need no escaping, and tick and seq are ints.
+    whose names need no escaping, and tick and seq are ints, so those
+    are written as text.  A payload whose keys are one of its kind's
+    sets in ``PAYLOAD_KEYS`` goes through that set's formatter, and any
+    other payload through the encoder whole; non-empty reasons are a
+    list of their encoded items.  Either way the line is the one a
+    whole-dict encoding with sorted keys gives.
     """
-    encode = _TRACE_ENCODER.encode
-    return (
-        f'{{"kind":"{event.kind}","layer":"{event.layer}",'
-        f'"payload":{encode(event.payload)},'
-        f'"reasons":{encode(event.reasons) if event.reasons else "[]"},'
-        f'"seq":{event.seq},"tick":{event.tick}}}'
-        for event in events
-    )
+    shapes, whole, encode = _SHAPE_FORMATTERS, _encode_whole, _encode
+    for event in events:
+        kind, payload, reasons = event.kind, event.payload, event.reasons
+        formatter = shapes.get((kind, frozenset(payload)))
+        yield (
+            f'{{"kind":"{kind}","layer":"{event.layer}",'
+            f'"payload":{whole(payload) if formatter is None else formatter(payload)},'
+            f'"reasons":{"[" + ",".join(map(encode, reasons)) + "]" if reasons else "[]"},'
+            f'"seq":{event.seq},"tick":{event.tick}}}'
+        )
 
 
 def trace_lines(state: SimulationState) -> list[str]:

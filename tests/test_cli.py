@@ -791,6 +791,39 @@ class TestOutputFiles:
     def test_run_to_dev_null(self, room_tidy_path):
         assert main(self.run_argv(room_tidy_path, "/dev/null", "/dev/null")) == 0
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_one_file_for_both_outputs_exits_2_and_opens_nothing(
+            self, room_tidy_path, tmp_path, capsys, existing):
+        # The same path twice, and two names of one file.
+        out = tmp_path / "out.txt"
+        if existing:
+            out.write_bytes(self.JUNK)
+        (tmp_path / "link").symlink_to(out)
+        for metrics in (out, tmp_path / "link"):
+            assert main(self.run_argv(room_tidy_path, out, metrics)) == 2
+            assert capsys.readouterr().err == (
+                f"error: --metrics names the same file as --trace: {metrics}\n")
+        if existing:
+            assert out.read_bytes() == self.JUNK
+        else:
+            assert not out.exists()
+
+    def test_an_output_over_the_scenario_exits_2_and_opens_nothing(
+            self, redescription_path, tmp_path, capsys):
+        scenario = Path(redescription_path)
+        document = scenario.read_bytes()
+        other = tmp_path / "other.csv"
+        for argv, option in [
+            (self.run_argv(redescription_path, scenario, other), "--trace"),
+            (self.run_argv(redescription_path, other, scenario), "--metrics"),
+            (self.sweep_argv(redescription_path, scenario), "--out"),
+        ]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {option} names the same file as the scenario: {scenario}\n")
+        assert scenario.read_bytes() == document
+        assert not other.exists()
+
     @pytest.mark.parametrize("target", ["missing_dir/out", "."])
     def test_unwritable_path_exits_1(self, room_tidy_path, redescription_path,
                                      tmp_path, capsys, target):

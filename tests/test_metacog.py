@@ -16,6 +16,7 @@ from cogsim.arguments import Argument
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
     KIND_LAYERS,
+    PAYLOAD_KEYS,
     Commitment,
     CountermeasureSpec,
     Inconsistency,
@@ -187,10 +188,12 @@ def _readme_trace_table() -> dict[str, tuple[tuple[str, ...], set[frozenset[str]
 def test_the_readme_lists_each_kind_its_layers_and_payload_keys(name):
     table = _readme_trace_table()
     assert {kind: layers for kind, (layers, _) in table.items()} == KIND_LAYERS
+    key_sets = {kind: set(map(frozenset, sets)) for kind, sets in PAYLOAD_KEYS.items()}
+    assert {kind: sets for kind, (_, sets) in table.items()} == key_sets
     for mode in ({}, {"metacognition_enabled": False}, {"bct_profile": "ceos"}):
         result = run_simulation(load_bundled(name), RunConfig(ticks=600, seed=1, **mode))
         for event in result.state.trace.events:
-            assert frozenset(event.payload) in table[event.kind][1], (mode, event)
+            assert frozenset(event.payload) in key_sets[event.kind], (mode, event)
 
 
 class TestCheckConsistency:

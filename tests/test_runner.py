@@ -1,10 +1,12 @@
 """The trace encoding: ``trace_lines`` writes each event's keys in a fixed
-order with only the payload and reasons through the JSON encoder, and
-must give the lines of a whole-dict encoding with sorted keys.
-``write_trace`` streams the same lines into the file, and ``cogsim run``
-writes them as its run drains the trace."""
+order and each payload through the formatter of its key set in
+``PAYLOAD_KEYS``, or through the JSON encoder whole when its keys are no
+set of its kind, and must give the lines of a whole-dict encoding with
+sorted keys.  ``write_trace`` streams the same lines into the file, and
+``cogsim run`` writes them as its run drains the trace."""
 
 import json
+import os
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ import cogsim
 from cogsim import runner
 from cogsim.cli import main
 from cogsim.errors import CogsimError, OutOfOrder
-from cogsim.metacog import KIND_LAYERS, ReasoningTrace
+from cogsim.metacog import KIND_LAYERS, PAYLOAD_KEYS, ReasoningTrace
 from cogsim.runner import (
     RunConfig,
     run_simulation,
@@ -57,11 +59,37 @@ def test_kind_and_layer_names_need_no_escaping():
         assert json.dumps(name)[1:-1] == name
 
 
+def test_payload_key_sets_are_sorted_identifiers():
+    assert PAYLOAD_KEYS.keys() == KIND_LAYERS.keys()
+    for kind, key_sets in PAYLOAD_KEYS.items():
+        assert len(set(map(frozenset, key_sets))) == len(key_sets), kind
+        for keys in key_sets:
+            assert list(keys) == sorted(set(keys)), (kind, keys)
+            assert all(key.isidentifier() and key.isascii() for key in keys), keys
+
+
+class _Text(str):
+    def __repr__(self):
+        return "text"
+
+
+class _Count(int):
+    def __repr__(self):
+        return "count"
+
+
+class _Real(float):
+    def __repr__(self):
+        return "real"
+
+
 # Characters the encoder escapes (quote, backslash, controls, non-ASCII
 # up to one beyond the BMP) among ones it leaves as they are.
 _TEXT = st.text(st.sampled_from('"\\/\x00\b\t\n\x1f\x7f\x85\u2028 aé€😀'), max_size=4)
 _SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.just(-0.0), _TEXT
+    st.none(), st.booleans(), st.integers(), st.floats(), st.just(-0.0), _TEXT,
+    st.builds(_Text, _TEXT), st.builds(_Count, st.integers()),
+    st.builds(_Real, st.floats()),
 )
 _VALUES = st.recursive(
     _SCALARS,
@@ -70,21 +98,36 @@ _VALUES = st.recursive(
     ),
     max_leaves=6,
 )
-_EVENTS = st.lists(
-    st.tuples(
-        st.integers(0, 2),
-        st.sampled_from(sorted((kind, layer) for kind, layers in KIND_LAYERS.items()
-                               for layer in layers)),
-        st.dictionaries(_TEXT, _VALUES, max_size=3),
-        st.one_of(st.just(()), st.lists(_TEXT, min_size=1, max_size=3)),
-    ),
-    max_size=6,
-)
+_KINDS_AND_LAYERS = sorted((kind, layer) for kind, layers in KIND_LAYERS.items()
+                           for layer in layers)
+_PAYLOAD_KEY_NAMES = sorted({key for key_sets in PAYLOAD_KEYS.values()
+                             for keys in key_sets for key in keys})
+
+
+@st.composite
+def _payloads(draw, kind):
+    """A payload with one of the kind's key sets, or with one key of it
+    dropped or one key added, its keys in any order."""
+    keys = list(draw(st.sampled_from(PAYLOAD_KEYS[kind])))
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and keys:
+        keys.remove(draw(st.sampled_from(keys)))
+    elif change == "add":
+        keys.append(draw(st.one_of(st.sampled_from(_PAYLOAD_KEY_NAMES), _TEXT)
+                         .filter(lambda key: key not in keys)))
+    return {key: draw(_VALUES) for key in draw(st.permutations(keys))}
+
+
+@st.composite
+def _events(draw):
+    kind, layer = draw(st.sampled_from(_KINDS_AND_LAYERS))
+    reasons = draw(st.one_of(st.just(()), st.lists(_TEXT, min_size=1, max_size=3)))
+    return draw(st.integers(0, 2)), (kind, layer), draw(_payloads(kind)), reasons
 
 
 @seed(20211018)
-@settings(max_examples=30, deadline=None, database=None)
-@given(events=_EVENTS)
+@settings(max_examples=200, deadline=None, database=None)
+@given(events=st.lists(_events(), max_size=6))
 def test_appended_events_match_the_whole_dict_encoding(events):
     trace = ReasoningTrace()
     tick = 0
@@ -100,6 +143,47 @@ def _trace_of(*events):
     for kind, payload, reasons in events:
         trace.append(0, kind, payload, reasons)
     return SimpleNamespace(trace=trace)
+
+
+def _spy_on_fallbacks(monkeypatch) -> list[dict]:
+    """The payloads encoded whole from now on, which no formatter took."""
+    whole = []
+    encode = runner._TRACE_ENCODER.encode
+    monkeypatch.setattr(runner, "_encode_whole",
+                        lambda payload: whole.append(payload) or encode(payload))
+    return whole
+
+
+def test_the_fallback_spy_sees_a_payload_of_no_listed_shape(monkeypatch):
+    whole = _spy_on_fallbacks(monkeypatch)
+    state = _trace_of(("NoTendency", {}, ()), ("NoTendency", {"extra": 1}, ()))
+    assert trace_lines(state) == reference_trace_lines(state)
+    assert whole == [{"extra": 1}]
+
+
+# Values the formatters must write as the encoder does: each non-finite
+# float, both zeros, bool against int, big ints, escapes, non-ASCII,
+# nested values and subclasses with a repr of their own.
+_HOSTILE = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 5e-324, 0.1,
+    True, False, 0, 1, -(2**70), None, "", '"\\/\x00\u2028é😀', "plain",
+    [1.5, "a", None], {"b": [float("nan")], "a": {"é": True}}, (),
+    _Text("text"), _Count(3), _Real(2.5), _Real("nan"),
+]
+
+
+@pytest.mark.parametrize("kind, keys", [
+    (kind, keys) for kind, key_sets in PAYLOAD_KEYS.items() for keys in key_sets])
+def test_each_shape_writes_every_value_as_the_encoder_does(kind, keys, monkeypatch):
+    # Each key takes each value once, and every payload has a listed shape.
+    whole = _spy_on_fallbacks(monkeypatch)
+    count = len(_HOSTILE)
+    state = _trace_of(*[
+        (kind, {key: _HOSTILE[(row + column) % count]
+                for column, key in enumerate(reversed(keys))}, ())
+        for row in range(count)])
+    assert trace_lines(state) == reference_trace_lines(state)
+    assert whole == []
 
 
 # Each pair is equal under ``==`` but encodes apart, or is equal and
@@ -171,6 +255,22 @@ def test_a_streamed_run_writes_the_files_of_the_kept_run(name, config, tmp_path,
     assert streamed[0].read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
     assert streamed[1].read_bytes() == (tmp_path / "kept.csv").read_bytes()
     assert capsys.readouterr().out == runner.summary_line(kept.summary) + "\n"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_every_bundled_event_goes_through_its_shapes_formatter(name, config, tmp_path,
+                                                               monkeypatch, capsys):
+    whole = _spy_on_fallbacks(monkeypatch)
+    formatted = []
+    monkeypatch.setattr(runner, "_SHAPE_FORMATTERS", {
+        shape: lambda payload, formatter=formatter: (formatted.append(payload)
+                                                     or formatter(payload))
+        for shape, formatter in runner._SHAPE_FORMATTERS.items()})
+    trace = tmp_path / "t.jsonl"
+    assert main(_run_argv(name, trace, os.devnull, 600, OPTIONS[config])) == 0
+    assert whole == []
+    assert len(formatted) == len(trace.read_bytes().splitlines()) > 0
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
