@@ -38,15 +38,19 @@ def _load_spec(path: str):
         return None, 1
 
 
+def _print_entries(label: str, entries: list[tuple[str, str, str]], out) -> None:
+    """One line per validation report entry, to the stream ``out``."""
+    for code, location, message in entries:
+        print(f"{label} {code} @ {location}: {message}", file=out)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     spec, status = _load_spec(args.scenario)
     if spec is None:
         return status
     report = validate_scenario(spec)
-    for code, location, message in report.errors:
-        print(f"ERROR {code} @ {location}: {message}")
-    for code, location, message in report.warnings:
-        print(f"WARNING {code} @ {location}: {message}")
+    _print_entries("ERROR", report.errors, sys.stdout)
+    _print_entries("WARNING", report.warnings, sys.stdout)
     if report.ok():
         suffix = f" ({len(report.warnings)} warning(s))" if report.warnings else ""
         print(f"{spec.meta.name}: OK{suffix}")
@@ -95,8 +99,7 @@ def _checked_spec(args: argparse.Namespace):
         return None, status
     report = validate_scenario(spec)
     if not report.ok():
-        for code, location, message in report.errors:
-            print(f"ERROR {code} @ {location}: {message}", file=sys.stderr)
+        _print_entries("ERROR", report.errors, sys.stderr)
         return None, 2
     return spec, 0
 

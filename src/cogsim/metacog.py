@@ -25,34 +25,16 @@ from .errors import OutOfOrder, UnknownEntity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .agent import SimulationState
 
-# Each trace event kind and the layers that trace it, the default first:
-# a tendency's layer follows its origin, and control's goal-variant
-# switch is metacognitive.
-KIND_LAYERS: dict[str, tuple[str, ...]] = {
-    "WorldEventFired": ("world",),
-    "EventRejected": ("world",),
-    "BeliefChange": ("world",),
-    "ActionExecuted": ("world",),
-    "NoTendency": ("reactive",),
-    "TendencyInjected": ("deliberative", "reactive"),
-    "AttentionShift": ("deliberative",),
-    "AppraisalChange": ("deliberative",),
-    "GoalChange": ("deliberative", "metacognitive"),
-    "OptionSet": ("deliberative",),
-    "OptionSelected": ("deliberative",),
-    "TendencyExpired": ("deliberative",),
-    "InconsistencyDetected": ("metacognitive",),
-    "CountermeasureApplied": ("metacognitive",),
-    "DeliberationRequested": ("metacognitive",),
-}
-
-# Each trace event kind and the key sets its payloads have, each sorted;
-# ``runner`` builds one trace line formatter per key set from this table.
-PAYLOAD_KEYS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "WorldEventFired": (("effect", "fire_tick"),),
-    "EventRejected": (("code", "effect", "fire_tick", "reason"),),
-    "BeliefChange": (("atom", "value"),),
-    "ActionExecuted": (
+# Each trace event kind: the layers that trace it, the default first (a
+# tendency's layer follows its origin, and control's goal-variant switch
+# is metacognitive), and the key sets its payloads have, each sorted.
+# ``append`` admits the kinds and layers listed here, and ``runner``
+# builds one trace line formatter per key set.
+TRACE_KINDS: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {
+    "WorldEventFired": (("world",), (("effect", "fire_tick"),)),
+    "EventRejected": (("world",), (("code", "effect", "fire_tick", "reason"),)),
+    "BeliefChange": (("world",), (("atom", "value"),)),
+    "ActionExecuted": (("world",), (
         ("action", "fallback", "option", "process", "tendency"),  # nothing selected
         ("action", "fallback", "momentary_need", "option", "process", "tendency"),
         ("action", "error", "fallback", "momentary_need", "option", "process",
@@ -60,31 +42,32 @@ PAYLOAD_KEYS: dict[str, tuple[tuple[str, ...], ...]] = {
         ("action", "fallback", "option", "os_tendency", "process", "tendency"),  # ceos
         ("action", "error", "fallback", "option", "os_tendency", "process",
          "tendency"),  # ceos, refused
-    ),
-    "NoTendency": ((),),
-    "TendencyInjected": (("action", "base_urgency", "label", "option", "process",
-                          "tendency"),),
-    "AttentionShift": (
+    )),
+    "NoTendency": (("reactive",), ((),)),
+    "TendencyInjected": (("deliberative", "reactive"), (
+        ("action", "base_urgency", "label", "option", "process", "tendency"),)),
+    "AttentionShift": (("deliberative",), (
         ("process", "target"),
         ("focus", "phase", "process"),  # the phase a deliberation left
-    ),
-    "AppraisalChange": (("active", "atom", "label", "magnitude", "process",
-                         "valence"),),
-    "GoalChange": (
+    )),
+    "AppraisalChange": (("deliberative",), (
+        ("active", "atom", "label", "magnitude", "process", "valence"),)),
+    "GoalChange": (("deliberative", "metacognitive"), (
         ("option", "process", "state"),  # a candidate goal
         ("process", "variant"),  # control's switch of goal variant
-    ),
-    "OptionSet": (("arguments", "options"),),
-    "OptionSelected": (("force", "option", "process", "tendency"),),
-    "TendencyExpired": (("option", "tendency"),),
-    "InconsistencyDetected": (("atom", "commitment_atom", "detail", "item_kind",
-                               "option", "required_valence", "source_event"),),
-    "CountermeasureApplied": (
+    )),
+    "OptionSet": (("deliberative",), (("arguments", "options"),)),
+    "OptionSelected": (("deliberative",), (("force", "option", "process", "tendency"),)),
+    "TendencyExpired": (("deliberative",), (("option", "tendency"),)),
+    "InconsistencyDetected": (("metacognitive",), (
+        ("atom", "commitment_atom", "detail", "item_kind", "option",
+         "required_valence", "source_event"),)),
+    "CountermeasureApplied": (("metacognitive",), (
         ("argument", "countermeasure", "option", "outcome", "weight"),  # redescription
         ("countermeasure", "goal_variant", "outcome"),  # replanning
         ("countermeasure", "finding_atom", "outcome"),  # no library entry matched
-    ),
-    "DeliberationRequested": (("reason",),),
+    )),
+    "DeliberationRequested": (("metacognitive",), (("reason",),)),
 }
 
 MONITORED_KINDS = frozenset({"AppraisalChange", "GoalChange", "TendencyInjected"})
@@ -130,11 +113,12 @@ class ReasoningTrace:
     def append(self, tick: int, kind: str, payload: dict,
                reasons: tuple[str, ...] = (), layer: str | None = None) -> TraceEvent:
         """Append one event, traced by ``layer`` or else by the kind's
-        default layer in ``KIND_LAYERS``; an unknown kind, or a layer the
+        default layer in ``TRACE_KINDS``; an unknown kind, or a layer the
         table does not list for the kind, is a ValueError."""
-        layers = KIND_LAYERS.get(kind)
-        if layers is None:
+        entry = TRACE_KINDS.get(kind)
+        if entry is None:
             raise ValueError(f"unknown trace event kind: {kind}")
+        layers = entry[0]
         if layer is None:
             layer = layers[0]
         elif layer not in layers:

@@ -22,7 +22,7 @@ encoded copy of the whole file.
 
 A trace line is written by the formatter of its payload's shape: at
 import, one formatter is generated as literal code for each key set
-that ``metacog.PAYLOAD_KEYS`` lists for a kind.  It writes the sorted
+that ``metacog.TRACE_KINDS`` lists for a kind.  It writes the sorted
 keys as text and each value by its exact type, and leaves only what it
 cannot write itself (NaN, the infinities, containers, subclasses) to
 the JSON encoder.  A payload whose keys are no set of its kind is
@@ -53,7 +53,7 @@ from operator import itemgetter
 from typing import TextIO
 
 from .agent import SimulationState, tick
-from .metacog import PAYLOAD_KEYS, TraceEvent
+from .metacog import TRACE_KINDS, TraceEvent
 from .scenario import ScenarioSpec, instantiate
 
 QUIESCENT_IDLE_TICKS = 5
@@ -172,7 +172,7 @@ def _value_json(value) -> str:
 
 
 def _shape_formatters() -> dict[tuple[str, frozenset[str]], Callable[[dict], str]]:
-    """One payload formatter per key set of ``PAYLOAD_KEYS``, by kind and
+    """One payload formatter per key set of ``TRACE_KINDS``, by kind and
     key set.  Each is generated once as literal code, the way
     ``collections.namedtuple`` builds its methods: it writes the sorted
     keys as text and each value by ``_value_json``.  The payload keys are
@@ -184,7 +184,7 @@ def _shape_formatters() -> dict[tuple[str, frozenset[str]], Callable[[dict], str
     """
     namespace = {"value": _value_json}
     shapes, source = {}, []
-    for kind, key_sets in PAYLOAD_KEYS.items():
+    for kind, (_, key_sets) in TRACE_KINDS.items():
         for keys in key_sets:
             name = f"_{kind}_{len(shapes)}"
             items = ",".join(f'"{key}":{{value(p["{key}"])}}' for key in sorted(keys))
@@ -200,10 +200,10 @@ _SHAPE_FORMATTERS = _shape_formatters()
 def _encoded_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     """One JSON object per event, keys in sorted order, one event at a time.
 
-    ``append`` admits only the kinds and layers of ``KIND_LAYERS``,
+    ``append`` admits only the kinds and layers of ``TRACE_KINDS``,
     whose names need no escaping, and tick and seq are ints, so those
     are written as text.  A payload whose keys are one of its kind's
-    sets in ``PAYLOAD_KEYS`` goes through that set's formatter, and any
+    sets there goes through that set's formatter, and any
     other payload through the encoder whole; non-empty reasons are a
     list of their encoded items.  Either way the line is the one a
     whole-dict encoding with sorted keys gives.
@@ -285,14 +285,6 @@ _LEADING = ("tick", "selected_action", "winning_process")
 _TRAILING = ("misplaced_count", "strict_tidy", "relaxed_tidy")
 
 
-def _metrics_header(process_ids: list[str]) -> list[str]:
-    return [*_LEADING, *[f"force_{pid}" for pid in process_ids], *_TRAILING]
-
-
-def metrics_header(state: SimulationState) -> list[str]:
-    return _metrics_header([p.id for p in state.processes])
-
-
 @contextmanager
 def metrics_sink(path: str, process_ids: list[str]) -> Iterator[RowSink]:
     """A row sink for ``run_simulation`` that writes the metrics file at
@@ -302,7 +294,8 @@ def metrics_sink(path: str, process_ids: list[str]) -> Iterator[RowSink]:
     leading, trailing = itemgetter(*_LEADING), itemgetter(*_TRAILING)
     with _rewritten(path) as fh:
         write = fh.write
-        write(_csv_line(_metrics_header(process_ids)))
+        write(_csv_line([*_LEADING, *[f"force_{pid}" for pid in process_ids],
+                         *_TRAILING]))
         yield lambda row: write(_csv_line(
             [*leading(row), *[row["forces"].get(pid, 0.0) for pid in process_ids],
              *trailing(row)]))
@@ -317,14 +310,11 @@ def write_metrics(result: RunResult, path: str) -> None:
 
 def write_sweep(runs: Iterable[tuple[float, dict]], path: str) -> None:
     """One row per ``(weight, run summary)`` pair."""
-    header = ["weight", "final_strict", "final_relaxed", "abandoned",
-              "countermeasures_fired"]
+    columns = ("final_strict", "final_relaxed", "abandoned", "countermeasures_fired")
     with _rewritten(path) as fh:
-        fh.write(_csv_line(header))
-        fh.writelines(
-            _csv_line([weight, summary["final_strict"], summary["final_relaxed"],
-                       summary["abandoned"], summary["countermeasures_fired"]])
-            for weight, summary in runs)
+        fh.write(_csv_line(["weight", *columns]))
+        fh.writelines(_csv_line([weight, *[summary[c] for c in columns]])
+                      for weight, summary in runs)
 
 
 # How a CSV cell is written, by its type; any other type by ``str``.

@@ -53,17 +53,11 @@ class Ontology:
 
 
 @dataclass(frozen=True)
-class ObjectDecl:
-    id: str
-    kind: str
-    location: str  # "scattered" or a location string
-
-
-@dataclass(frozen=True)
 class StartingState:
     grid: tuple[int, int]
     agent: tuple[int, int]
-    objects: tuple[ObjectDecl, ...] = ()
+    # Each location is "scattered" or a location string.
+    objects: tuple[W.ObjectState, ...] = ()
     scatter_region: tuple[tuple[int, int], tuple[int, int]] | None = None
     facts: tuple[tuple[str, object], ...] = ()
 
@@ -371,7 +365,7 @@ _ONTOLOGY = _Record(
     _Field("relations", _STR_LIST, ()),
 )
 _OBJECT = _Record(
-    ObjectDecl,
+    W.ObjectState,
     _Field("id", _ID),
     _Field("kind", _STR),
     _Field("location", _LOCATION),
@@ -597,7 +591,9 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
     onto = spec.ontology
     fixture_ids = {f.id for f in onto.fixtures}
     slot_ids: set[str] = set()
-    width, height = spec.starting_state.grid
+    start = spec.starting_state
+    width, height = start.grid
+    layout = W.RoomLayout(width, height, onto.fixtures)
 
     seen_cells: set[tuple[int, int]] = set()
     seen_fixtures: set[str] = set()
@@ -620,7 +616,7 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
         if f.slots and f.capacity is not None:
             report.error("SLOT_CONFLICT", f"ontology.fixtures[{f.id}]",
                          f"fixture {f.id} is slot-addressed: capacity does not apply")
-        if not (0 <= f.cell[0] < width and 0 <= f.cell[1] < height):
+        if not layout.in_bounds(f.cell):
             report.error("OUT_OF_BOUNDS", f"ontology.fixtures[{f.id}]",
                          f"fixture cell {f.cell} outside the {width}x{height} grid")
         if f.cell in seen_cells:
@@ -628,11 +624,10 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
                          f"cell {f.cell} already occupied by another fixture")
         seen_cells.add(f.cell)
 
-    ax, ay = spec.starting_state.agent
-    if not (0 <= ax < width and 0 <= ay < height):
+    if not layout.in_bounds(start.agent):
         report.error("OUT_OF_BOUNDS", "starting_state.agent",
                      "agent starts outside the grid")
-    elif (ax, ay) in seen_cells:
+    elif start.agent in seen_cells:
         report.error("CELL_CONFLICT", "starting_state.agent",
                      "agent starts on a fixture cell")
 
@@ -644,16 +639,15 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
             report.error(code, loc, reason)
         return world
 
-    world = W.WorldState(tick=0, layout=W.RoomLayout(width, height, onto.fixtures),
-                         agent_pos=spec.starting_state.agent)
-    for obj in spec.starting_state.objects:
+    world = W.WorldState(tick=0, layout=layout, agent_pos=start.agent)
+    for obj in start.objects:
         loc = f"starting_state.objects[{obj.id}]"
         world = replay(world, {"kind": "spawn_object", "object": {
             "id": obj.id, "kind": obj.kind, "location": obj.location}}, loc)
         if obj.kind not in onto.object_kinds:
             report.error("DANGLING_REF", loc, f"undeclared kind: {obj.kind}")
 
-    scattered = sum(o.location == "scattered" for o in spec.starting_state.objects)
+    scattered = sum(o.location == "scattered" for o in start.objects)
     if scattered:
         free = len(_scatter_cells(spec))
         if free < scattered:
@@ -807,13 +801,11 @@ def instantiate(spec: ScenarioSpec, seed: int) -> SimulationState:
     cells = _scatter_cells(spec)
     drawn = rng.sample(cells, len(scattered)) if scattered else []
     placement = dict(zip((o.id for o in scattered), drawn))
-
-    objects: dict[str, W.ObjectState] = {}
-    for decl in start.objects:
-        location = decl.location
-        if location == "scattered":
-            location = W.cell_loc(placement[decl.id])
-        objects[decl.id] = W.ObjectState(id=decl.id, kind=decl.kind, location=location)
+    objects = {
+        o.id: replace(o, location=W.cell_loc(placement[o.id]))
+        if o.location == "scattered" else o
+        for o in start.objects
+    }
 
     world = W.WorldState(
         tick=0,

@@ -69,9 +69,6 @@ class RoomLayout:
     height: int
     fixtures: tuple[Fixture, ...] = ()
 
-    def has_fixture(self, fixture_id: str) -> bool:
-        return any(f.id == fixture_id for f in self.fixtures)
-
     @cached_property
     def fixture_cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(f.cell for f in self.fixtures)
@@ -300,7 +297,9 @@ def apply_action(world: WorldState, action: str) -> WorldState:
     if kind == "pick_up":
         if world.agent_holding is not None:
             raise IllegalAction("already holding an object")
-        obj = world.object(arg)  # type: ignore[arg-type]
+        obj = world.objects.get(arg)  # type: ignore[arg-type]
+        if obj is None:
+            raise IllegalAction(f"unknown object: {arg}")
         cell = parse_cell(obj.location)
         if cell is None:
             if obj.location == "held":
@@ -323,10 +322,11 @@ def apply_action(world: WorldState, action: str) -> WorldState:
     # place: the target is a fixture id, else a slot id.
     if world.agent_holding is None:
         raise IllegalAction("nothing held")
-    location = f"fixture:{arg}" if world.layout.has_fixture(arg) else f"slot:{arg}"
-    fixture = world.layout.fixture_at(location)
+    layout = world.layout
+    fixture = (layout.fixture_at(location := f"fixture:{arg}")
+               or layout.fixture_at(location := f"slot:{arg}"))
     if fixture is None:
-        raise UnknownEntity(f"unknown placement target: {arg}")
+        raise IllegalAction(f"unknown placement target: {arg}")
     if manhattan(world.agent_pos, fixture.cell) > 1:
         raise IllegalAction("fixture not adjacent")
     held = world.object(world.agent_holding)
@@ -371,7 +371,7 @@ def effect_problem(world: WorldState, effect: dict) -> tuple[str, str] | None:
     does."""
     kind, layout = effect.get("kind"), world.layout
     if kind == "break_fixture":
-        if not layout.has_fixture(effect["fixture"]):
+        if layout.fixture_at(f"fixture:{effect['fixture']}") is None:
             return "DANGLING_REF", f"undeclared fixture: {effect['fixture']}"
     elif kind == "remove_object":
         if effect["object_id"] not in world.objects:

@@ -586,6 +586,34 @@ class TestRunCommand:
             assert main(argv) == 0
         assert [args.set_weight for args in seen] == [["a=1"], ["b=2", "c=3"], []]
 
+    # A document validation accepts runs to the horizon: an action on an
+    # undeclared or removed object, or on an unknown placement target, is
+    # refused like any illegal action, and the refusal is traced.
+    @pytest.mark.parametrize("action, when, events, error", [
+        ("pick_up:ghost", {"const": True}, [], "unknown object: ghost"),
+        ("place:nowhere", {"belief": "holding"}, [],
+         "unknown placement target: nowhere"),
+        ("pick_up:book_1", {"const": True},
+         [{"fire_tick": 3, "effect": {"kind": "remove_object", "object_id": "book_1"}}],
+         "unknown object: book_1"),
+    ], ids=["unknown_object", "unknown_target", "removed_object"])
+    def test_an_action_on_an_unknown_entity_is_refused_and_traced(
+            self, tmp_path, capsys, action, when, events, error):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["agent"]["reactive_rules"].append(
+            {"id": "odd_rule", "when": when, "action": action, "urgency": 2.0})
+        doc["events"] += events
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", str(path), "--trace", str(trace),
+                     "--metrics", str(tmp_path / "m.csv")]) == 0
+        assert "room_tidy: ticks=60 " in capsys.readouterr().out
+        refused = [e["payload"] for e in map(json.loads, trace.read_text().splitlines())
+                   if e["kind"] == "ActionExecuted" and e["payload"].get("error") == error]
+        assert refused and {"action": "idle", "option": action}.items() <= refused[0].items()
+
     def test_bad_ticks_exit_2(self, room_tidy_path):
         assert main(["run", room_tidy_path, "--ticks", "0"]) == 2
 

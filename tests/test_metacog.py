@@ -15,8 +15,7 @@ from cogsim.affect import ActionTendency
 from cogsim.arguments import Argument
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
-    KIND_LAYERS,
-    PAYLOAD_KEYS,
+    TRACE_KINDS,
     Commitment,
     CountermeasureSpec,
     Inconsistency,
@@ -104,7 +103,7 @@ class TestTrace:
 
     def test_each_kind_defaults_to_its_first_layer(self):
         trace = ReasoningTrace()
-        for kind, layers in KIND_LAYERS.items():
+        for kind, (layers, _) in TRACE_KINDS.items():
             assert trace.append(0, kind, {}).layer == layers[0]
             for layer in layers:
                 assert trace.append(0, kind, {}, layer=layer).layer == layer
@@ -187,13 +186,12 @@ def _readme_trace_table() -> dict[str, tuple[tuple[str, ...], set[frozenset[str]
 @pytest.mark.parametrize("name", BUNDLED)
 def test_the_readme_lists_each_kind_its_layers_and_payload_keys(name):
     table = _readme_trace_table()
-    assert {kind: layers for kind, (layers, _) in table.items()} == KIND_LAYERS
-    key_sets = {kind: set(map(frozenset, sets)) for kind, sets in PAYLOAD_KEYS.items()}
-    assert {kind: sets for kind, (_, sets) in table.items()} == key_sets
+    assert table == {kind: (layers, set(map(frozenset, sets)))
+                     for kind, (layers, sets) in TRACE_KINDS.items()}
     for mode in ({}, {"metacognition_enabled": False}, {"bct_profile": "ceos"}):
         result = run_simulation(load_bundled(name), RunConfig(ticks=600, seed=1, **mode))
         for event in result.state.trace.events:
-            assert frozenset(event.payload) in key_sets[event.kind], (mode, event)
+            assert frozenset(event.payload) in table[event.kind][1], (mode, event)
 
 
 class TestCheckConsistency:

@@ -1,6 +1,6 @@
 """The trace encoding: ``trace_lines`` writes each event's keys in a fixed
 order and each payload through the formatter of its key set in
-``PAYLOAD_KEYS``, or through the JSON encoder whole when its keys are no
+``TRACE_KINDS``, or through the JSON encoder whole when its keys are no
 set of its kind, and must give the lines of a whole-dict encoding with
 sorted keys.  ``write_trace`` streams the same lines into the file, and
 ``cogsim run`` writes them as its run drains the trace."""
@@ -19,7 +19,7 @@ import cogsim
 from cogsim import runner
 from cogsim.cli import main
 from cogsim.errors import CogsimError, OutOfOrder
-from cogsim.metacog import KIND_LAYERS, PAYLOAD_KEYS, ReasoningTrace
+from cogsim.metacog import TRACE_KINDS, ReasoningTrace
 from cogsim.runner import (
     RunConfig,
     run_simulation,
@@ -54,14 +54,13 @@ def test_bundled_runs_match_the_whole_dict_encoding(name, config, tmp_path):
 
 
 def test_kind_and_layer_names_need_no_escaping():
-    layers = {layer for layers in KIND_LAYERS.values() for layer in layers}
-    for name in [*KIND_LAYERS, *layers]:
+    layers = {layer for layers, _ in TRACE_KINDS.values() for layer in layers}
+    for name in [*TRACE_KINDS, *layers]:
         assert json.dumps(name)[1:-1] == name
 
 
 def test_payload_key_sets_are_sorted_identifiers():
-    assert PAYLOAD_KEYS.keys() == KIND_LAYERS.keys()
-    for kind, key_sets in PAYLOAD_KEYS.items():
+    for kind, (_, key_sets) in TRACE_KINDS.items():
         assert len(set(map(frozenset, key_sets))) == len(key_sets), kind
         for keys in key_sets:
             assert list(keys) == sorted(set(keys)), (kind, keys)
@@ -98,9 +97,9 @@ _VALUES = st.recursive(
     ),
     max_leaves=6,
 )
-_KINDS_AND_LAYERS = sorted((kind, layer) for kind, layers in KIND_LAYERS.items()
+_KINDS_AND_LAYERS = sorted((kind, layer) for kind, (layers, _) in TRACE_KINDS.items()
                            for layer in layers)
-_PAYLOAD_KEY_NAMES = sorted({key for key_sets in PAYLOAD_KEYS.values()
+_PAYLOAD_KEY_NAMES = sorted({key for _, key_sets in TRACE_KINDS.values()
                              for keys in key_sets for key in keys})
 
 
@@ -108,7 +107,7 @@ _PAYLOAD_KEY_NAMES = sorted({key for key_sets in PAYLOAD_KEYS.values()
 def _payloads(draw, kind):
     """A payload with one of the kind's key sets, or with one key of it
     dropped or one key added, its keys in any order."""
-    keys = list(draw(st.sampled_from(PAYLOAD_KEYS[kind])))
+    keys = list(draw(st.sampled_from(TRACE_KINDS[kind][1])))
     change = draw(st.sampled_from(["none", "drop", "add"]))
     if change == "drop" and keys:
         keys.remove(draw(st.sampled_from(keys)))
@@ -173,7 +172,7 @@ _HOSTILE = [
 
 
 @pytest.mark.parametrize("kind, keys", [
-    (kind, keys) for kind, key_sets in PAYLOAD_KEYS.items() for keys in key_sets])
+    (kind, keys) for kind, (_, key_sets) in TRACE_KINDS.items() for keys in key_sets])
 def test_each_shape_writes_every_value_as_the_encoder_does(kind, keys, monkeypatch):
     # Each key takes each value once, and every payload has a listed shape.
     whole = _spy_on_fallbacks(monkeypatch)

@@ -94,6 +94,19 @@ def test_place_wrong_kind_rejected(small_world):
         W.apply_action(world2, "place:box_1")
 
 
+# An action naming no object or target of the world is illegal, as any
+# other refused action is, so the agent idles instead and traces why.
+def test_pick_up_of_an_unknown_object_rejected(small_world):
+    with pytest.raises(IllegalAction, match="^unknown object: ghost$"):
+        W.apply_action(small_world, "pick_up:ghost")
+
+
+def test_place_on_an_unknown_target_rejected(small_world):
+    holding = W.apply_action(small_world, "pick_up:book_1")
+    with pytest.raises(IllegalAction, match="^unknown placement target: nowhere$"):
+        W.apply_action(holding, "place:nowhere")
+
+
 def test_abandon_is_terminal(small_world):
     after = W.apply_action(small_world, "abandon")
     assert after.abandoned
