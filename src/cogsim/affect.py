@@ -9,6 +9,13 @@ appraisals or sustain its positive ones, keeps the achievable ones as
 candidate goals, and emits one action tendency per candidate.  The
 tendency's force, its base urgency under the argument case's force rule
 (see ``arguments``), is what competes at the moment of action.
+
+Attending and evaluating read the process's rules only through
+``rule_truths``: whether each rule holds and the salience target.  Those
+depend on the beliefs, the process's own appraisals, its rules and the
+commitments alone, so a caller that keeps them (``agent`` does, per
+process) passes them to ``run_affective_cycle`` and no condition is
+evaluated again while they stay equal.
 """
 
 from __future__ import annotations
@@ -18,6 +25,9 @@ from dataclasses import dataclass, field
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 PHASES = ("attending", "evaluating", "preparing")
+
+# What ``rule_truths`` gives: each rule's truth and the salience target.
+RuleTruths = tuple[tuple[bool, ...], str | None]
 
 
 @dataclass(frozen=True)
@@ -118,16 +128,31 @@ def option_for_state(processes, atom: str, default: str) -> str:
     return default
 
 
+def rule_truths(
+    proc: AffectiveProcess, beliefs: BeliefStore, commitments: list
+) -> RuleTruths:
+    """Whether each of the process's rules holds, in declaration order,
+    and the target salience picks from them.
+
+    Both read only the beliefs (their version also fixes when each atom
+    last changed), the process's own active appraisals, its rules and
+    the commitments; so a caller may keep them while those stay equal.
+    """
+    ctx = RuleContext(beliefs, proc.active_appraisals, commitments)
+    held = tuple([eval_condition(rule.when, ctx) for rule in proc.rules])
+    return held, _salience_pick(proc, beliefs, held)
+
+
 def _salience_pick(
-    proc: AffectiveProcess, beliefs: BeliefStore, ctx: RuleContext
+    proc: AffectiveProcess, beliefs: BeliefStore, held: tuple[bool, ...]
 ) -> str | None:
     """Target of attention: the most recent belief change with the
-    largest matching rule magnitude; ties break by rule declaration
-    order."""
+    largest matching rule magnitude, over the rules that hold; ties break
+    by rule declaration order."""
     best_key: tuple[int, float, int] | None = None
     best_atom: str | None = None
     for index, rule in enumerate(proc.rules):
-        if not eval_condition(rule.when, ctx):
+        if not held[index]:
             continue
         if rule.when.atoms:
             # max keeps the first of equally recent atoms.
@@ -149,73 +174,73 @@ def run_affective_cycle(
     plan: tuple[str, ...] | None = None,
     tick: int = 0,
     commitments: list | None = None,
+    truths: RuleTruths | None = None,
 ) -> tuple[list[Appraisal], list[Appraisal], list[ActionTendency]]:
     """Execute exactly one phase step of the process, in place, and
     return what it changed: the appraisals it dropped, the appraisals it
     formed and the tendencies it emitted.
 
-    A phase with nothing applicable is a no-op step: attending with no
-    salient target leaves the process where it is, and preparing with
-    no active appraisal simply cycles back to attending.
+    ``truths`` is what ``rule_truths`` gives for the process as it
+    stands before the step; without it, attending and evaluating ask
+    ``rule_truths`` afresh.  A phase with nothing applicable is a no-op
+    step: attending with no salient target leaves the process where it
+    is, and preparing with no active appraisal simply cycles back to
+    attending.
     """
-    # The step reassigns proc.active_appraisals and never mutates the
-    # list, so the rules see the appraisals as they stood before it.
-    ctx = RuleContext(
-        beliefs=beliefs,
-        appraisals=proc.active_appraisals,
-        commitments=commitments or [],
-    )
+    phase = proc.phase
+    if phase != "attending" and phase != "evaluating":  # preparing
+        proc.phase = "attending"
+        if not proc.active_appraisals:
+            return [], [], []
+        return [], [], prepare_action(proc, plan, tick=tick)
 
-    if proc.phase == "attending":
-        target = _salience_pick(proc, beliefs, ctx)
+    # The step reassigns proc.active_appraisals and never mutates the
+    # list, so the truths are those of the appraisals before it.
+    if truths is None:
+        truths = rule_truths(proc, beliefs, commitments or [])
+    held, target = truths
+
+    if phase == "attending":
         if target is not None:
             proc.attention_target = target
             proc.phase = "evaluating"
         return [], [], []
 
-    if proc.phase == "evaluating":
-        target = proc.attention_target
-        kept: list[Appraisal] = []
-        dropped: list[Appraisal] = []
-        by_rule = {a.rule_id: a for a in proc.active_appraisals}
-        rules_by_id = {r.id: r for r in proc.rules}
-        for app in proc.active_appraisals:
-            rule = rules_by_id.get(app.rule_id)
-            if rule is not None and not eval_condition(rule.when, ctx):
-                dropped.append(app)  # the grounds for this appraisal are gone
-            else:
-                kept.append(app)
-        proc.active_appraisals = kept
-        new_appraisals: list[Appraisal] = []
-        for rule in proc.rules:
-            related = target == rule.subject or target in rule.when.atoms
-            if not related or not eval_condition(rule.when, ctx):
-                continue
-            existing = by_rule.get(rule.id)
-            if existing is not None and existing.magnitude == rule.magnitude:
-                continue
-            appraisal = Appraisal(
-                atom=rule.subject,
-                valence=rule.valence,
-                magnitude=rule.magnitude,
-                source_process=proc.id,
-                tick=tick,
-                label=rule.label,
-                rule_id=rule.id,
-            )
-            proc.active_appraisals = [
-                a for a in proc.active_appraisals if a.rule_id != rule.id
-            ]
-            proc.active_appraisals.append(appraisal)
-            new_appraisals.append(appraisal)
-        proc.phase = "preparing"
-        return dropped, new_appraisals, []
-
-    # preparing
-    proc.phase = "attending"
-    if not proc.active_appraisals:
-        return [], [], []
-    return [], [], prepare_action(proc, plan, tick=tick)
+    # evaluating
+    target = proc.attention_target
+    kept: list[Appraisal] = []
+    dropped: list[Appraisal] = []
+    by_rule = {a.rule_id: a for a in proc.active_appraisals}
+    held_by_id = {rule.id: holds for rule, holds in zip(proc.rules, held)}
+    for app in proc.active_appraisals:
+        if held_by_id.get(app.rule_id, True):
+            kept.append(app)
+        else:
+            dropped.append(app)  # the grounds for this appraisal are gone
+    proc.active_appraisals = kept
+    new_appraisals: list[Appraisal] = []
+    for rule, holds in zip(proc.rules, held):
+        if not holds or (target != rule.subject and target not in rule.when.atoms):
+            continue
+        existing = by_rule.get(rule.id)
+        if existing is not None and existing.magnitude == rule.magnitude:
+            continue
+        appraisal = Appraisal(
+            atom=rule.subject,
+            valence=rule.valence,
+            magnitude=rule.magnitude,
+            source_process=proc.id,
+            tick=tick,
+            label=rule.label,
+            rule_id=rule.id,
+        )
+        proc.active_appraisals = [
+            a for a in proc.active_appraisals if a.rule_id != rule.id
+        ]
+        proc.active_appraisals.append(appraisal)
+        new_appraisals.append(appraisal)
+    proc.phase = "preparing"
+    return dropped, new_appraisals, []
 
 
 def prepare_action(

@@ -51,7 +51,12 @@ config's commitments.  So ``_conditions`` keeps the reactive rules that
 held and the truth of the template triggers in one entry, under the
 config, the belief store's version and the active appraisals, and
 evaluates both again only when those change; a rule that holds still
-injects a fresh tendency on every tick.  Deliberation and
+injects a fresh tendency on every tick.  The same entry keeps, per
+process, the truth of each of its appraisal rules and the salience
+target they give (``affect.rule_truths``), under the process's own
+active appraisals as well; a deliberation hands them to
+``run_affective_cycle``.  So a steady run evaluates no condition once
+its beliefs and appraisals have settled.  Deliberation and
 ``recompute_forces`` each ask for the argument case.  It is built again
 only when the live options and their sources, the templates or the
 truth of a trigger, the sticky arguments or the weight overrides differ
@@ -68,7 +73,14 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
-from .affect import ActionTendency, AffectiveProcess, option_for_state, run_affective_cycle
+from .affect import (
+    ActionTendency,
+    AffectiveProcess,
+    RuleTruths,
+    option_for_state,
+    rule_truths,
+    run_affective_cycle,
+)
 from .arguments import Argument, ForceTable, active_set, build_case, tally, triggered
 from .errors import IllegalAction, NonFiniteForce
 from .metacog import ReasoningTrace, control, monitor
@@ -111,7 +123,8 @@ class WorldMemo:
 class Memo:
     """What a run keeps to skip work, or to pass an equal payload again:
     the world memo; the key of the last case build and of the last
-    condition evaluation, then what each gave; and the last payload or
+    condition evaluation, then what each gave (the latter with what
+    ``rule_truths`` gave per process id); and the last payload or
     ``forces`` dict of each kind (a redescription's with its library entry
     and standing argument; a focus payload per process and phase).  Each
     is derived from the rest of the state or equal to what a tick would
@@ -121,7 +134,8 @@ class Memo:
     world: WorldMemo | None = None
     case: tuple[tuple, list[Argument], dict[str, float],
                 list[Argument], ForceTable] | None = None
-    conditions: tuple[tuple, list[ReactiveRule], list[bool]] | None = None
+    conditions: tuple[tuple, list[ReactiveRule], list[bool],
+                      dict[str, tuple[list, RuleTruths]]] | None = None
     no_tendency_payload: dict = field(default_factory=dict)
     idle_payload: dict = field(default_factory=lambda: {
         "action": "idle", "option": None, "process": None, "tendency": None,
@@ -274,7 +288,7 @@ def reactive_step(state: SimulationState) -> list[ActionTendency]:
     order; runs every tick while the agent is engaged.  The rules that
     held come from ``_conditions``; each one still injects a fresh
     tendency."""
-    if state.world.abandoned:
+    if not state.config.reactive_rules or state.world.abandoned:
         return []
     os_pid = state.os_process_id()
     if os_pid is None:
@@ -300,19 +314,35 @@ def _all_appraisals(state: SimulationState) -> list:
     return out
 
 
-def _conditions(state: SimulationState) -> tuple[tuple, list[ReactiveRule], list[bool]]:
+def _conditions(state: SimulationState) -> tuple:
     """The memo entry ``(key, the reactive rules that held, the template
-    triggers' truth)``, evaluated again only when the key ``(config,
-    belief version, active appraisals)`` changes: a condition reads only
-    the beliefs, the appraisals and the config's commitments, so under an
-    equal key every condition has the same truth."""
+    triggers' truth, the rule truths per process)``, evaluated again only
+    when the key ``(config, belief version, active appraisals)`` changes:
+    a condition reads only the beliefs, the appraisals and the config's
+    commitments, so under an equal key every condition has the same
+    truth.  The rule truths start empty and are filled by
+    ``_rule_truths``."""
     config, memo = state.config, state.memo
     key = (config, state.beliefs.version, _all_appraisals(state))
     if memo.conditions is None or memo.conditions[0] != key:
         ctx = RuleContext(state.beliefs, key[2], config.commitments)
         held = [r for r in config.reactive_rules if eval_condition(r.when, ctx)]
-        memo.conditions = (key, held, triggered(config.argument_templates, ctx))
+        memo.conditions = (key, held, triggered(config.argument_templates, ctx), {})
     return memo.conditions
+
+
+def _rule_truths(state: SimulationState, proc: AffectiveProcess) -> RuleTruths:
+    """``rule_truths`` of the process, kept in the ``_conditions`` entry
+    under the process's own active appraisals (the flattened list of the
+    entry's key cannot tell which process holds which appraisal)."""
+    truths = _conditions(state)[3]
+    entry = truths.get(proc.id)
+    if entry is None or entry[0] != proc.active_appraisals:
+        # A copy of the appraisals, so the key does not follow the list.
+        entry = truths[proc.id] = (
+            list(proc.active_appraisals),
+            rule_truths(proc, state.beliefs, state.config.commitments))
+    return entry[1]
 
 
 def _inject(state: SimulationState, tendency: ActionTendency) -> None:
@@ -384,6 +414,8 @@ def deliberative_step(state: SimulationState) -> None:
             plan=plan,
             tick=now,
             commitments=state.config.commitments,
+            # Preparing reads no rule.
+            truths=None if phase == "preparing" else _rule_truths(state, proc),
         )
 
         if proc.phase != phase and focus is None:
@@ -468,25 +500,29 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
     """Build the argument case over the live options; return its force
     table, tallied once per build.
 
-    The options are the keys of ``sources``, so the memo key need not
-    hold them apart.  On a reuse no OptionSet is traced: the last build
-    traced the same signature.  The trigger values come from
-    ``_conditions``.
+    The memo key holds the set of live ``(option, source process)``
+    pairs, which fixes the options and their sources.  On a reuse no
+    OptionSet is traced: the last build traced the same signature.  The
+    trigger values come from ``_conditions``.
     """
     now, ttl = state.world.tick, state.config.tendency_ttl
-    sources: dict[str, set[str]] = {}
+    # A loop, not a comprehension: one frame fewer on Python 3.11.
+    live: set[tuple[str, str]] = set()
     for t in state.tendency_pool:
         if not t.expired(now, ttl):
-            sources.setdefault(t.option, set()).add(t.source_process)
+            live.add((t.option, t.source_process))
     templates, memo = state.config.argument_templates, state.memo
     fired = _conditions(state)[2]
-    key = (sources, templates, fired)
+    key = (live, templates, fired)
     if memo.case is not None:
         built, sticky, overrides, args, table = memo.case
         if (built == key and sticky == state.sticky_arguments
                 and overrides == state.weight_overrides):
             state.arguments = args
             return table
+    sources: dict[str, set[str]] = {}
+    for option, source in live:
+        sources.setdefault(option, set()).add(source)
     options = sorted(sources)
     args = build_case(options, templates, fired,
                       weight_overrides=state.weight_overrides, option_sources=sources)
@@ -586,15 +622,22 @@ def _select_tendency(state: SimulationState) -> ActionTendency | None:
     lexicographically smallest action encoding.
     """
     now = state.world.tick
-    candidates = [t for t in state.tendency_pool if t.force > 0]
-    if not candidates:
+    # The first of the least (-force, rank, action), as min() would pick,
+    # with the ranks looked up only on a tie of forces.
+    best = None
+    for t in state.tendency_pool:
+        force = t.force
+        if not force > 0:
+            continue
+        if best is None or force > best.force or (
+                force == best.force
+                and (state.process_rank(t.source_process), t.action)
+                < (state.process_rank(best.source_process), best.action)):
+            best = t
+    if best is None:
         state.trace.append(tick=now, kind="NoTendency",
                            payload=state.memo.no_tendency_payload)
         return None
-    best = min(
-        candidates,
-        key=lambda t: (-t.force, state.process_rank(t.source_process), t.action),
-    )
     state.trace.append(
         tick=now,
         kind="OptionSelected",

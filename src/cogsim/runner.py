@@ -24,7 +24,7 @@ A trace line is written by the formatter of its payload's shape: at
 import, one formatter is generated as literal code for each key set
 that ``metacog.TRACE_KINDS`` lists for a kind.  It writes the sorted
 keys as text and each value by its exact type, and leaves only what it
-cannot write itself (NaN, the infinities, containers, subclasses) to
+cannot write itself (NaN, the infinities, dicts, subclasses) to
 the JSON encoder.  A payload whose keys are no set of its kind is
 encoded whole, so every line is the one a whole-dict encoding with
 sorted keys gives.
@@ -155,8 +155,9 @@ _encode_whole = _encode
 def _value_json(value) -> str:
     """``value`` as the encoder writes it, by its exact type: a ``str``
     through the encoder, a finite ``float`` or an ``int`` by its repr,
-    ``bool`` and None as literals, and any other value (NaN and the
-    infinities, containers, subclasses) through the encoder."""
+    ``bool`` and None as literals, a ``list`` item by item, and any other
+    value (NaN and the infinities, dicts, subclasses) through the
+    encoder."""
     kind = type(value)
     if kind is str:
         return _encode(value)
@@ -168,6 +169,8 @@ def _value_json(value) -> str:
         return "null"
     if kind is int:
         return repr(value)
+    if kind is list:
+        return "[" + ",".join(map(_value_json, value)) + "]"
     return _encode(value)
 
 

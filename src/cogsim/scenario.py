@@ -727,6 +727,24 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
             report.warn("NO_TEMPLATES", f"agent.processes[{process.id}]",
                         "process advances no argument templates")
 
+    # A world action on an entity that nothing creates is accepted, since a
+    # run refuses it like any illegal action and idles; but the id is most
+    # likely misspelt, so it is reported.
+    object_ids = {o.id for o in start.objects} | {
+        e.effect["object"]["id"] for e in spec.events
+        if e.effect["kind"] == "spawn_object"}
+    actions = [(f"agent.reactive_rules[{r.id}]", r.action) for r in agent.reactive_rules]
+    actions += [(f"agent.processes[{p.id}].options[{o.state}]", o.action)
+                for p in agent.processes for o in p.options]
+    for loc, action in actions:
+        if not W.is_world_action(action):
+            continue
+        kind, arg = W.split_action(action)
+        if kind == "pick_up" and arg not in object_ids:
+            report.warn("DANGLING_REF", loc, f"undeclared object: {arg}")
+        elif kind == "place" and arg not in fixture_ids and arg not in slot_ids:
+            report.warn("DANGLING_REF", loc, f"undeclared fixture or slot: {arg}")
+
     for cm in agent.countermeasures:
         if cm.action["kind"] == "redescription":
             if cm.action["template"] not in template_ids:

@@ -2,8 +2,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from cogsim import agent, planner, runner
+from cogsim import affect, agent, arguments, planner, runner
 from cogsim import world as W
 from cogsim.affect import ActionTendency, Appraisal
 from cogsim.agent import (
@@ -157,6 +159,20 @@ class TestSelectAction:
         assert [e.kind for e in selections] == ["NoTendency"]
         assert row["executed_action"] == "idle"
         assert agent._select_tendency(room_state) is None
+
+    @seed(20211020)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pool=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.9, 1.5]),
+                                   st.sampled_from(["proc0", "proc1", "unknown"]),
+                                   st.sampled_from(["abandon", "move:east", "move:north"])),
+                         max_size=6))
+    def test_the_pick_is_the_first_least_key(self, pool):
+        state = instantiate(load_bundled("room_tidy"), seed=1)
+        for force, process, action in pool:
+            pooled(state, base=force, action=action, process=process)
+        want = min((t for t in state.tendency_pool if t.force > 0), default=None,
+                   key=lambda t: (-t.force, state.process_rank(t.source_process), t.action))
+        assert agent._select_tendency(state) is want
 
     def test_fully_suppressed_pool_selects_nothing(self, room_state):
         pooled(room_state, base=0.0)
@@ -857,6 +873,13 @@ RUN_MODES = {
     "ceos": {"bct_profile": "ceos"},
 }
 
+# A weight override under which each one-cell scenario lapses: the agent
+# takes the tempting action on almost every tick instead of resisting it.
+LAPSE_WEIGHTS = {
+    "non_smoking": {"relief_appeal": 3.0},
+    "office_cake": {"social_pressure": 3.0},
+}
+
 
 class TestReactiveReuse:
     """The reactive rules that held are kept under the key of the trigger
@@ -957,11 +980,15 @@ class TestSteadyState:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_the_memos_change_no_output(self, name, mode):
         spec = load_bundled(name)
-        config = RunConfig(ticks=600, seed=1, **RUN_MODES[mode])
-        kept = run_bytes(spec, config)
-        assert isinstance(kept, tuple)  # the bundled scenarios run
-        with forgetful():
-            assert run_bytes(spec, config) == kept
+        configs = [RunConfig(ticks=600, seed=1, **RUN_MODES[mode])]
+        if mode == "default" and name in LAPSE_WEIGHTS:
+            configs.append(RunConfig(ticks=600, seed=1,
+                                     weight_overrides=LAPSE_WEIGHTS[name]))
+        for config in configs:
+            kept = run_bytes(spec, config)
+            assert isinstance(kept, tuple)  # the bundled scenarios run
+            with forgetful():
+                assert run_bytes(spec, config) == kept
 
     def test_every_field_but_tick_is_compared(self, room_state):
         world = room_state.world
@@ -1006,6 +1033,28 @@ class TestSteadyState:
         assert _new_beliefs(room_state) == [
             ("BeliefChange", "misplaced_count", misplaced + 1)
         ]
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("name", sorted(LAPSE_WEIGHTS))
+    def test_a_steady_one_cell_run_evaluates_no_condition(self, monkeypatch, name, mode):
+        # The one-cell runs repeat a 3-tick period from tick 20, so every
+        # condition of a 600-tick run is evaluated in its first 60 ticks.
+        calls = []
+
+        def counting(cond, ctx):
+            calls.append(cond)
+            return eval_condition(cond, ctx)
+
+        for module in (agent, affect, arguments):
+            monkeypatch.setattr(module, "eval_condition", counting)
+        counts = []
+        for ticks in (60, 600):
+            calls.clear()
+            result = run_simulation(load_bundled(name),
+                                    RunConfig(ticks=ticks, seed=1, **RUN_MODES[mode]))
+            assert result.summary["ticks_executed"] == ticks
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, name
 
     def test_goal_evaluations_do_not_grow_with_the_horizon(self, monkeypatch):
         evaluate_goal = W.evaluate_goal

@@ -35,6 +35,18 @@ class TestValidateCommand:
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 1
 
+    def test_an_action_on_an_undeclared_object_warns(self, tmp_path, capsys):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["agent"]["reactive_rules"].append({"id": "ghost_rule", "when": {"const": True},
+                                               "action": "pick_up:ghost", "urgency": 2.0})
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert ("WARNING DANGLING_REF @ agent.reactive_rules[ghost_rule]: "
+                "undeclared object: ghost\n") in out
+        assert "room_tidy: OK (" in out
+
     def test_cyclic_undercuts_exit_2_with_code(self, tmp_path, capsys):
         doc = json.loads(bundled_document("room_tidy"))
         doc["agent"]["argument_templates"][0]["undercuts"] = "fixing_is_unpleasant"

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from cogsim.cli import main
-from cogsim.scenario import BUNDLED, bundled_document
+from cogsim.scenario import BUNDLED, bundled_document, load_bundled
 
 CONFIGS = {
     "default": [],
@@ -107,3 +107,29 @@ def test_readme_sweep_matches_pinned_digest(tmp_path, capsys):
     )
     assert code == 0
     assert _sha256(out) == SWEEP_DIGEST
+
+
+# Weight overrides of the one-cell scenarios: each of their four argument
+# templates at each of these weights, 60 ticks at seed 1.  The trace and
+# metrics bytes of all 24 runs, in this order, go into one digest.
+ONE_CELL_WEIGHTS = (0.0, 1.5, 3.0)
+ONE_CELL_DIGEST = "80d007fe6ac4c5974edc3d50fc14aff943be5a882681b086e7a8d57978a63a41"
+
+
+def test_one_cell_weight_overrides_match_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    trace = tmp_path / "out.trace.jsonl"
+    metrics = tmp_path / "out.metrics.csv"
+    for name in ("non_smoking", "office_cake"):
+        path = _scenario_path(tmp_path, name)
+        for template in load_bundled(name).agent.argument_templates:
+            for weight in ONE_CELL_WEIGHTS:
+                code = main(
+                    ["run", path, "--ticks", "60", "--seed", "1",
+                     "--set-weight", f"{template.id}={weight}",
+                     "--trace", str(trace), "--metrics", str(metrics)]
+                )
+                assert code == 0
+                digest.update(trace.read_bytes())
+                digest.update(metrics.read_bytes())
+    assert digest.hexdigest() == ONE_CELL_DIGEST

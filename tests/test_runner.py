@@ -137,6 +137,14 @@ def test_appended_events_match_the_whole_dict_encoding(events):
     assert trace_lines(state) == reference_trace_lines(state)
 
 
+@seed(20211018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(value=st.lists(_VALUES, max_size=4))
+def test_a_list_value_is_written_as_json_dumps_writes_it(value):
+    assert runner._value_json(value) == json.dumps(value, sort_keys=True,
+                                                   separators=(",", ":"))
+
+
 def _trace_of(*events):
     trace = ReasoningTrace()
     for kind, payload, reasons in events:

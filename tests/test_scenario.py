@@ -203,6 +203,32 @@ class TestValidate:
         report = validate_scenario(parse_scenario(minimal_doc()))
         assert any(code == "NO_TEMPLATES" for code, _, _ in report.warnings)
 
+    @pytest.mark.parametrize("action, dangling", [
+        ("pick_up:book_1", False), ("pick_up:book_2", False), ("pick_up:ghost", True),
+        ("place:shelf_1", False), ("place:s1", False), ("place:nowhere", True),
+        ("move:north", False), ("pick_up", False), ("eat_cake", False),
+    ])
+    def test_a_world_action_on_an_entity_nothing_creates_warns(self, action, dangling):
+        doc = json.loads(minimal_doc())
+        doc["events"] = [{"fire_tick": 2, "effect": {"kind": "spawn_object", "object": {
+            "id": "book_2", "kind": "book", "location": {"cell": [2, 2]}}}}]
+        doc["agent"] = {
+            "processes": [{"id": "p", "rank": 0, "goal": "mood", "options": [
+                {"state": "calm", "action": action}]}],
+            "reactive_rules": [{"id": "r", "when": {"const": True}, "action": action,
+                                "urgency": 0.5}],
+        }
+        report = validate_scenario(parse_scenario(json.dumps(doc)))
+        assert report.errors == []
+        dangling_at = [loc for code, loc, _ in report.warnings if code == "DANGLING_REF"]
+        want = ["agent.reactive_rules[r]", "agent.processes[p].options[calm]"]
+        assert dangling_at == (want if dangling else [])
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_actions_name_declared_entities(self, name):
+        report = validate_scenario(load_bundled(name))
+        assert all(code != "DANGLING_REF" for code, _, _ in report.warnings)
+
 
 class TestInstantiate:
     def test_same_seed_same_state(self):
