@@ -11,11 +11,14 @@ tendency's force, its base urgency under the argument case's force rule
 (see ``arguments``), is what competes at the moment of action.
 
 Attending and evaluating read the process's rules only through
-``rule_truths``: whether each rule holds and the salience target.  Those
-depend on the beliefs, the process's own appraisals, its rules and the
-commitments alone, so a caller that keeps them (``agent`` does, per
-process) passes them to ``run_affective_cycle`` and no condition is
-evaluated again while they stay equal.
+``rule_truths``: the salience target, which appraisals lose their
+grounds and which rules would form one.  Those depend on the beliefs,
+the process's own appraisals, its rules and the commitments alone; what
+preparing reads (``tendency_specs``), on the appraisals and options.  A
+caller that keeps both in a ``Derived`` while those stay equal
+(``agent`` does, per process) passes it to ``run_affective_cycle``, and
+no condition is evaluated and no appraisal scanned again; a step that
+changes nothing leaves the appraisal list as it is.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from dataclasses import dataclass, field
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
 PHASES = ("attending", "evaluating", "preparing")
-
-# What ``rule_truths`` gives: each rule's truth and the salience target.
-RuleTruths = tuple[tuple[bool, ...], str | None]
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,23 @@ class AffectiveProcess:
     os_role: bool = False
 
 
+# What ``rule_truths`` and ``tendency_specs`` give; see there.
+RuleTruths = tuple[str | None, tuple[Appraisal, ...], tuple[Appraisal, ...],
+                   tuple[AppraisalRule, ...]]
+TendencySpecs = tuple[tuple[tuple[str, str, float, str, str], ...], float | None]
+
+
+@dataclass(slots=True)
+class Derived:
+    """What the phase steps of one process derive from its active
+    appraisals as they stand (``appraisals``), each filled on first use:
+    the rule truths, which read the beliefs too, and the tendency specs."""
+
+    appraisals: list[Appraisal]
+    truths: RuleTruths | None = None
+    specs: TendencySpecs | None = None
+
+
 def option_for_state(processes, atom: str, default: str) -> str:
     """The action of the first option, over ``processes`` in order, whose
     response state is ``atom``; ``default`` when none is."""
@@ -131,20 +148,34 @@ def option_for_state(processes, atom: str, default: str) -> str:
 def rule_truths(
     proc: AffectiveProcess, beliefs: BeliefStore, commitments: list
 ) -> RuleTruths:
-    """Whether each of the process's rules holds, in declaration order,
-    and the target salience picks from them.
+    """What attending and evaluating read of the process's rules: the
+    target salience picks from the rules that hold; the active appraisals
+    whose rule holds (or is none of the process's) and those whose rule
+    does not, in list order; and, in declaration order, each rule that
+    holds with no appraisal of its own at its magnitude.
 
-    Both read only the beliefs (their version also fixes when each atom
+    All read only the beliefs (their version also fixes when each atom
     last changed), the process's own active appraisals, its rules and
     the commitments; so a caller may keep them while those stay equal.
     """
-    ctx = RuleContext(beliefs, proc.active_appraisals, commitments)
-    held = tuple([eval_condition(rule.when, ctx) for rule in proc.rules])
-    return held, _salience_pick(proc, beliefs, held)
+    appraisals = proc.active_appraisals
+    ctx = RuleContext(beliefs, appraisals, commitments)
+    held = [eval_condition(rule.when, ctx) for rule in proc.rules]
+    held_by_id = {rule.id: holds for rule, holds in zip(proc.rules, held)}
+    by_rule = {a.rule_id: a for a in appraisals}
+    fresh = []
+    for rule, holds in zip(proc.rules, held):
+        existing = by_rule.get(rule.id)
+        if holds and (existing is None or existing.magnitude != rule.magnitude):
+            fresh.append(rule)
+    return (_salience_pick(proc, beliefs, held),
+            tuple([a for a in appraisals if held_by_id.get(a.rule_id, True)]),
+            tuple([a for a in appraisals if not held_by_id.get(a.rule_id, True)]),
+            tuple(fresh))
 
 
 def _salience_pick(
-    proc: AffectiveProcess, beliefs: BeliefStore, held: tuple[bool, ...]
+    proc: AffectiveProcess, beliefs: BeliefStore, held: list[bool]
 ) -> str | None:
     """Target of attention: the most recent belief change with the
     largest matching rule magnitude, over the rules that hold; ties break
@@ -174,31 +205,35 @@ def run_affective_cycle(
     plan: tuple[str, ...] | None = None,
     tick: int = 0,
     commitments: list | None = None,
-    truths: RuleTruths | None = None,
+    derived: Derived | None = None,
 ) -> tuple[list[Appraisal], list[Appraisal], list[ActionTendency]]:
     """Execute exactly one phase step of the process, in place, and
     return what it changed: the appraisals it dropped, the appraisals it
     formed and the tendencies it emitted.
 
-    ``truths`` is what ``rule_truths`` gives for the process as it
-    stands before the step; without it, attending and evaluating ask
-    ``rule_truths`` afresh.  A phase with nothing applicable is a no-op
-    step: attending with no salient target leaves the process where it
-    is, and preparing with no active appraisal simply cycles back to
-    attending.
+    ``derived`` is kept for the process as it stands before the step;
+    what it lacks, the step derives and fills in.  A phase with nothing
+    applicable is a no-op step: attending with no salient target leaves
+    the process where it is, and preparing with no active appraisal
+    simply cycles back to attending.
     """
+    if derived is None:
+        derived = Derived(proc.active_appraisals)
     phase = proc.phase
     if phase != "attending" and phase != "evaluating":  # preparing
         proc.phase = "attending"
         if not proc.active_appraisals:
             return [], [], []
-        return [], [], prepare_action(proc, plan, tick=tick)
+        if derived.specs is None:
+            derived.specs = tendency_specs(proc)
+        return [], [], prepare_action(proc, plan, tick=tick, specs=derived.specs)
 
     # The step reassigns proc.active_appraisals and never mutates the
     # list, so the truths are those of the appraisals before it.
+    truths = derived.truths
     if truths is None:
-        truths = rule_truths(proc, beliefs, commitments or [])
-    held, target = truths
+        truths = derived.truths = rule_truths(proc, beliefs, commitments or [])
+    target, kept, dropped, fresh = truths
 
     if phase == "attending":
         if target is not None:
@@ -208,22 +243,11 @@ def run_affective_cycle(
 
     # evaluating
     target = proc.attention_target
-    kept: list[Appraisal] = []
-    dropped: list[Appraisal] = []
-    by_rule = {a.rule_id: a for a in proc.active_appraisals}
-    held_by_id = {rule.id: holds for rule, holds in zip(proc.rules, held)}
-    for app in proc.active_appraisals:
-        if held_by_id.get(app.rule_id, True):
-            kept.append(app)
-        else:
-            dropped.append(app)  # the grounds for this appraisal are gone
-    proc.active_appraisals = kept
+    if dropped:  # the grounds for these appraisals are gone
+        proc.active_appraisals = list(kept)
     new_appraisals: list[Appraisal] = []
-    for rule, holds in zip(proc.rules, held):
-        if not holds or (target != rule.subject and target not in rule.when.atoms):
-            continue
-        existing = by_rule.get(rule.id)
-        if existing is not None and existing.magnitude == rule.magnitude:
+    for rule in fresh:
+        if target != rule.subject and target not in rule.when.atoms:
             continue
         appraisal = Appraisal(
             atom=rule.subject,
@@ -240,11 +264,43 @@ def run_affective_cycle(
         proc.active_appraisals.append(appraisal)
         new_appraisals.append(appraisal)
     proc.phase = "preparing"
-    return dropped, new_appraisals, []
+    return list(dropped), new_appraisals, []
+
+
+def tendency_specs(proc: AffectiveProcess) -> TendencySpecs:
+    """What ``prepare_action`` derives from the process's own active
+    appraisals: for each option, in declaration order, that an appraisal
+    triggers, its response state, its action, the strongest triggering
+    magnitude, its label (``commit_label`` once a positive appraisal of
+    the state itself has formed) and the origin "affect"; and the
+    strongest negative magnitude when the process serves the task goal,
+    else None.
+    """
+    appraisals = proc.active_appraisals
+    options = []
+    for option in proc.options:
+        triggers = [
+            a.magnitude
+            for a in appraisals
+            if (a.valence == "negative" and a.atom in option.flips)
+            or (a.valence == "positive" and a.atom in option.sustains)
+            or (a.valence == "positive" and a.atom == option.state)
+        ]
+        if not triggers:
+            continue
+        committed = any(
+            a.valence == "positive" and a.atom == option.state for a in appraisals
+        )
+        label = option.commit_label if committed and option.commit_label else option.label
+        options.append((option.state, option.action, max(triggers), label, "affect"))
+    negatives = [a.magnitude for a in appraisals if a.valence == "negative"]
+    task = max(negatives) if proc.goal_ref == "task" and negatives else None
+    return tuple(options), task
 
 
 def prepare_action(
-    proc: AffectiveProcess, plan: tuple[str, ...] | None = None, tick: int = 0
+    proc: AffectiveProcess, plan: tuple[str, ...] | None = None, tick: int = 0,
+    specs: TendencySpecs | None = None,
 ) -> list[ActionTendency]:
     """Turn the process's appraisals into concrete action tendencies.
 
@@ -254,57 +310,29 @@ def prepare_action(
     appraisal.  An empty result is legal when nothing is achievable.
     The task goal is achievable iff ``plan``, the task plan for the
     current world, exists: the planner keeps only steps it has applied.
+    ``specs`` is what ``tendency_specs`` gives for the process as it
+    stands; without it, they are derived afresh.
     """
+    options, task = tendency_specs(proc) if specs is None else specs
+    if task is not None and plan is not None:
+        options += (("task_goal", plan[0], task, "task_step", "plan"),)
     tendencies: list[ActionTendency] = []
-
-    for option in proc.options:
-        triggers = [
-            a
-            for a in proc.active_appraisals
-            if (a.valence == "negative" and a.atom in option.flips)
-            or (a.valence == "positive" and a.atom in option.sustains)
-            or (a.valence == "positive" and a.atom == option.state)
-        ]
-        if not triggers:
-            continue
-        if option.state not in proc.desirable_states:
-            proc.desirable_states.append(option.state)
+    for state, action, urgency, label, origin in options:
+        if state not in proc.desirable_states:
+            proc.desirable_states.append(state)
         # Declared options have no world model, so achievability cannot
         # rule them out; the conflict filter only concerns the process's
         # own goal, which a declared response never contradicts.
-        if option.state not in proc.candidate_goals:
-            proc.candidate_goals.append(option.state)
-        committed = any(
-            a.valence == "positive" and a.atom == option.state
-            for a in proc.active_appraisals
-        )
-        label = option.commit_label if committed and option.commit_label else option.label
+        if state not in proc.candidate_goals:
+            proc.candidate_goals.append(state)
         tendencies.append(
             ActionTendency(
-                action=option.action,
+                action=action,
                 source_process=proc.id,
-                base_urgency=max(a.magnitude for a in triggers),
+                base_urgency=urgency,
                 created_tick=tick,
                 label=label,
+                origin=origin,
             )
         )
-
-    if proc.goal_ref == "task" and plan is not None:
-        negatives = [a for a in proc.active_appraisals if a.valence == "negative"]
-        if negatives:
-            if "task_goal" not in proc.desirable_states:
-                proc.desirable_states.append("task_goal")
-            if "task_goal" not in proc.candidate_goals:
-                proc.candidate_goals.append("task_goal")
-            tendencies.append(
-                ActionTendency(
-                    action=plan[0],
-                    source_process=proc.id,
-                    base_urgency=max(a.magnitude for a in negatives),
-                    created_tick=tick,
-                    label="task_step",
-                    origin="plan",
-                )
-            )
     return tendencies
-

@@ -52,17 +52,19 @@ held and the truth of the template triggers in one entry, under the
 config, the belief store's version and the active appraisals, and
 evaluates both again only when those change; a rule that holds still
 injects a fresh tendency on every tick.  The same entry keeps, per
-process, the truth of each of its appraisal rules and the salience
-target they give (``affect.rule_truths``), under the process's own
-active appraisals as well; a deliberation hands them to
-``run_affective_cycle``.  So a steady run evaluates no condition once
-its beliefs and appraisals have settled.  Deliberation and
-``recompute_forces`` each ask for the argument case.  It is built again
-only when the live options and their sources, the templates or the
-truth of a trigger, the sticky arguments or the weight overrides differ
-from the last build; otherwise the last case and its force table are
-reused and no new OptionSet is traced.  The table is tallied once per
-build.
+process, what its phase steps derive (``affect.Derived``: its rule
+truths and tendency specs), under the process's own active appraisals
+as well; a deliberation hands it to ``run_affective_cycle``.  So a
+steady run evaluates no condition and scans no appraisal once its
+beliefs and appraisals have settled.  A deliberation ends by looking
+the argument case up, and ``recompute_forces`` takes that look-up's
+table when nothing has been traced since (nothing was injected and
+metacognition found nothing); otherwise it looks the case up itself.
+A look-up builds the case again only when the live options and their
+sources, the templates or the truth of a trigger, the sticky arguments
+or the weight overrides differ from the last build; otherwise the last
+case and its force table are reused and no new OptionSet is traced.
+The table is tallied once per build.
 """
 
 from __future__ import annotations
@@ -76,9 +78,8 @@ from . import world as W
 from .affect import (
     ActionTendency,
     AffectiveProcess,
-    RuleTruths,
+    Derived,
     option_for_state,
-    rule_truths,
     run_affective_cycle,
 )
 from .arguments import Argument, ForceTable, active_set, build_case, tally, triggered
@@ -123,8 +124,9 @@ class WorldMemo:
 class Memo:
     """What a run keeps to skip work, or to pass an equal payload again:
     the world memo; the key of the last case build and of the last
-    condition evaluation, then what each gave (the latter with what
-    ``rule_truths`` gave per process id); and the last payload or
+    condition evaluation, then what each gave (the latter with each
+    process's ``Derived``, by process id); the trace head and force table
+    of the last deliberation's case look-up; and the last payload or
     ``forces`` dict of each kind (a redescription's with its library entry
     and standing argument; a focus payload per process and phase).  Each
     is derived from the rest of the state or equal to what a tick would
@@ -135,7 +137,8 @@ class Memo:
     case: tuple[tuple, list[Argument], dict[str, float],
                 list[Argument], ForceTable] | None = None
     conditions: tuple[tuple, list[ReactiveRule], list[bool],
-                      dict[str, tuple[list, RuleTruths]]] | None = None
+                      dict[str, Derived]] | None = None
+    deliberated: tuple[tuple[int, int], ForceTable] | None = None
     no_tendency_payload: dict = field(default_factory=dict)
     idle_payload: dict = field(default_factory=lambda: {
         "action": "idle", "option": None, "process": None, "tendency": None,
@@ -316,12 +319,11 @@ def _all_appraisals(state: SimulationState) -> list:
 
 def _conditions(state: SimulationState) -> tuple:
     """The memo entry ``(key, the reactive rules that held, the template
-    triggers' truth, the rule truths per process)``, evaluated again only
+    triggers' truth, the ``Derived`` per process)``, evaluated again only
     when the key ``(config, belief version, active appraisals)`` changes:
     a condition reads only the beliefs, the appraisals and the config's
     commitments, so under an equal key every condition has the same
-    truth.  The rule truths start empty and are filled by
-    ``_rule_truths``."""
+    truth.  The ``Derived`` start empty; ``_derived`` adds them."""
     config, memo = state.config, state.memo
     key = (config, state.beliefs.version, _all_appraisals(state))
     if memo.conditions is None or memo.conditions[0] != key:
@@ -331,18 +333,16 @@ def _conditions(state: SimulationState) -> tuple:
     return memo.conditions
 
 
-def _rule_truths(state: SimulationState, proc: AffectiveProcess) -> RuleTruths:
-    """``rule_truths`` of the process, kept in the ``_conditions`` entry
-    under the process's own active appraisals (the flattened list of the
+def _derived(state: SimulationState, proc: AffectiveProcess) -> Derived:
+    """The process's ``Derived``, kept in the ``_conditions`` entry under
+    the process's own active appraisals (the flattened list of the
     entry's key cannot tell which process holds which appraisal)."""
-    truths = _conditions(state)[3]
-    entry = truths.get(proc.id)
-    if entry is None or entry[0] != proc.active_appraisals:
+    derived = _conditions(state)[3]
+    entry = derived.get(proc.id)
+    if entry is None or entry.appraisals != proc.active_appraisals:
         # A copy of the appraisals, so the key does not follow the list.
-        entry = truths[proc.id] = (
-            list(proc.active_appraisals),
-            rule_truths(proc, state.beliefs, state.config.commitments))
-    return entry[1]
+        entry = derived[proc.id] = Derived(list(proc.active_appraisals))
+    return entry
 
 
 def _inject(state: SimulationState, tendency: ActionTendency) -> None:
@@ -414,8 +414,7 @@ def deliberative_step(state: SimulationState) -> None:
             plan=plan,
             tick=now,
             commitments=state.config.commitments,
-            # Preparing reads no rule.
-            truths=None if phase == "preparing" else _rule_truths(state, proc),
+            derived=_derived(state, proc),
         )
 
         if proc.phase != phase and focus is None:
@@ -470,7 +469,7 @@ def deliberative_step(state: SimulationState) -> None:
         state.plan_cursor = 0
         follow_plan(state)
 
-    _rebuild_case(state)
+    state.memo.deliberated = (state.trace.head(), _rebuild_case(state))
 
 
 def _task_plan(state: SimulationState) -> tuple[str, ...] | None:
@@ -573,6 +572,8 @@ def recompute_forces(state: SimulationState) -> None:
     (under the force rule of ``arguments``) and reasons from its option's
     row of the force table: the moment of action.  A force that overflows
     raises :class:`NonFiniteForce`, so no infinite force reaches the trace.
+    The table is that of this tick's deliberation when nothing has been
+    traced since; otherwise the case is looked up here.
 
     A tendency's urgency and option are fixed at injection, and a build
     replaces the table rather than change it, so only a tendency not yet
@@ -581,6 +582,11 @@ def recompute_forces(state: SimulationState) -> None:
     """
     now = state.world.tick
     ttl = state.config.tendency_ttl
+    # Nothing traced since (metacognition found nothing): nothing was
+    # injected, and the purge drops only what that look-up left out.
+    deliberated = state.memo.deliberated
+    table = (deliberated[1] if deliberated is not None
+             and deliberated[0] == state.trace.head() else None)
     kept: list[ActionTendency] = []
     for tendency in state.tendency_pool:
         if tendency.expired(now, ttl):
@@ -592,8 +598,9 @@ def recompute_forces(state: SimulationState) -> None:
         else:
             kept.append(tendency)
     state.tendency_pool = kept
-    # Options injected since the last deliberation must be covered too.
-    table = _rebuild_case(state)
+    if table is None:
+        # Options injected since the last deliberation must be covered too.
+        table = _rebuild_case(state)
     for tendency in state.tendency_pool:
         if tendency.folded is table:
             continue  # its urgency, option and table are as at that fold

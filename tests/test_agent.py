@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -1055,6 +1056,87 @@ class TestSteadyState:
             assert result.summary["ticks_executed"] == ticks
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, name
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    @pytest.mark.parametrize("name", sorted(LAPSE_WEIGHTS))
+    def test_a_steady_one_cell_tick_looks_each_memo_up_once(self, monkeypatch, name,
+                                                            mode):
+        # Over ticks 300-600, where each one-cell run has long settled, and
+        # metacognition finds nothing: the case is looked up once a tick, a
+        # condition key is built once for it and once for each process
+        # step, and a preparing step scans no appraisal.
+        counts = {"_rebuild_case": 0, "_all_appraisals": 0, "prepare_action": 0,
+                  "tendency_specs": 0}
+        steady = []
+
+        def counted(module, fn):
+            original = getattr(module, fn)
+
+            def run(*args, **kwargs):
+                counts[fn] += bool(steady)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn, run)
+
+        for fn in counts:
+            counted(affect if fn in ("prepare_action", "tendency_specs") else agent, fn)
+
+        def steady_tick(state):
+            if state.world.tick == 300:
+                steady.append(state)
+            return tick(state)
+
+        monkeypatch.setattr(runner, "tick", steady_tick)
+        result = run_simulation(load_bundled(name),
+                                RunConfig(ticks=600, seed=1, **RUN_MODES[mode]))
+        assert result.summary["ticks_executed"] == 600
+        processes = len(steady[0].processes)
+        assert counts["_rebuild_case"] == 300
+        assert counts["_all_appraisals"] == 300 * (processes + 1)
+        assert counts["prepare_action"] > 0
+        assert counts["tendency_specs"] == 0
+
+    @pytest.mark.parametrize("lapse", [False, True], ids=["default", "lapse"])
+    @pytest.mark.parametrize("name", sorted(LAPSE_WEIGHTS))
+    def test_a_withdrawn_appraisal_changes_no_output(self, monkeypatch, name, lapse):
+        # The situation fact of the one-cell scenario is withdrawn at tick
+        # 30 and restored at tick 45: its appraisal is dropped, then formed
+        # again, and the run writes what its forgetful twin writes.
+        spec = load_bundled(name)
+        ((fact, _),) = spec.starting_state.facts
+        (label,) = [rule.label for rule in spec.agent.appraisal_rules
+                    if fact in rule.when.atoms]
+
+        def scripted_tick(state):
+            if state.world.tick in (30, 45):
+                facts = {**state.world.facts, fact: state.world.tick == 45}
+                state.world = state.world._replace(facts=facts)
+            return tick(state)
+
+        monkeypatch.setattr(runner, "tick", scripted_tick)
+        config = RunConfig(ticks=90, seed=1,
+                           weight_overrides=LAPSE_WEIGHTS[name] if lapse else {})
+        kept = run_bytes(spec, config)
+        events = [json.loads(line) for line in kept[0]]
+        assert [e["payload"]["active"] for e in events
+                if e["kind"] == "AppraisalChange" and e["tick"] >= 30
+                and e["payload"]["label"] == label] == [False, True]
+        with forgetful():
+            assert run_bytes(spec, config) == kept
+
+    def test_an_appraisal_moved_to_another_process_is_derived_again(self):
+        # The flattened appraisals of the condition key stay the same; the
+        # process's own appraisals do not.
+        state = instantiate(load_bundled("non_smoking"), seed=1)
+        first, second = state.processes
+        appraisal = Appraisal(atom="current_situation", valence="negative",
+                              magnitude=0.7, source_process=second.id, tick=0)
+        second.active_appraisals = [appraisal]
+        derived = agent._derived(state, first)
+        key = agent._conditions(state)[0]
+        first.active_appraisals, second.active_appraisals = [appraisal], []
+        assert agent._conditions(state)[0] is key
+        assert agent._derived(state, first) is not derived
 
     def test_goal_evaluations_do_not_grow_with_the_horizon(self, monkeypatch):
         evaluate_goal = W.evaluate_goal
