@@ -17,7 +17,9 @@ from .errors import CogsimError, ParseError, SchemaError
 from .runner import (
     RunConfig,
     metrics_sink,
-    run_simulation,
+    run_ticks,
+    start,
+    summarize,
     summary_line,
     trace_sink,
     write_sweep,
@@ -155,15 +157,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     overrides = _parse_weight_overrides(args.set_weight, spec)
     if overrides is None:
         return 2
-    process_ids = [p.id for p in spec.agent.processes]
     try:
         with (trace_sink(trace_path) as sink,
-              metrics_sink(metrics_path, process_ids) as rows):
-            result = run_simulation(spec, _run_config(args, overrides), sink, rows)
+              metrics_sink(metrics_path, [p.id for p in spec.agent.processes]) as rows):
+            state = start(spec, _run_config(args, overrides))
+            for row, batch in run_ticks(state, args.ticks):
+                rows(row)
+                if batch:
+                    sink(batch)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    print(summary_line(result.summary))
+    print(summary_line(summarize(spec, state, row)))
     return 0
 
 
@@ -203,17 +208,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _sweep_summary(args: argparse.Namespace, spec, base_overrides: dict[str, float],
                    weight: float) -> dict:
-    """Run the sweep at one weight and return the run's summary.  Only the
-    summary outlives the call, so the run's state is freed before the next
-    run."""
+    """Run the sweep at one weight, dropping its rows and trace events, and
+    return its summary, which alone outlives the call: so the run's state
+    is freed before the next run."""
     overrides = dict(base_overrides)
     overrides[args.template] = weight
-    return run_simulation(spec, _run_config(args, overrides), _drop).summary
-
-
-def _drop(events) -> None:
-    """The trace sink of a sweep, which writes no trace; with no row sink
-    given, the run drops its metrics rows too."""
+    state = start(spec, _run_config(args, overrides))
+    for row, _ in run_ticks(state, args.ticks):
+        pass
+    return summarize(spec, state, row)
 
 
 def build_parser() -> argparse.ArgumentParser:

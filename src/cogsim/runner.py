@@ -1,24 +1,15 @@
 """Run loop and stable file exporters.
 
-A run executes tick() up to the configured horizon, stopping early
-once the strict goal holds and the agent has idled five ticks in a row
-after having actually done something.  Trace files are JSON Lines (one
-event per line, sorted keys), metrics files are CSV with LF endings;
-neither contains wall-clock data, so identical configuration and seed
-produce byte-identical files.
-
-A run given a trace sink keeps neither its trace nor its metrics rows:
-whenever the trace holds ``DRAIN_EVENTS`` events, the events the
-monitor has read leave it in one batch for the sink, and the rest
-follow at the end of the run; each tick's row goes to the run's row
-sink as the tick ends, or is dropped without one.  So its memory does
-not grow with the horizon, and ``write_trace`` and ``write_metrics``,
-which write only what a run still holds, write no event and no row for
-it.  ``cogsim run`` passes the sinks of ``trace_sink`` and
-``metrics_sink``, which write each batch and each row to their files as
-they arrive; ``cogsim sweep`` drops both.  Each writer streams its
-lines: a line is encoded as the file takes it, so a write holds no
-encoded copy of the whole file.
+``run_ticks`` is the one run loop.  It yields each tick's metrics row
+with the trace events drained after it, and its three consumers differ
+only in what they do with them: ``run_simulation`` keeps every row and
+event, ``cogsim run`` writes them through ``metrics_sink`` and
+``trace_sink`` as they arrive, so its memory does not grow with the
+horizon, and ``cogsim sweep`` drops them.  Trace files are JSON Lines
+(one event per line, sorted keys), metrics files are CSV with LF
+endings; neither contains wall-clock data, so identical configuration
+and seed produce byte-identical files.  Each writer streams its lines,
+so a write holds no encoded copy of the whole file.
 
 A trace line is written by the formatter of its payload's shape: at
 import, one formatter is generated as literal code for each key set
@@ -45,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import stat
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import isfinite
@@ -58,13 +49,10 @@ from .scenario import ScenarioSpec, instantiate
 
 QUIESCENT_IDLE_TICKS = 5
 
-# A run with a sink drains its trace once it holds this many events.
-# Each drain costs a 60-tick room run measurable time (64 events: about
-# 2% more; 32: about 4%); a larger batch only holds more events.
+# A run drains its trace once it holds this many events.  Each drain
+# costs a 60-tick room run measurable time (64 events: about 2% more;
+# 32: about 4%); a larger batch only holds more events.
 DRAIN_EVENTS = 128
-
-TraceSink = Callable[[list[TraceEvent]], None]
-RowSink = Callable[[dict], None]
 
 
 @dataclass
@@ -79,68 +67,77 @@ class RunConfig:
 @dataclass
 class RunResult:
     state: SimulationState
-    # One row per tick; empty for a run given a sink, which keeps none.
     metrics: list[dict]
     summary: dict
 
 
-def run_simulation(spec: ScenarioSpec, config: RunConfig,
-                   sink: TraceSink | None = None,
-                   rows: RowSink | None = None) -> RunResult:
-    """Run ``spec`` under ``config``.  Each tick's metrics row goes to
-    ``rows``, when given, as the tick ends.  Without a sink the run also
-    keeps every trace event and every row.  With one, it keeps neither:
-    whenever the trace holds ``DRAIN_EVENTS`` events, those the monitor
-    has read (all of them under ``--no-metacog``, since nothing reads
-    the trace then) go to the sink in one batch, and the rest go at the
-    end; a row not given to ``rows`` is dropped.  So the run's memory
-    does not grow with the horizon, and the result's trace and
-    ``metrics`` are empty.  The summary reads only a tick count, the
-    last row and counters."""
+def start(spec: ScenarioSpec, config: RunConfig) -> SimulationState:
+    """The state of a run of ``spec`` under ``config`` before its first tick."""
     state = instantiate(spec, config.seed)
     if config.bct_profile is not None:
         state.bct_profile = config.bct_profile
     state.metacognition_enabled = config.metacognition_enabled
     state.weight_overrides = dict(config.weight_overrides)
+    return state
 
+
+def run_ticks(state: SimulationState,
+              ticks: int) -> Iterator[tuple[dict, Sequence[TraceEvent]]]:
+    """Tick ``state`` up to ``ticks`` times, yielding each tick's ``(row,
+    batch)``, and stop early once the strict goal holds and the agent,
+    having executed a non-idle action, has idled five ticks in a row.
+    ``batch`` holds the events drained from the trace after the tick:
+    once the trace holds ``DRAIN_EVENTS`` events, those the monitor has
+    read (all of them under ``--no-metacog``, as nothing reads them
+    then), after the last tick every event left, and otherwise none."""
     trace = state.trace
-    metrics: list[dict] = []
-    ticks = idle_streak = 0
+    idle_streak = 0
     acted = False
-    stats = None
-    for _ in range(config.ticks):
-        stats = tick(state)
-        ticks += 1
-        if sink is None:
-            metrics.append(stats)
-        elif len(trace.events) >= DRAIN_EVENTS:
+    for count in range(1, ticks + 1):
+        row = tick(state)
+        idle_streak = idle_streak + 1 if row["idle"] else 0
+        acted = acted or not row["idle"]
+        if count == ticks or (row["strict_tidy"] and acted
+                              and idle_streak >= QUIESCENT_IDLE_TICKS):
+            yield row, trace.drain(trace.head())
+            return
+        # ``trace.events`` is read afresh, as a caller may swap the list;
+        # a tick that drains nothing yields the one shared empty tuple.
+        if len(trace.events) >= DRAIN_EVENTS:
             read = state.monitor_cursor if state.metacognition_enabled else trace.head()
-            sink(trace.drain(read))
-        if rows is not None:
-            rows(stats)
-        if stats["idle"]:
-            idle_streak += 1
+            yield row, trace.drain(read)
         else:
-            idle_streak = 0
-            acted = True
-        if stats["strict_tidy"] and acted and idle_streak >= QUIESCENT_IDLE_TICKS:
-            break
-    if sink is not None:
-        sink(trace.drain(trace.head()))
+            yield row, ()
 
-    summary = {
+
+def summarize(spec: ScenarioSpec, state: SimulationState, last: dict | None) -> dict:
+    """The summary of a run of ``spec`` from its state and its last row
+    (None before the first tick)."""
+    return {
         "scenario": spec.meta.name,
-        "ticks_executed": ticks,
-        "final_strict": bool(stats["strict_tidy"]) if stats else False,
-        "final_relaxed": bool(stats["relaxed_tidy"]) if stats else False,
+        "ticks_executed": state.world.tick,
+        "final_strict": bool(last and last["strict_tidy"]),
+        "final_relaxed": bool(last and last["relaxed_tidy"]),
         "abandoned": state.world.abandoned,
         "countermeasures_fired": state.countermeasures_fired,
         # Selection draws only from the tendency pool, so no action can
         # reach execution without a pooled tendency behind it.
         "routing_violations": 0,
-        "inconsistencies": trace.inconsistencies,
+        "inconsistencies": state.trace.inconsistencies,
     }
-    return RunResult(state=state, metrics=metrics, summary=summary)
+
+
+def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
+    """Run ``spec`` under ``config`` and keep every row and trace event:
+    the drained batches are joined again as the trace's events."""
+    state = start(spec, config)
+    metrics, events = [], []
+    for row, batch in run_ticks(state, config.ticks):
+        metrics.append(row)
+        events += batch
+    state.trace.events = events
+    return RunResult(state, metrics,
+                     summarize(spec, state, metrics[-1] if metrics else None))
 
 
 # The encoder of what no formatter writes itself.  Its ``encode`` builds a
@@ -267,18 +264,18 @@ def _rewritten(path: str) -> Iterator[TextIO]:
 
 
 @contextmanager
-def trace_sink(path: str) -> Iterator[TraceSink]:
+def trace_sink(path: str) -> Iterator[Callable[[Iterable[TraceEvent]], None]]:
     """A sink that writes each batch of events to the trace file at
-    ``path`` as it arrives, for ``run_simulation``.  The file is replaced
-    as every writer replaces it: if the block raises, the run included,
-    the file is removed if the sink created it and left empty otherwise."""
+    ``path`` as it arrives.  The file is replaced as every writer replaces
+    it: if the block raises, the run included, the file is removed if the
+    sink created it and left empty otherwise."""
     with _rewritten(path) as fh:
         yield lambda events: fh.writelines(
             line + "\n" for line in _encoded_trace(events))
 
 
 def write_trace(state: SimulationState, path: str) -> None:
-    """Write the events the trace holds; a run given a sink holds none."""
+    """Write the events the trace holds."""
     with trace_sink(path) as sink:
         sink(state.trace.events)
 
@@ -289,8 +286,8 @@ _TRAILING = ("misplaced_count", "strict_tidy", "relaxed_tidy")
 
 
 @contextmanager
-def metrics_sink(path: str, process_ids: list[str]) -> Iterator[RowSink]:
-    """A row sink for ``run_simulation`` that writes the metrics file at
+def metrics_sink(path: str, process_ids: list[str]) -> Iterator[Callable[[dict], None]]:
+    """A row sink that writes the metrics file at
     ``path``: the header as the block starts, then each row's line as the
     row arrives.  ``process_ids`` name the force columns, in the order of
     the run's processes.  The file is replaced as ``trace_sink``'s is."""
@@ -305,7 +302,7 @@ def metrics_sink(path: str, process_ids: list[str]) -> Iterator[RowSink]:
 
 
 def write_metrics(result: RunResult, path: str) -> None:
-    """Write the metrics rows the run holds; a run given a sink holds none."""
+    """Write the metrics rows the run holds."""
     with metrics_sink(path, [p.id for p in result.state.processes]) as rows:
         for row in result.metrics:
             rows(row)

@@ -667,16 +667,16 @@ class TestSweepCommand:
     def test_each_run_is_freed_before_the_next_starts(
         self, redescription_path, tmp_path, monkeypatch
     ):
-        run_simulation = cli.run_simulation
+        start = cli.start
         states = []
 
-        def spying(spec, config, sink):
+        def spying(spec, config):
             assert all(ref() is None for ref in states)
-            result = run_simulation(spec, config, sink)
-            states.append(weakref.ref(result.state))
-            return result
+            state = start(spec, config)
+            states.append(weakref.ref(state))
+            return state
 
-        monkeypatch.setattr(cli, "run_simulation", spying)
+        monkeypatch.setattr(cli, "start", spying)
         code = main(
             ["sweep", redescription_path, "--template", "commitment_guard",
              "--weights", "0.0,1.0,2.0", "--ticks", "10",

@@ -26,7 +26,7 @@ from cogsim.metacog import (
     monitor,
 )
 from cogsim.rules import BeliefStore, RuleContext
-from cogsim.runner import RunConfig, run_simulation, trace_lines
+from cogsim.runner import RunConfig, run_simulation, start, trace_lines
 from cogsim.scenario import BUNDLED, instantiate, load_bundled
 
 from helpers import reference_check_consistency, reference_redescription
@@ -617,9 +617,12 @@ def _monitor_reads(monkeypatch, ticks: int) -> tuple[int, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(agent, "monitor", counted)
-        result = run_simulation(load_bundled("room_tidy_redescription"),
-                                RunConfig(ticks=ticks, seed=3))
-    assert len(result.metrics) == ticks and len(runs) == 1
+        # Ticked directly rather than through the run loop, whose drains
+        # would keep the trace short: the rescanning control needs it to grow.
+        state = start(load_bundled("room_tidy_redescription"),
+                      RunConfig(ticks=ticks, seed=3))
+        rows = [agent.tick(state) for _ in range(ticks)]
+    assert len(rows) == ticks and len(runs) == 1
     return runs[0].reads, after_cursor
 
 

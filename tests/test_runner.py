@@ -5,6 +5,8 @@ set of its kind, and must give the lines of a whole-dict encoding with
 sorted keys.  ``write_trace`` streams the same lines into the file, and
 ``cogsim run`` writes them as its run drains the trace."""
 
+import dataclasses
+import itertools
 import json
 import os
 import tracemalloc
@@ -22,6 +24,7 @@ from cogsim.errors import CogsimError, OutOfOrder
 from cogsim.metacog import TRACE_KINDS, ReasoningTrace
 from cogsim.runner import (
     RunConfig,
+    RunResult,
     run_simulation,
     trace_lines,
     write_metrics,
@@ -280,13 +283,27 @@ def test_every_bundled_event_goes_through_its_shapes_formatter(name, config, tmp
     assert len(formatted) == len(trace.read_bytes().splitlines()) > 0
 
 
+def _driven(spec, run_config, rows=None, batches=None) -> RunResult:
+    """A run of ``run_ticks`` driven as ``cogsim run`` drives it: each row
+    goes to ``rows`` and each non-empty batch to ``batches``, when given,
+    and the result keeps neither."""
+    state = runner.start(spec, run_config)
+    row = None
+    for row, batch in runner.run_ticks(state, run_config.ticks):
+        if rows is not None:
+            rows.append(row)
+        if batches is not None and batch:
+            batches.append(batch)
+    return RunResult(state, [], runner.summarize(spec, state, row))
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("name", BUNDLED)
 def test_the_inconsistency_count_holds_after_the_trace_is_drained(name, config):
     spec, run_config = load_bundled(name), RunConfig(ticks=600, **CONFIGS[config])
     kept = run_simulation(spec, run_config)
     batches = []
-    drained = run_simulation(spec, run_config, batches.append)
+    drained = _driven(spec, run_config, batches=batches)
     found = sum(e.kind == "InconsistencyDetected" for e in kept.state.trace.events)
     assert kept.summary["inconsistencies"] == found
     assert drained.summary == kept.summary
@@ -360,12 +377,54 @@ def test_a_streamed_runs_memory_does_not_grow_with_the_horizon(name, tmp_path, c
 def test_a_run_given_a_sink_keeps_no_rows(name, config):
     spec, run_config = load_bundled(name), RunConfig(ticks=600, **CONFIGS[config])
     kept = run_simulation(spec, run_config)
-    dropped = run_simulation(spec, run_config, lambda events: None)
+    dropped = _driven(spec, run_config)
     rows = []
-    streamed = run_simulation(spec, run_config, lambda events: None, rows.append)
+    streamed = _driven(spec, run_config, rows)
     assert dropped.metrics == [] and streamed.metrics == []
     assert dropped.summary == kept.summary == streamed.summary
     assert rows == kept.metrics
+
+
+def _room_tidy_without_events():
+    return dataclasses.replace(load_bundled("room_tidy"), events=())
+
+
+def test_the_stop_rule_ends_a_run_five_idle_ticks_after_the_goal_holds():
+    # As in A1: without the shelf breakage the strict goal holds from tick
+    # 21, and ticks 22 to 26 idle, so the run stops long before its horizon.
+    spec, config = _room_tidy_without_events(), RunConfig(ticks=600, seed=1)
+    state = runner.start(spec, config)
+    pairs = list(runner.run_ticks(state, config.ticks))
+    rows = [row for row, _ in pairs]
+    assert len(pairs) == 27
+    assert [row["strict_tidy"] for row in rows].index(True) == 21
+    assert not rows[21]["idle"] and all(row["idle"] for row in rows[22:])
+    assert pairs[-1][1] and state.trace.events == []
+    summary = runner.summarize(spec, state, rows[-1])
+    assert summary == run_simulation(spec, config).summary
+    assert summary["ticks_executed"] == 27 and summary["final_strict"]
+
+
+# (scenario name, config, ticks seen): the stopping run at and before its
+# stop, and a run past its first drains in each config.
+@pytest.mark.parametrize("name, config, ticks", [
+    *[("room_tidy_without_events", "default", ticks) for ticks in (1, 21, 26, 27)],
+    *[("room_tidy_redescription", config, 300) for config in sorted(CONFIGS)]])
+def test_a_consumer_that_stops_early_has_seen_a_prefix_of_the_kept_run(name, config,
+                                                                       ticks):
+    scenario = (_room_tidy_without_events() if name == "room_tidy_without_events"
+                else load_bundled(name))
+    config = RunConfig(ticks=600, **CONFIGS[config])
+    kept = run_simulation(scenario, config)
+    state = runner.start(scenario, config)
+    rows, batches = [], []
+    for row, batch in itertools.islice(runner.run_ticks(state, config.ticks), ticks):
+        rows.append(row)
+        batches.append(batch)
+    seen = [event for batch in batches for event in batch] + state.trace.events
+    assert rows == kept.metrics[:ticks]
+    assert seen == [event for event in kept.state.trace.events if event.tick < ticks]
+    assert len(seen) < len(kept.state.trace.events) or ticks == len(kept.metrics)
 
 
 def test_a_run_that_raises_empties_the_metrics_file_it_found(tmp_path, monkeypatch,
