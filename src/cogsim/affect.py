@@ -6,7 +6,8 @@ attended situation or option as positive or negative (appraisals carry
 a magnitude; a neutral evaluation is simply not an appraisal), and
 then prepares action: it lists states that would flip its negative
 appraisals or sustain its positive ones, keeps the achievable ones as
-candidate goals, and emits one action tendency per candidate.  The
+candidate goals (for declared options, every one), and emits one
+action tendency per candidate, whose option is its action.  The
 tendency's force, its base urgency under the argument case's force rule
 (see ``arguments``), is what competes at the moment of action.
 
@@ -32,13 +33,13 @@ PHASES = ("attending", "evaluating", "preparing")
 
 @dataclass(frozen=True)
 class Appraisal:
-    """A positive or negative evaluation of one atom, with magnitude > 0."""
+    """A positive or negative evaluation of one atom, with magnitude > 0;
+    the tick of its ``AppraisalChange`` event says when it formed."""
 
     atom: str
     valence: str  # "positive" | "negative"
     magnitude: float
     source_process: str
-    tick: int
     label: str = ""
     rule_id: str = ""
 
@@ -76,16 +77,16 @@ class ProcessOption:
 class ActionTendency:
     """A proposed action carrying affective force.
 
-    Slotted (no ``__dict__``), as one is built per injection.  Read-only
-    by convention, apart from the id that ``_inject`` sets and the force,
-    reasons and ``folded`` that ``recompute_forces`` writes.
+    Its option, which the case argues about and the trace names, is its
+    action.  Slotted (no ``__dict__``), as one is built per injection.
+    Read-only by convention, apart from the id that ``_inject`` sets and
+    the force, reasons and ``folded`` that ``recompute_forces`` writes.
     """
 
     action: str
     source_process: str
     base_urgency: float
     created_tick: int
-    option: str = ""
     label: str = ""
     origin: str = "affect"  # "affect" | "reactive" | "plan"
     id: str = ""
@@ -93,10 +94,6 @@ class ActionTendency:
     supporting_arguments: tuple[str, ...] = ()
     # The force table that force and supporting_arguments were read off.
     folded: dict | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.option:
-            self.option = self.action
 
     def expired(self, now: int, ttl: int) -> bool:
         return now - self.created_tick > ttl
@@ -110,7 +107,6 @@ class AffectiveProcess:
     phase: str = "attending"
     attention_target: str | None = None
     active_appraisals: list[Appraisal] = field(default_factory=list)
-    desirable_states: list[str] = field(default_factory=list)
     candidate_goals: list[str] = field(default_factory=list)
     rules: tuple[AppraisalRule, ...] = ()
     options: tuple[ProcessOption, ...] = ()
@@ -254,7 +250,6 @@ def run_affective_cycle(
             valence=rule.valence,
             magnitude=rule.magnitude,
             source_process=proc.id,
-            tick=tick,
             label=rule.label,
             rule_id=rule.id,
         )
@@ -318,11 +313,10 @@ def prepare_action(
         options += (("task_goal", plan[0], task, "task_step", "plan"),)
     tendencies: list[ActionTendency] = []
     for state, action, urgency, label, origin in options:
-        if state not in proc.desirable_states:
-            proc.desirable_states.append(state)
-        # Declared options have no world model, so achievability cannot
-        # rule them out; the conflict filter only concerns the process's
-        # own goal, which a declared response never contradicts.
+        # Every desirable state is a candidate goal: declared options have
+        # no world model, so achievability cannot rule them out, and the
+        # conflict filter only concerns the process's own goal, which a
+        # declared response never contradicts.
         if state not in proc.candidate_goals:
             proc.candidate_goals.append(state)
         tendencies.append(

@@ -8,24 +8,26 @@
 
 Events fire before perception so adversity is perceivable in the tick
 it occurs.  A deliberation steps each affective process one phase, in
-place and in priority-rank order; the step reports the appraisals it
+place and in priority-rank order (``instantiate`` keeps
+``state.processes`` in that order); the step reports the appraisals it
 dropped and formed and the tendencies it emitted, and the trace is
-written from that report.  Between deliberations ``follow_plan``
-injects the standing plan's next step; a deliberation injects the
-fresh plan's first step itself.  ``metacognition`` monitors the trace
-since its last pass, so it can veto this tick's biased tendencies
-before anything is executed; when control asks for replanning it
-deliberates once more in the same tick.  ``recompute_forces`` purges
-expired tendencies and reads each pooled tendency's force and reasons
-off the case's force table (``arguments.tally``), once per table: only
-a tendency injected since the last read, or every one after a build, is
-folded.  ``act`` selects the strongest tendency, applies exactly one
-world action, advances the plan cursor and returns the tick's metrics
-row; an illegal or absent selection degrades to idle and is traced,
-never raised.  What a run keeps to skip work, or to pass an equal
-payload again, lives in ``SimulationState.memo``: ``state.memo = Memo()``
-changes no output byte, and a payload or ``forces`` dict is shared only
-within one run.
+written from that report: each new candidate goal sets its
+``proposed(...)`` belief, then traces its GoalChange.  Between
+deliberations ``follow_plan`` injects the standing plan's next step; a
+deliberation injects the fresh plan's first step itself.
+``metacognition`` monitors the trace since its last pass, so it can
+veto this tick's biased tendencies before anything is executed; when
+control asks for replanning it deliberates once more in the same tick.
+``recompute_forces`` purges expired tendencies and reads each pooled
+tendency's force and reasons off the case's force table
+(``arguments.tally``), once per table: only a tendency injected since
+the last read, or every one after a build, is folded.  ``act`` selects
+the strongest tendency, applies exactly one world action, advances the
+plan cursor and returns the tick's metrics row; an illegal or absent
+selection degrades to idle and is traced, never raised.  What a run
+keeps to skip work, or to pass an equal payload again, lives in
+``SimulationState.memo``: ``state.memo = Memo()`` changes no output
+byte, and a payload or ``forces`` dict is shared only within one run.
 
 What the engine derives from the world is kept in one memo while the
 world (apart from its tick) and the goal stay the same: the goal status
@@ -71,7 +73,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -154,7 +155,7 @@ class SimulationState:
 
     world: W.WorldState
     beliefs: BeliefStore
-    processes: list[AffectiveProcess]
+    processes: list[AffectiveProcess]  # in priority-rank order
     trace: ReasoningTrace
     config: "AgentConfig"
     goal: W.GoalSpec
@@ -171,7 +172,7 @@ class SimulationState:
     metacognition_enabled: bool = True
     weight_overrides: dict[str, float] = field(default_factory=dict)
     countermeasures_fired: int = 0
-    last_option_set: tuple = ()
+    last_option_set: dict | None = None
     _tendency_counter: int = 0
 
     # -- small helpers shared with the metacognition module ------------------
@@ -199,12 +200,11 @@ class SimulationState:
         return 10**6
 
     def os_process_id(self) -> str | None:
-        designated = [p for p in self.processes if p.os_role]
-        if designated:
-            return designated[0].id
-        if not self.processes:
-            return None
-        return max(self.processes, key=lambda p: p.priority_rank).id
+        """The designated process, else the least committed one."""
+        for proc in self.processes:
+            if proc.os_role:
+                return proc.id
+        return self.processes[-1].id if self.processes else None
 
     def task_process(self) -> AffectiveProcess | None:
         for proc in self.processes:
@@ -355,7 +355,7 @@ def _inject(state: SimulationState, tendency: ActionTendency) -> None:
             "tendency": tendency.id,
             "process": tendency.source_process,
             "action": tendency.action,
-            "option": tendency.option,
+            "option": tendency.action,
             "label": tendency.label,
             "base_urgency": tendency.base_urgency,
         },
@@ -404,10 +404,10 @@ def deliberative_step(state: SimulationState) -> None:
     plan = _task_plan(state) if planning else None
     focus: tuple[str, str] | None = None
 
-    for proc in sorted(state.processes, key=attrgetter("priority_rank")):
+    for proc in state.processes:
         phase, target = proc.phase, proc.attention_target
         # prepare_action only appends, so what the step adds is the tail.
-        n_desired, n_candidates = len(proc.desirable_states), len(proc.candidate_goals)
+        n_candidates = len(proc.candidate_goals)
         dropped, new_apps, new_tends = run_affective_cycle(
             proc,
             state.beliefs,
@@ -437,9 +437,10 @@ def deliberative_step(state: SimulationState) -> None:
                 kind="AppraisalChange",
                 payload=_appraisal_payload(appraisal, active=True),
             )
-        for desired in proc.desirable_states[n_desired:]:
-            state.set_belief(f"proposed({desired})", True)
-        for candidate in proc.candidate_goals[n_candidates:]:
+        adopted = proc.candidate_goals[n_candidates:]
+        for candidate in adopted:
+            state.set_belief(f"proposed({candidate})", True)
+        for candidate in adopted:
             state.trace.append(
                 tick=now,
                 kind="GoalChange",
@@ -501,7 +502,7 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
 
     The memo key holds the set of live ``(option, source process)``
     pairs, which fixes the options and their sources.  On a reuse no
-    OptionSet is traced: the last build traced the same signature.  The
+    OptionSet is traced: the last build traced the same payload.  The
     trigger values come from ``_conditions``.
     """
     now, ttl = state.world.tick, state.config.tendency_ttl
@@ -509,7 +510,7 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
     live: set[tuple[str, str]] = set()
     for t in state.tendency_pool:
         if not t.expired(now, ttl):
-            live.add((t.option, t.source_process))
+            live.add((t.action, t.source_process))
     templates, memo = state.config.argument_templates, state.memo
     fired = _conditions(state)[2]
     key = (live, templates, fired)
@@ -540,31 +541,18 @@ def _rebuild_case(state: SimulationState) -> ForceTable:
 
 def _emit_option_set(state: SimulationState, options: list[str],
                      active: set[str]) -> None:
-    rows = tuple(
-        (a.id, a.option, a.polarity, a.weight, a.id in active)
-        for a in state.arguments
-    )
-    signature = (tuple(options), rows)
-    if signature == state.last_option_set:
+    payload = {
+        "options": list(options),
+        "arguments": [
+            {"id": a.id, "option": a.option, "polarity": a.polarity,
+             "weight": a.weight, "active": a.id in active}
+            for a in state.arguments
+        ],
+    }
+    if payload == state.last_option_set:
         return
-    state.last_option_set = signature
-    state.trace.append(
-        tick=state.world.tick,
-        kind="OptionSet",
-        payload={
-            "options": list(options),
-            "arguments": [
-                {
-                    "id": r[0],
-                    "option": r[1],
-                    "polarity": r[2],
-                    "weight": r[3],
-                    "active": r[4],
-                }
-                for r in rows
-            ],
-        },
-    )
+    state.last_option_set = payload
+    state.trace.append(tick=state.world.tick, kind="OptionSet", payload=payload)
 
 
 def recompute_forces(state: SimulationState) -> None:
@@ -593,7 +581,7 @@ def recompute_forces(state: SimulationState) -> None:
             state.trace.append(
                 tick=now,
                 kind="TendencyExpired",
-                payload={"tendency": tendency.id, "option": tendency.option},
+                payload={"tendency": tendency.id, "option": tendency.action},
             )
         else:
             kept.append(tendency)
@@ -604,14 +592,14 @@ def recompute_forces(state: SimulationState) -> None:
     for tendency in state.tendency_pool:
         if tendency.folded is table:
             continue  # its urgency, option and table are as at that fold
-        weights, reasons = table.get(tendency.option, ((), ()))
+        weights, reasons = table.get(tendency.action, ((), ()))
         # From the urgency, one add at a time (see arguments): not sum().
         net = tendency.base_urgency
         for weight in weights:
             net += weight
         if not math.isfinite(net):
             raise NonFiniteForce(
-                f"force on option {tendency.option!r} overflows: its urgency and "
+                f"force on option {tendency.action!r} overflows: its urgency and "
                 "argument weights sum past the largest float"
             )
         tendency.force = round(max(0.0, net), 9)
@@ -649,7 +637,7 @@ def _select_tendency(state: SimulationState) -> ActionTendency | None:
         tick=now,
         kind="OptionSelected",
         payload={
-            "option": best.option,
+            "option": best.action,
             "process": best.source_process,
             "force": best.force,
             "tendency": best.id,
@@ -701,7 +689,7 @@ def act(state: SimulationState) -> dict:
     if tendency is None:
         payload = memo.idle_payload  # idle cannot fail, so it is always this
     else:
-        payload = {"action": executed, "option": tendency.option,
+        payload = {"action": executed, "option": tendency.action,
                    "process": tendency.source_process, "tendency": tendency.id,
                    "fallback": fallback}
         if error is not None:

@@ -358,10 +358,10 @@ def control(
         weight = state.weight_overrides.get(template_id, finding.commitment.weight)
         # The option to argue against.  An appraisal finding names an
         # evaluation atom; when some process knows that atom as a response
-        # state, the option is that response's action.
+        # state, the option is that response's action (the first declared).
         option = finding.option
         if finding.item_kind == "appraisal":
-            option = option_for_state(state.processes, finding.atom, option)
+            option = option_for_state(state.config.processes, finding.atom, option)
         arg_id = argument_id(template_id, option)
         grounds = template.grounds or (finding.commitment.atom,)
         sticky, args = state.sticky_arguments, state.arguments

@@ -289,8 +289,8 @@ _TRAILING = ("misplaced_count", "strict_tidy", "relaxed_tidy")
 def metrics_sink(path: str, process_ids: list[str]) -> Iterator[Callable[[dict], None]]:
     """A row sink that writes the metrics file at
     ``path``: the header as the block starts, then each row's line as the
-    row arrives.  ``process_ids`` name the force columns, in the order of
-    the run's processes.  The file is replaced as ``trace_sink``'s is."""
+    row arrives.  ``process_ids`` name the force columns, in the order the
+    run's processes are declared.  The file is replaced as ``trace_sink``'s is."""
     leading, trailing = itemgetter(*_LEADING), itemgetter(*_TRAILING)
     with _rewritten(path) as fh:
         write = fh.write
@@ -303,7 +303,7 @@ def metrics_sink(path: str, process_ids: list[str]) -> Iterator[Callable[[dict],
 
 def write_metrics(result: RunResult, path: str) -> None:
     """Write the metrics rows the run holds."""
-    with metrics_sink(path, [p.id for p in result.state.processes]) as rows:
+    with metrics_sink(path, [p.id for p in result.state.config.processes]) as rows:
         for row in result.metrics:
             rows(row)
 

@@ -49,7 +49,6 @@ class Meta:
 class Ontology:
     object_kinds: tuple[str, ...]
     fixtures: tuple[W.Fixture, ...]
-    relations: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,6 @@ _ONTOLOGY = _Record(
     Ontology,
     _Field("object_kinds", _STR_LIST, ()),
     _Field("fixtures", _FIXTURE.many(), ()),
-    _Field("relations", _STR_LIST, ()),
 )
 _OBJECT = _Record(
     W.ObjectState,
@@ -836,21 +834,18 @@ def instantiate(spec: ScenarioSpec, seed: int) -> SimulationState:
         facts=dict(start.facts),
     )
 
-    processes = []
-    for decl in spec.agent.processes:
-        processes.append(
-            AffectiveProcess(
-                id=decl.id,
-                priority_rank=decl.rank,
-                goal_ref=decl.goal,
-                rules=tuple(
-                    r for r in spec.agent.appraisal_rules if r.process == decl.id
-                ),
-                options=decl.options,
-                urgency=decl.urgency,
-                os_role=decl.os,
-            )
+    processes = [
+        AffectiveProcess(
+            id=decl.id,
+            priority_rank=decl.rank,
+            goal_ref=decl.goal,
+            rules=tuple(r for r in spec.agent.appraisal_rules if r.process == decl.id),
+            options=decl.options,
+            urgency=decl.urgency,
+            os_role=decl.os,
         )
+        for decl in sorted(spec.agent.processes, key=lambda decl: decl.rank)
+    ]
 
     return SimulationState(
         world=world,

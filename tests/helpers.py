@@ -77,12 +77,12 @@ def compute_force(tendency: ActionTendency, active_args) -> float:
     """
     net = tendency.base_urgency
     for arg in active_args:
-        if arg.option != tendency.option:
+        if arg.option != tendency.action:
             continue
         net += arg.weight if arg.polarity == "pro" else -arg.weight
     if not math.isfinite(net):
         raise NonFiniteForce(
-            f"force on option {tendency.option!r} overflows: its urgency and "
+            f"force on option {tendency.action!r} overflows: its urgency and "
             "argument weights sum past the largest float"
         )
     return round(max(0.0, net), 9)
@@ -95,11 +95,11 @@ def supporting_argument_ids(tendency: ActionTendency, active_args) -> tuple[str,
     # tuple() of a list: tuple() over a generator sizes its tuple by a guess
     # and shrinks it, parking one tuple per call in CPython's free lists.
     pro = tuple([
-        a.id for a in active_args if a.option == tendency.option and a.polarity == "pro"
+        a.id for a in active_args if a.option == tendency.action and a.polarity == "pro"
     ])
     if pro:
         return pro
-    return tuple([a.id for a in active_args if a.option == tendency.option])
+    return tuple([a.id for a in active_args if a.option == tendency.action])
 
 
 _bundled = functools.cache(load_bundled)
@@ -310,8 +310,8 @@ def replay(world, steps, goal):
 
 # -- consistency check through engine objects -----------------------------------
 #
-# The monitor used to rebuild an ``Appraisal``, a goal change or an
-# ``ActionTendency`` from each monitored event and check that object.
+# The monitor used to rebuild an ``Appraisal``, a goal change or a
+# tendency from each monitored event and check that object.
 # ``metacog.check_consistency`` reads the event itself and must return the
 # same finding.
 
@@ -325,6 +325,15 @@ class ReferenceGoalChange:
     option: str = ""
 
 
+@dataclass(frozen=True)
+class ReferenceTendency:
+    """An injected tendency, as the object check saw it: the option is
+    the payload's, which a drawn payload may set apart from the action."""
+
+    action: str
+    option: str
+
+
 def reference_item_from_event(event):
     """Rebuild the checkable item a monitored trace event describes."""
     p = event.payload
@@ -336,7 +345,6 @@ def reference_item_from_event(event):
             valence=p["valence"],
             magnitude=p["magnitude"],
             source_process=p["process"],
-            tick=event.tick,
             label=p.get("label", ""),
         )
     if event.kind == "GoalChange":
@@ -348,14 +356,7 @@ def reference_item_from_event(event):
             option=p.get("option", ""),
         )
     if event.kind == "TendencyInjected":
-        return ActionTendency(
-            action=p["action"],
-            source_process=p["process"],
-            base_urgency=p.get("base_urgency", 0.0),
-            created_tick=event.tick,
-            option=p.get("option", p["action"]),
-            label=p.get("label", ""),
-        )
+        return ReferenceTendency(action=p["action"], option=p.get("option") or p["action"])
     return None
 
 
@@ -388,7 +389,7 @@ def reference_check_item(item, commitments, world=None, goal=None):
                 )
         return None
 
-    if isinstance(item, ActionTendency):
+    if isinstance(item, ReferenceTendency):
         if not commitments:
             return None
         task_commitments = [c for c in commitments if c.required_valence == "positive"]
@@ -452,7 +453,6 @@ def reference_deliberative_step(state):
         stepped = replace(
             old,
             active_appraisals=list(old.active_appraisals),
-            desirable_states=list(old.desirable_states),
             candidate_goals=list(old.candidate_goals),
         )
         _, new_apps, new_tends = run_affective_cycle(
@@ -489,9 +489,9 @@ def reference_deliberative_step(state):
                 kind="AppraisalChange",
                 payload=agent._appraisal_payload(appraisal, active=True),
             )
-        for desired in stepped.desirable_states:
-            if desired not in old.desirable_states:
-                state.set_belief(f"proposed({desired})", True)
+        for candidate in stepped.candidate_goals:
+            if candidate not in old.candidate_goals:
+                state.set_belief(f"proposed({candidate})", True)
         for candidate in stepped.candidate_goals:
             if candidate not in old.candidate_goals:
                 state.trace.append(

@@ -279,7 +279,7 @@ class TestPrepareAction:
             ]
         )
         proc.active_appraisals = [
-            Appraisal("situation", "negative", 0.7, "p1", 0)
+            Appraisal("situation", "negative", 0.7, "p1")
         ]
         proc.phase = "preparing"
         tendencies = prepare_action(proc, tick=1)
@@ -287,7 +287,7 @@ class TestPrepareAction:
         assert tendencies[0].base_urgency == 0.7
         assert proc.candidate_goals == ["treat"]
 
-        proc.active_appraisals.append(Appraisal("treat", "positive", 0.8, "p1", 2))
+        proc.active_appraisals.append(Appraisal("treat", "positive", 0.8, "p1"))
         tendencies = prepare_action(proc, tick=3)
         assert [t.label for t in tendencies] == ["intention"]
         assert tendencies[0].base_urgency == 0.8
@@ -296,7 +296,7 @@ class TestPrepareAction:
         proc = process(
             options=[ProcessOption(state="s", action="s", flips=("other",))]
         )
-        proc.active_appraisals = [Appraisal("situation", "negative", 0.7, "p1", 0)]
+        proc.active_appraisals = [Appraisal("situation", "negative", 0.7, "p1")]
         proc.phase = "preparing"
         assert prepare_action(proc, tick=0) == []
 
@@ -307,7 +307,7 @@ class TestPrepareAction:
 
         plan = plan_tidy_task(small_world, small_goal, "strict")
         proc = process(goal_ref="task")
-        proc.active_appraisals = [Appraisal("situation", "negative", 0.8, "p1", 0)]
+        proc.active_appraisals = [Appraisal("situation", "negative", 0.8, "p1")]
         proc.phase = "preparing"
         tendencies = prepare_action(proc, plan=plan)
         assert len(tendencies) == 1

@@ -602,7 +602,7 @@ def _fresh_case(state):
     sources: dict[str, set[str]] = {}
     for t in state.tendency_pool:
         if not t.expired(now, state.config.tendency_ttl):
-            sources.setdefault(t.option, set()).add(t.source_process)
+            sources.setdefault(t.action, set()).add(t.source_process)
     templates = list(state.config.argument_templates)
     args = build_case(sorted(sources), templates, triggered(templates, _context(state)),
                       weight_overrides=state.weight_overrides, option_sources=sources)
@@ -614,7 +614,7 @@ def _fresh_case(state):
 def _appraise(state):
     proc = state.processes[1]
     appraisal = Appraisal(atom="current_situation", valence="negative",
-                          magnitude=0.5, source_process=proc.id, tick=0)
+                          magnitude=0.5, source_process=proc.id)
     state.processes[1] = dataclasses.replace(
         proc, active_appraisals=[*proc.active_appraisals, appraisal]
     )
@@ -650,8 +650,9 @@ class TestCaseReuse:
         table = agent._rebuild_case(state)
         args, fresh_active = _fresh_case(state)
         assert state.arguments == args
-        # The last OptionSet signature is the case's, reused or not.
-        assert {row[0] for row in state.last_option_set[1] if row[4]} == fresh_active
+        # The last OptionSet payload is the case's, reused or not.
+        rows = state.last_option_set["arguments"]
+        assert {row["id"] for row in rows if row["active"]} == fresh_active
         assert table == tally(args, fresh_active)
         return list(state.arguments)
 
@@ -1130,7 +1131,7 @@ class TestSteadyState:
         state = instantiate(load_bundled("non_smoking"), seed=1)
         first, second = state.processes
         appraisal = Appraisal(atom="current_situation", valence="negative",
-                              magnitude=0.7, source_process=second.id, tick=0)
+                              magnitude=0.7, source_process=second.id)
         second.active_appraisals = [appraisal]
         derived = agent._derived(state, first)
         key = agent._conditions(state)[0]

@@ -405,6 +405,16 @@ class TestValidateCommand:
                      "--metrics", str(tmp_path / "m.csv")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", scenario.BUNDLED)
+    def test_ontology_relations_is_an_unknown_key(self, tmp_path, capsys, name):
+        # The engine read no relation, so the schema no longer has them.
+        doc = json.loads(bundled_document(name))
+        doc["ontology"]["relations"] = ["on", "in", "held"]
+        path = tmp_path / "relations.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "ontology.relations: unknown key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("starting, events, message", [
         (True, [], "SLOT_CONFLICT @ starting_state.objects[book_1]: "
                    "fixture shelf_1 is slot-addressed: name a slot"),

@@ -9,11 +9,14 @@ why.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from cogsim.cli import main
-from cogsim.scenario import BUNDLED, bundled_document, load_bundled
+from cogsim.runner import (RunConfig, run_simulation, summary_line, write_metrics,
+                           write_trace)
+from cogsim.scenario import BUNDLED, bundled_document, load_bundled, parse_scenario
 
 CONFIGS = {
     "default": [],
@@ -133,3 +136,93 @@ def test_one_cell_weight_overrides_match_pinned_digest(tmp_path, capsys):
                 digest.update(trace.read_bytes())
                 digest.update(metrics.read_bytes())
     assert digest.hexdigest() == ONE_CELL_DIGEST
+
+
+# Each bundled scenario with its processes declared in reverse order, run
+# for 200 ticks at seed 1 under each configuration and written by the
+# kept-run writers.  The engine steps the processes in rank order; only
+# the option look-up of a redescription and the metrics columns follow
+# the declaration.  (trace, metrics, summary line) sha256, pinned from an
+# engine that sorted the processes at each deliberation and read its
+# declared list everywhere else.
+REVERSED_CONFIGS = {
+    "default": RunConfig(ticks=200),
+    "no_metacog": RunConfig(ticks=200, metacognition_enabled=False),
+    "ceos": RunConfig(ticks=200, bct_profile="ceos"),
+}
+REVERSED_DIGESTS = {
+    ("non_smoking", "ceos"): (
+        "b72f8e8527b254d5d1df8324eb764607aa1c62649b7fd5072bd243b2bbd6949d",
+        "90620beda3e45c52547775c860b8057fb49f5c5a50b27c62e0b956eb6a46e32c",
+        "a59abd7f462b5f134ce9f8ff27b9f62a25087993ad96fe49213616a99263159d",
+    ),
+    ("non_smoking", "default"): (
+        "b76ae7eca9aed5ea7504c8efc7850194e9f459c4ff392ae3f18413ca06edf67e",
+        "90620beda3e45c52547775c860b8057fb49f5c5a50b27c62e0b956eb6a46e32c",
+        "a59abd7f462b5f134ce9f8ff27b9f62a25087993ad96fe49213616a99263159d",
+    ),
+    ("non_smoking", "no_metacog"): (
+        "385b5c6e2f9557b8bc9c65a1a22caafc78f1d63ae729b428b5346562fe02a96c",
+        "90312b3971808fcd273686283294b75982ee0bae384f3aa2e800a3ec87b7a5e1",
+        "4f60c90cab6fb7a695ff96fb5e36035de21bcdde6ab1597d17061e05a3fc8b8e",
+    ),
+    ("office_cake", "ceos"): (
+        "cb73bbcdb58668f1db48d55091819d7425f74ad61f29f845c3d8155e920e6ba4",
+        "9cf3d5d346dbc1e7bfb5a1f12b385bd7cbeda707a175e9fe7dac0d792e55b552",
+        "3cefb5e2f7792fa0d09f5016a4d08cf782c8b0a11387cef30107462897224df0",
+    ),
+    ("office_cake", "default"): (
+        "cb73bbcdb58668f1db48d55091819d7425f74ad61f29f845c3d8155e920e6ba4",
+        "9cf3d5d346dbc1e7bfb5a1f12b385bd7cbeda707a175e9fe7dac0d792e55b552",
+        "3cefb5e2f7792fa0d09f5016a4d08cf782c8b0a11387cef30107462897224df0",
+    ),
+    ("office_cake", "no_metacog"): (
+        "181b806a6357027fd22c99b251b28690bafef2c27cb9494bdae156efb8ef5750",
+        "a9787ed2cd74494eef159eba7547175fe8207d895761241d199d5c03b9096f7f",
+        "32e3e9d1e90816fe55e510f4aca9b1781ce94405e747fa9209bf6fd91d0428b0",
+    ),
+    ("room_tidy", "ceos"): (
+        "d914b4d6bd4020d7815811efd8b689ce1bfc3c3dad0b16ad8e98c53aee431f7b",
+        "3179aaa84c6093ba16055b5d418570d37017fed7e0d99a469d124477a042fdba",
+        "11317b7bd8301e537a12d7e2215a5aa79cda12b2d0f045abb7c684177f1c3876",
+    ),
+    ("room_tidy", "default"): (
+        "d914b4d6bd4020d7815811efd8b689ce1bfc3c3dad0b16ad8e98c53aee431f7b",
+        "3179aaa84c6093ba16055b5d418570d37017fed7e0d99a469d124477a042fdba",
+        "11317b7bd8301e537a12d7e2215a5aa79cda12b2d0f045abb7c684177f1c3876",
+    ),
+    ("room_tidy", "no_metacog"): (
+        "1d2c7eff511e388fc88a21a27f0aa462ba34cde771699a5c62665d92646a8e55",
+        "faf8d2cb50114ff59c34c247f0ea75eea8269a8b8b3873bacd63d8ed4465f547",
+        "4ed4b3e42e1ac7e59e6031cb907be6a3e41866e50be3d1d1fefb90a8881a7cbb",
+    ),
+    ("room_tidy_redescription", "ceos"): (
+        "5387b995c146c3e8469327211f73b45270ec46c6eab11b8125eeb311b2260b68",
+        "875d2226194e128fdf2cce0edc030b8a34e0698edd90a09b15922e3a1b0819f3",
+        "97ddeaa6c525a8b7829d20552946f4345925c7e9b351b9687e9b8e9fffed2e37",
+    ),
+    ("room_tidy_redescription", "default"): (
+        "2d30beff1286617a6bc2ae9ae3c2b2b5100ce94f838f945cbefa389f43b6a03d",
+        "875d2226194e128fdf2cce0edc030b8a34e0698edd90a09b15922e3a1b0819f3",
+        "97ddeaa6c525a8b7829d20552946f4345925c7e9b351b9687e9b8e9fffed2e37",
+    ),
+    ("room_tidy_redescription", "no_metacog"): (
+        "23ab54505812079bca9d06adb5c969a94dce9740e78d96c2c25eaaa4983017c0",
+        "faf8d2cb50114ff59c34c247f0ea75eea8269a8b8b3873bacd63d8ed4465f547",
+        "d2e9ae43cf86c5623e68c4133afdae4ebfc77b11a26c67e4f532a75f86c9808d",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(REVERSED_CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reversed_process_declarations_match_pinned_digests(tmp_path, name, config):
+    doc = json.loads(bundled_document(name))
+    doc["agent"]["processes"].reverse()
+    result = run_simulation(parse_scenario(json.dumps(doc)), REVERSED_CONFIGS[config])
+    trace = tmp_path / "out.trace.jsonl"
+    metrics = tmp_path / "out.metrics.csv"
+    write_trace(result.state, str(trace))
+    write_metrics(result, str(metrics))
+    summary = hashlib.sha256(summary_line(result.summary).encode()).hexdigest()
+    assert (_sha256(trace), _sha256(metrics), summary) == REVERSED_DIGESTS[(name, config)]

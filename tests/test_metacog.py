@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cogsim import agent, metacog
 from cogsim import world as W
-from cogsim.affect import ActionTendency
+from cogsim.affect import ActionTendency, ProcessOption
 from cogsim.arguments import Argument
 from cogsim.errors import OutOfOrder
 from cogsim.metacog import (
@@ -456,6 +456,22 @@ class TestControl:
                                     state.config.commitments)
         control(finding, self.GUARD, state)
         return state, finding
+
+    def test_an_appraised_state_argues_against_the_first_declared_option(self):
+        # proc1 (rank 1) is declared before proc2 (rank 0), and both know
+        # "smoke" as a response state: the declaration, not the rank,
+        # picks the action a redescription argues against.
+        spec = load_bundled("non_smoking")
+        proc2, proc1 = spec.agent.processes
+        proc2 = dataclasses.replace(
+            proc2, options=(*proc2.options, ProcessOption("smoke", "light_up")))
+        config = dataclasses.replace(spec.agent, processes=(proc1, proc2))
+        state = instantiate(dataclasses.replace(spec, agent=config), seed=1)
+        assert [p.id for p in state.processes] == ["proc2", "proc1"]
+        finding = check_consistency(appraisal("smoke", "positive"),
+                                    state.config.commitments)
+        control(finding, self.GUARD, state)
+        assert state.sticky_arguments[-1].option == "smoke"
 
     def test_a_reapplied_redescription_reuses_the_standing_argument(self):
         state, finding = self._redescribed_state()

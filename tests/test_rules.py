@@ -99,7 +99,7 @@ def rule_context(drawn) -> RuleContext:
         beliefs.set(name, value, 0)
     return RuleContext(
         beliefs=beliefs,
-        appraisals=[Appraisal(a, v, m, "p", 0) for a, v, m in drawn["appraisals"]],
+        appraisals=[Appraisal(a, v, m, "p") for a, v, m in drawn["appraisals"]],
         commitments=[Commitment(a, "positive") for a in drawn["commitments"]],
     )
 
@@ -261,9 +261,9 @@ class PulledList(list):
     ({}, True, 1),
 ])
 def test_an_appraisal_test_stops_at_the_first_match(want, holds, pulled):
-    appraisals = PulledList([Appraisal("a", "negative", 0.5, "p", 0),
-                             Appraisal("b", "positive", 0.5, "p", 0),
-                             Appraisal("b", "positive", 0.5, "p", 0)])
+    appraisals = PulledList([Appraisal("a", "negative", 0.5, "p"),
+                             Appraisal("b", "positive", 0.5, "p"),
+                             Appraisal("b", "positive", 0.5, "p")])
     cond = compile_condition({"appraisal": want})
     assert eval_condition(cond, RuleContext(BeliefStore(), appraisals)) is holds
     assert appraisals.pulled == pulled
