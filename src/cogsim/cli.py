@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import CogsimError, ParseError, SchemaError
 from .runner import (
     RunConfig,
+    drained,
     metrics_sink,
     run_ticks,
     start,
@@ -69,8 +70,16 @@ def _weights_ok(weights: list[float]) -> bool:
     return False
 
 
+def _template_known(template: str, spec) -> bool:
+    """True when ``spec`` declares the argument template; otherwise print
+    the one message both template options share."""
+    if any(t.id == template for t in spec.agent.argument_templates):
+        return True
+    print(f"error: unknown argument template: {template}", file=sys.stderr)
+    return False
+
+
 def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
-    known = {t.id for t in spec.agent.argument_templates}
     out: dict[str, float] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -85,8 +94,7 @@ def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
             return None
         if not _weights_ok([weight]):
             return None
-        if template not in known:
-            print(f"error: unknown argument template: {template}", file=sys.stderr)
+        if not _template_known(template, spec):
             return None
         out[template] = weight
     return out
@@ -161,10 +169,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         with (trace_sink(trace_path) as sink,
               metrics_sink(metrics_path, [p.id for p in spec.agent.processes]) as rows):
             state = start(spec, _run_config(args, overrides))
-            for row, batch in run_ticks(state, args.ticks):
+            for row in run_ticks(state, args.ticks):
                 rows(row)
+                batch = drained(state)
                 if batch:
                     sink(batch)
+            sink(state.trace.events)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
@@ -188,8 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if not _weights_ok(weights):
         return 2
-    if args.template not in {t.id for t in spec.agent.argument_templates}:
-        print(f"error: unknown argument template: {args.template}", file=sys.stderr)
+    if not _template_known(args.template, spec):
         return 2
     base_overrides = _parse_weight_overrides(args.set_weight, spec)
     if base_overrides is None:
@@ -214,8 +223,8 @@ def _sweep_summary(args: argparse.Namespace, spec, base_overrides: dict[str, flo
     overrides = dict(base_overrides)
     overrides[args.template] = weight
     state = start(spec, _run_config(args, overrides))
-    for row, _ in run_ticks(state, args.ticks):
-        pass
+    for row in run_ticks(state, args.ticks):
+        drained(state)
     return summarize(spec, state, row)
 
 

@@ -1,15 +1,16 @@
 """Run loop and stable file exporters.
 
-``run_ticks`` is the one run loop.  It yields each tick's metrics row
-with the trace events drained after it, and its three consumers differ
-only in what they do with them: ``run_simulation`` keeps every row and
-event, ``cogsim run`` writes them through ``metrics_sink`` and
-``trace_sink`` as they arrive, so its memory does not grow with the
-horizon, and ``cogsim sweep`` drops them.  Trace files are JSON Lines
-(one event per line, sorted keys), metrics files are CSV with LF
-endings; neither contains wall-clock data, so identical configuration
-and seed produce byte-identical files.  Each writer streams its lines,
-so a write holds no encoded copy of the whole file.
+``run_ticks`` is the one run loop: it yields each tick's metrics row
+and stops by the stop rule.  ``run_simulation`` keeps every row and the
+whole trace.  ``cogsim run`` and ``cogsim sweep`` take events out of
+the trace with ``drained`` after each row, so their memory does not
+grow with the horizon: ``cogsim run`` writes each row and batch through
+``metrics_sink`` and ``trace_sink`` as they arrive, and then what the
+trace still holds, and ``cogsim sweep`` drops them.  Trace files are
+JSON Lines (one event per line, sorted keys), metrics files are CSV
+with LF endings; neither contains wall-clock data, so identical
+configuration and seed produce byte-identical files.  Each writer
+streams its lines, so a write holds no encoded copy of the whole file.
 
 A trace line is written by the formatter of its payload's shape: at
 import, one formatter is generated as literal code for each key set
@@ -49,9 +50,9 @@ from .scenario import ScenarioSpec, instantiate
 
 QUIESCENT_IDLE_TICKS = 5
 
-# A run drains its trace once it holds this many events.  Each drain
-# costs a 60-tick room run measurable time (64 events: about 2% more;
-# 32: about 4%); a larger batch only holds more events.
+# A streamed run drains its trace once it holds this many events.  Each
+# drain costs a 60-tick room run measurable time (64 events: about 2%
+# more; 32: about 4%); a larger batch only holds more events.
 DRAIN_EVENTS = 128
 
 
@@ -81,33 +82,31 @@ def start(spec: ScenarioSpec, config: RunConfig) -> SimulationState:
     return state
 
 
-def run_ticks(state: SimulationState,
-              ticks: int) -> Iterator[tuple[dict, Sequence[TraceEvent]]]:
-    """Tick ``state`` up to ``ticks`` times, yielding each tick's ``(row,
-    batch)``, and stop early once the strict goal holds and the agent,
-    having executed a non-idle action, has idled five ticks in a row.
-    ``batch`` holds the events drained from the trace after the tick:
-    once the trace holds ``DRAIN_EVENTS`` events, those the monitor has
-    read (all of them under ``--no-metacog``, as nothing reads them
-    then), after the last tick every event left, and otherwise none."""
-    trace = state.trace
+def run_ticks(state: SimulationState, ticks: int) -> Iterator[dict]:
+    """Tick ``state`` up to ``ticks`` times, yielding each tick's row, and
+    stop early once the strict goal holds and the agent, having executed a
+    non-idle action, has idled five ticks in a row."""
     idle_streak = 0
     acted = False
-    for count in range(1, ticks + 1):
+    for _ in range(ticks):
         row = tick(state)
+        yield row
         idle_streak = idle_streak + 1 if row["idle"] else 0
         acted = acted or not row["idle"]
-        if count == ticks or (row["strict_tidy"] and acted
-                              and idle_streak >= QUIESCENT_IDLE_TICKS):
-            yield row, trace.drain(trace.head())
+        if row["strict_tidy"] and acted and idle_streak >= QUIESCENT_IDLE_TICKS:
             return
-        # ``trace.events`` is read afresh, as a caller may swap the list;
-        # a tick that drains nothing yields the one shared empty tuple.
-        if len(trace.events) >= DRAIN_EVENTS:
-            read = state.monitor_cursor if state.metacognition_enabled else trace.head()
-            yield row, trace.drain(read)
-        else:
-            yield row, ()
+
+
+def drained(state: SimulationState) -> Sequence[TraceEvent]:
+    """The events a streamed run takes out of the trace after a tick: once
+    the trace holds ``DRAIN_EVENTS`` events, those the monitor has read
+    (all of them under ``--no-metacog``, as nothing reads them then), and
+    otherwise none, the one shared empty tuple."""
+    trace = state.trace
+    if len(trace.events) < DRAIN_EVENTS:
+        return ()
+    return trace.drain(state.monitor_cursor if state.metacognition_enabled
+                       else trace.head())
 
 
 def summarize(spec: ScenarioSpec, state: SimulationState, last: dict | None) -> dict:
@@ -128,14 +127,9 @@ def summarize(spec: ScenarioSpec, state: SimulationState, last: dict | None) -> 
 
 
 def run_simulation(spec: ScenarioSpec, config: RunConfig) -> RunResult:
-    """Run ``spec`` under ``config`` and keep every row and trace event:
-    the drained batches are joined again as the trace's events."""
+    """Run ``spec`` under ``config`` and keep every row and the whole trace."""
     state = start(spec, config)
-    metrics, events = [], []
-    for row, batch in run_ticks(state, config.ticks):
-        metrics.append(row)
-        events += batch
-    state.trace.events = events
+    metrics = list(run_ticks(state, config.ticks))
     return RunResult(state, metrics,
                      summarize(spec, state, metrics[-1] if metrics else None))
 

@@ -559,12 +559,18 @@ class TestRunCommand:
             digests.append(hashlib.sha256(trace.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
-    def test_unknown_weight_override_exits_2(self, room_tidy_path, tmp_path):
-        code = main(
-            ["run", room_tidy_path, "--set-weight", "nope=1.0",
-             "--trace", str(tmp_path / "t.jsonl"), "--metrics", str(tmp_path / "m.csv")]
-        )
-        assert code == 2
+    @pytest.mark.parametrize("command, options", [
+        ("run", ["--set-weight", "nope=1.0"]),
+        ("sweep", ["--template", "nope", "--weights", "1"]),
+        ("sweep", ["--template", "serves_tidy_goal", "--weights", "1",
+                   "--set-weight", "nope=1.0"]),
+    ], ids=["run_override", "sweep_template", "sweep_override"])
+    def test_unknown_template_exits_2(self, room_tidy_path, tmp_path, capsys,
+                                      command, options):
+        outputs = (["--trace", str(tmp_path / "t.jsonl"), "--metrics", str(tmp_path / "m.csv")]
+                   if command == "run" else ["--out", str(tmp_path / "s.csv")])
+        assert main([command, room_tidy_path, *options, *outputs]) == 2
+        assert capsys.readouterr().err == "error: unknown argument template: nope\n"
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
     def test_non_finite_weight_override_exits_2(self, room_tidy_path, tmp_path, raw):

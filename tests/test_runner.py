@@ -283,33 +283,45 @@ def test_every_bundled_event_goes_through_its_shapes_formatter(name, config, tmp
     assert len(formatted) == len(trace.read_bytes().splitlines()) > 0
 
 
-def _driven(spec, run_config, rows=None, batches=None) -> RunResult:
-    """A run of ``run_ticks`` driven as ``cogsim run`` drives it: each row
-    goes to ``rows`` and each non-empty batch to ``batches``, when given,
-    and the result keeps neither."""
+def _driven(spec, run_config, batches) -> RunResult:
+    """A run of ``run_ticks`` driven as ``cogsim run`` drives it: after each
+    row, each non-empty batch ``drained`` takes goes to ``batches``, and
+    the result keeps the rows and what the trace still holds."""
     state = runner.start(spec, run_config)
-    row = None
-    for row, batch in runner.run_ticks(state, run_config.ticks):
-        if rows is not None:
-            rows.append(row)
-        if batches is not None and batch:
+    rows = []
+    for row in runner.run_ticks(state, run_config.ticks):
+        rows.append(row)
+        batch = runner.drained(state)
+        if batch:
             batches.append(batch)
-    return RunResult(state, [], runner.summarize(spec, state, row))
+    return RunResult(state, rows, runner.summarize(spec, state, rows[-1]))
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("name", BUNDLED)
-def test_the_inconsistency_count_holds_after_the_trace_is_drained(name, config):
+def test_a_drained_run_sees_the_rows_and_events_of_the_kept_run(name, config):
     spec, run_config = load_bundled(name), RunConfig(ticks=600, **CONFIGS[config])
     kept = run_simulation(spec, run_config)
     batches = []
-    drained = _driven(spec, run_config, batches=batches)
+    streamed = _driven(spec, run_config, batches)
     found = sum(e.kind == "InconsistencyDetected" for e in kept.state.trace.events)
     assert kept.summary["inconsistencies"] == found
-    assert drained.summary == kept.summary
-    assert drained.state.trace.events == []
-    assert [e for batch in batches for e in batch] == kept.state.trace.events
+    assert streamed.summary == kept.summary
+    assert streamed.metrics == kept.metrics
+    assert ([e for batch in batches for e in batch] + streamed.state.trace.events
+            == kept.state.trace.events)
     assert len(batches) > 1
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_kept_run_never_drains(name, config, monkeypatch):
+    def refused(trace, cursor):
+        raise AssertionError("a kept run drained its trace")
+
+    monkeypatch.setattr(ReasoningTrace, "drain", refused)
+    result = run_simulation(load_bundled(name), RunConfig(ticks=600, **CONFIGS[config]))
+    assert len(result.state.trace.events) > runner.DRAIN_EVENTS
 
 
 def test_a_run_that_raises_after_drains_leaves_the_trace_empty(tmp_path, monkeypatch,
@@ -372,19 +384,6 @@ def test_a_streamed_runs_memory_does_not_grow_with_the_horizon(name, tmp_path, c
     assert abs(long - short) <= 0.15 * short, (short, long)
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS))
-@pytest.mark.parametrize("name", BUNDLED)
-def test_a_run_given_a_sink_keeps_no_rows(name, config):
-    spec, run_config = load_bundled(name), RunConfig(ticks=600, **CONFIGS[config])
-    kept = run_simulation(spec, run_config)
-    dropped = _driven(spec, run_config)
-    rows = []
-    streamed = _driven(spec, run_config, rows)
-    assert dropped.metrics == [] and streamed.metrics == []
-    assert dropped.summary == kept.summary == streamed.summary
-    assert rows == kept.metrics
-
-
 def _room_tidy_without_events():
     return dataclasses.replace(load_bundled("room_tidy"), events=())
 
@@ -394,19 +393,17 @@ def test_the_stop_rule_ends_a_run_five_idle_ticks_after_the_goal_holds():
     # 21, and ticks 22 to 26 idle, so the run stops long before its horizon.
     spec, config = _room_tidy_without_events(), RunConfig(ticks=600, seed=1)
     state = runner.start(spec, config)
-    pairs = list(runner.run_ticks(state, config.ticks))
-    rows = [row for row, _ in pairs]
-    assert len(pairs) == 27
+    rows = list(runner.run_ticks(state, config.ticks))
+    assert len(rows) == 27
     assert [row["strict_tidy"] for row in rows].index(True) == 21
     assert not rows[21]["idle"] and all(row["idle"] for row in rows[22:])
-    assert pairs[-1][1] and state.trace.events == []
     summary = runner.summarize(spec, state, rows[-1])
     assert summary == run_simulation(spec, config).summary
     assert summary["ticks_executed"] == 27 and summary["final_strict"]
 
 
 # (scenario name, config, ticks seen): the stopping run at and before its
-# stop, and a run past its first drains in each config.
+# stop, and a long run in each config.
 @pytest.mark.parametrize("name, config, ticks", [
     *[("room_tidy_without_events", "default", ticks) for ticks in (1, 21, 26, 27)],
     *[("room_tidy_redescription", config, 300) for config in sorted(CONFIGS)]])
@@ -417,11 +414,8 @@ def test_a_consumer_that_stops_early_has_seen_a_prefix_of_the_kept_run(name, con
     config = RunConfig(ticks=600, **CONFIGS[config])
     kept = run_simulation(scenario, config)
     state = runner.start(scenario, config)
-    rows, batches = [], []
-    for row, batch in itertools.islice(runner.run_ticks(state, config.ticks), ticks):
-        rows.append(row)
-        batches.append(batch)
-    seen = [event for batch in batches for event in batch] + state.trace.events
+    rows = list(itertools.islice(runner.run_ticks(state, config.ticks), ticks))
+    seen = state.trace.events
     assert rows == kept.metrics[:ticks]
     assert seen == [event for event in kept.state.trace.events if event.tick < ticks]
     assert len(seen) < len(kept.state.trace.events) or ticks == len(kept.metrics)
