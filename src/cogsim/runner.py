@@ -8,7 +8,8 @@ grow with the horizon: ``cogsim run`` writes each row and batch through
 ``metrics_sink`` and ``trace_sink`` as they arrive, and then what the
 trace still holds, and ``cogsim sweep`` drops them.  Trace files are
 JSON Lines (one event per line, sorted keys), metrics files are CSV
-with LF endings; neither contains wall-clock data, so identical
+with LF endings and a text cell quoted as ``csv.QUOTE_MINIMAL`` quotes
+it; neither contains wall-clock data, so identical
 configuration and seed produce byte-identical files.  Each writer
 streams its lines, so a write holds no encoded copy of the whole file.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
@@ -303,16 +305,30 @@ def write_metrics(result: RunResult, path: str) -> None:
 
 
 def write_sweep(runs: Iterable[tuple[float, dict]], path: str) -> None:
-    """One row per ``(weight, run summary)`` pair."""
+    """One row per ``(weight, run summary)`` pair.  The weight is an input,
+    so it is written as given, by its repr, not rounded as a computed
+    float is."""
     columns = ("final_strict", "final_relaxed", "abandoned", "countermeasures_fired")
     with _rewritten(path) as fh:
         fh.write(_csv_line(["weight", *columns]))
-        fh.writelines(_csv_line([weight, *[summary[c] for c in columns]])
+        fh.writelines(_csv_line([repr(weight), *[summary[c] for c in columns]])
                       for weight, summary in runs)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _text_cell(text: str) -> str:
+    """``text`` as ``csv.QUOTE_MINIMAL`` writes it: in quotes, each quote
+    doubled, when it holds a comma, a quote or a line break."""
+    if _NEEDS_QUOTES(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 # How a CSV cell is written, by its type; any other type by ``str``.
-_CELL = {bool: ("0", "1").__getitem__, float: lambda value: repr(round(value, 9))}
+_CELL = {bool: ("0", "1").__getitem__, float: lambda value: repr(round(value, 9)),
+         str: _text_cell}
 
 
 def _csv_line(cells: list) -> str:

@@ -876,11 +876,12 @@ RUN_MODES = {
 }
 
 # A weight override under which each one-cell scenario lapses: the agent
-# takes the tempting action on almost every tick instead of resisting it.
+# takes the tempting action on every tick from tick 2 instead of resisting it.
 LAPSE_WEIGHTS = {
     "non_smoking": {"relief_appeal": 3.0},
     "office_cake": {"social_pressure": 3.0},
 }
+LAPSE_ACTIONS = {"non_smoking": "smoke", "office_cake": "eat_cake"}
 
 
 class TestReactiveReuse:
@@ -989,6 +990,11 @@ class TestSteadyState:
         for config in configs:
             kept = run_bytes(spec, config)
             assert isinstance(kept, tuple)  # the bundled scenarios run
+            if config.weight_overrides:
+                executed = [event["payload"]["action"]
+                            for event in map(json.loads, kept[0])
+                            if event["kind"] == "ActionExecuted"]
+                assert executed == ["idle"] * 2 + [LAPSE_ACTIONS[name]] * 598
             with forgetful():
                 assert run_bytes(spec, config) == kept
 

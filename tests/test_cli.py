@@ -28,9 +28,10 @@ def redescription_path(tmp_path):
 
 
 class TestValidateCommand:
-    def test_bundled_scenario_passes(self, room_tidy_path, capsys):
-        assert main(["validate", room_tidy_path]) == 0
-        assert "OK" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", scenario.BUNDLED)
+    def test_bundled_scenario_passes(self, name, capsys):
+        assert main(["validate", str(ASSETS / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == f"{name}: OK\n"
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 1
@@ -679,6 +680,17 @@ class TestSweepCommand:
         assert weights == ["0.0", "0.5", "1.0", "1.5"]
         abandoned = [int(line.split(",")[3]) for line in lines[1:]]
         assert abandoned == sorted(abandoned, reverse=True)
+
+    def test_each_weight_is_written_as_given(self, redescription_path, tmp_path):
+        # A weight is an input, not a computed float: two weights that agree
+        # to nine places stay apart, and a tiny one is not written as 0.
+        weights = [1e-10, 0.0, 0.1234567891, 0.1234567894]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", redescription_path, "--template", "commitment_guard",
+                     "--weights", ",".join(map(str, weights)), "--ticks", "5",
+                     "--out", str(out)]) == 0
+        cells = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert [float(cell) for cell in cells] == weights
 
     def test_each_run_is_freed_before_the_next_starts(
         self, redescription_path, tmp_path, monkeypatch

@@ -5,7 +5,9 @@ set of its kind, and must give the lines of a whole-dict encoding with
 sorted keys.  ``write_trace`` streams the same lines into the file, and
 ``cogsim run`` writes them as its run drains the trace."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -30,7 +32,7 @@ from cogsim.runner import (
     write_metrics,
     write_trace,
 )
-from cogsim.scenario import BUNDLED, load_bundled
+from cogsim.scenario import BUNDLED, bundled_document, load_bundled
 
 from helpers import reference_trace_lines
 
@@ -248,23 +250,72 @@ def test_an_encode_that_fails_partway_empties_the_file(tmp_path):
     assert path.read_bytes() == b""
 
 
-def _run_argv(name, trace, metrics, ticks, options=()):
-    return ["run", str(ASSETS / f"{name}.json"), "--ticks", str(ticks),
+def _run_argv(scenario, trace, metrics, ticks, options=()):
+    """``cogsim run`` of ``scenario``, a bundled scenario's name or a path."""
+    path = scenario if isinstance(scenario, Path) else ASSETS / f"{scenario}.json"
+    return ["run", str(path), "--ticks", str(ticks),
             "--trace", str(trace), "--metrics", str(metrics), *options]
 
 
+# room_tidy without its shelf breakage, as A1 runs it: the stop rule ends
+# it at tick 27, long before the horizon.
+CALM = "room_tidy_without_events"
+
+
+def _room_tidy_without_events():
+    return dataclasses.replace(load_bundled("room_tidy"), events=())
+
+
+def _scenario(name):
+    return _room_tidy_without_events() if name == CALM else load_bundled(name)
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", [*BUNDLED, CALM])
 def test_a_streamed_run_writes_the_files_of_the_kept_run(name, config, tmp_path,
                                                          capsys):
-    kept = run_simulation(load_bundled(name), RunConfig(ticks=600, **CONFIGS[config]))
+    kept = run_simulation(_scenario(name), RunConfig(ticks=600, **CONFIGS[config]))
     write_trace(kept.state, str(tmp_path / "kept.jsonl"))
     write_metrics(kept, str(tmp_path / "kept.csv"))
+    scenario = name
+    if name == CALM:
+        assert kept.summary["ticks_executed"] == 27
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["events"] = []
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
     streamed = [tmp_path / "t.jsonl", tmp_path / "m.csv"]
-    assert main(_run_argv(name, *streamed, 600, OPTIONS[config])) == 0
+    assert main(_run_argv(scenario, *streamed, 600, OPTIONS[config])) == 0
     assert streamed[0].read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
     assert streamed[1].read_bytes() == (tmp_path / "kept.csv").read_bytes()
     assert capsys.readouterr().out == runner.summary_line(kept.summary) + "\n"
+
+
+def _minimal_line(row: list[str]) -> str:
+    """``row`` as ``csv.writer`` writes it under ``csv.QUOTE_MINIMAL``, with
+    an LF line end."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n").writerow(row)
+    return out.getvalue()[:-2] + "\n"
+
+
+@pytest.mark.parametrize("action", ["eat,cake", 'eat"cake', "eat\rcake", "eat\ncake",
+                                    'eat,"cake"'])
+def test_a_text_cell_is_quoted_as_the_csv_module_quotes_it(action, tmp_path, capsys):
+    # office_cake with its tempting action renamed, under the weight that
+    # makes the agent take it on every tick from tick 2.
+    scenario, metrics = tmp_path / "cake.json", tmp_path / "m.csv"
+    scenario.write_text(bundled_document("office_cake").replace(
+        '"eat_cake"', json.dumps(action)), encoding="utf-8")
+    assert main(_run_argv(scenario, os.devnull, metrics, 10,
+                          ["--set-weight", "social_pressure=3.0"])) == 0
+    with open(metrics, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    selected = [row[header.index("selected_action")] for row in rows]
+    assert selected == ["idle"] * 2 + [action] * 8
+    text = metrics.read_bytes().decode("utf-8")
+    assert text == "".join(map(_minimal_line, [header, *rows]))
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -384,10 +435,6 @@ def test_a_streamed_runs_memory_does_not_grow_with_the_horizon(name, tmp_path, c
     assert abs(long - short) <= 0.15 * short, (short, long)
 
 
-def _room_tidy_without_events():
-    return dataclasses.replace(load_bundled("room_tidy"), events=())
-
-
 def test_the_stop_rule_ends_a_run_five_idle_ticks_after_the_goal_holds():
     # As in A1: without the shelf breakage the strict goal holds from tick
     # 21, and ticks 22 to 26 idle, so the run stops long before its horizon.
@@ -405,12 +452,11 @@ def test_the_stop_rule_ends_a_run_five_idle_ticks_after_the_goal_holds():
 # (scenario name, config, ticks seen): the stopping run at and before its
 # stop, and a long run in each config.
 @pytest.mark.parametrize("name, config, ticks", [
-    *[("room_tidy_without_events", "default", ticks) for ticks in (1, 21, 26, 27)],
+    *[(CALM, "default", ticks) for ticks in (1, 21, 26, 27)],
     *[("room_tidy_redescription", config, 300) for config in sorted(CONFIGS)]])
 def test_a_consumer_that_stops_early_has_seen_a_prefix_of_the_kept_run(name, config,
                                                                        ticks):
-    scenario = (_room_tidy_without_events() if name == "room_tidy_without_events"
-                else load_bundled(name))
+    scenario = _scenario(name)
     config = RunConfig(ticks=600, **CONFIGS[config])
     kept = run_simulation(scenario, config)
     state = runner.start(scenario, config)
