@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import weakref
 from pathlib import Path
 
@@ -661,6 +663,63 @@ def test_a_command_checks_its_spec_once(redescription_path, tmp_path, monkeypatc
     command, *options = argv
     assert main([command, redescription_path, "--ticks", "20", *options]) == 0
     assert len(checked) == 1
+
+
+_ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+_SWEEP = ["sweep", "good.json", "--template", "serves_tidy_goal"]
+
+
+# Every way a command fails: its exit code and the whole of its stderr,
+# with nothing on stdout.  Paths are relative to a directory holding
+# room_tidy as good.json and the broken documents below.
+@pytest.mark.parametrize("argv, code, err", [
+    (["validate", "missing.json"], 1,
+     f"error: cannot read missing.json: {_ENOENT}: 'missing.json'\n"),
+    (["validate", "broken.json"], 1,
+     "error: broken.json: line 1, column 10: Expecting value\n"),
+    (["run", "schema.json"], 1,
+     "error: schema.json: ontology.relations: unknown key\n"),
+    (["run", "good.json", "--ticks", "0"], 2, "error: --ticks must be >= 1\n"),
+    (["run", "invalid.json"], 2,
+     "ERROR OUT_OF_BOUNDS @ starting_state.agent: agent starts outside the grid\n"
+     "ERROR CYCLIC_UNDERCUT @ agent.argument_templates: "
+     "undercut relation among templates is cyclic\n"),
+    (["run", "good.json", "--set-weight", "serves_tidy_goal"], 2,
+     "error: --set-weight expects TEMPLATE=WEIGHT, got 'serves_tidy_goal'\n"),
+    (["run", "good.json", "--set-weight", "serves_tidy_goal=x"], 2,
+     "error: weight is not a number: 'x'\n"),
+    (["run", "good.json", "--set-weight", "serves_tidy_goal=nan"], 2,
+     "error: weights must be finite and non-negative\n"),
+    (["run", "good.json", "--set-weight", "ghost=1"], 2,
+     "error: unknown argument template: ghost\n"),
+    ([*_SWEEP, "--weights", ""], 2, "error: --weights is empty\n"),
+    ([*_SWEEP, "--weights", "1,x"], 2, "error: malformed --weights: '1,x'\n"),
+    (["run", "good.json", "--metrics", "good.json"], 2,
+     "error: --metrics names the same file as the scenario: good.json\n"),
+    (["run", "good.json", "--trace", "no_dir/t.jsonl", "--metrics", "m.csv"], 1,
+     f"error: cannot write outputs: {_ENOENT}: 'no_dir/t.jsonl'\n"),
+    ([*_SWEEP, "--weights", "1", "--out", "no_dir/s.csv"], 1,
+     f"error: cannot write no_dir/s.csv: {_ENOENT}: 'no_dir/s.csv'\n"),
+], ids=["cannot_read", "parse", "schema", "ticks", "invalid", "set_weight_form",
+        "weight_not_number", "nan_weight", "unknown_template", "empty_weights",
+        "malformed_weights", "output_is_scenario", "unwritable_trace",
+        "unwritable_sweep_out"])
+def test_each_cli_failure_prints_its_message_and_exits(tmp_path, monkeypatch, capsys,
+                                                       argv, code, err):
+    doc = json.loads(bundled_document("room_tidy"))
+    (tmp_path / "good.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "broken.json").write_text('{"meta": ', encoding="utf-8")
+    schema = json.loads(json.dumps(doc))
+    schema["ontology"]["relations"] = []
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    invalid = json.loads(json.dumps(doc))
+    invalid["starting_state"]["agent"] = [99, 99]
+    invalid["agent"]["argument_templates"][0]["undercuts"] = "fixing_is_unpleasant"
+    invalid["agent"]["argument_templates"][1]["undercuts"] = "serves_tidy_goal"
+    (tmp_path / "invalid.json").write_text(json.dumps(invalid), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)
 
 
 class TestSweepCommand:
