@@ -50,51 +50,3 @@ from .world import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionTendency",
-    "AffectiveProcess",
-    "AgentConfig",
-    "Appraisal",
-    "Argument",
-    "ArgumentTemplate",
-    "CaseReport",
-    "Commitment",
-    "CountermeasureSpec",
-    "GoalSpec",
-    "GoalStatus",
-    "Inconsistency",
-    "ObjectState",
-    "ReactiveRule",
-    "ReasoningTrace",
-    "RunConfig",
-    "RunResult",
-    "ScenarioSpec",
-    "SimulationState",
-    "TraceEvent",
-    "ValidationReport",
-    "WorldEvent",
-    "WorldState",
-    "active_set",
-    "aggregate",
-    "apply_action",
-    "build_case",
-    "check_consistency",
-    "control",
-    "deliberative_step",
-    "evaluate_goal",
-    "instantiate",
-    "load_bundled",
-    "monitor",
-    "parse_scenario",
-    "perceive",
-    "plan_tidy_task",
-    "prepare_action",
-    "reactive_step",
-    "run_affective_cycle",
-    "run_simulation",
-    "serialize_scenario",
-    "step_events",
-    "tick",
-    "validate_scenario",
-]

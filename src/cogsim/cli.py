@@ -1,7 +1,8 @@
 """Command-line entry point: validate, run, and sweep scenarios.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 validation or
-configuration problem.
+configuration problem.  A failing check raises ``_Failure`` with its
+code and its stderr text, and ``main`` alone prints it.
 """
 
 from __future__ import annotations
@@ -28,90 +29,83 @@ from .runner import (
 from .scenario import parse_scenario, validate_scenario
 
 
+class _Failure(Exception):
+    """A command's failure: ``main`` prints the text (``str``) to stderr
+    and exits with ``code``."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+
+
 def _load_spec(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, 1
+        raise _Failure(1, f"error: cannot read {path}: {exc}")
     try:
-        return parse_scenario(text), 0
+        return parse_scenario(text)
     except (ParseError, SchemaError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, 1
+        raise _Failure(1, f"error: {path}: {exc}")
 
 
-def _print_entries(label: str, entries: list[tuple[str, str, str]], out) -> None:
-    """One line per validation report entry, to the stream ``out``."""
-    for code, location, message in entries:
-        print(f"{label} {code} @ {location}: {message}", file=out)
+def _lines(label: str, entries: list[tuple[str, str, str]]) -> list[str]:
+    """One line per validation report entry."""
+    return [f"{label} {code} @ {location}: {message}"
+            for code, location, message in entries]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    spec, status = _load_spec(args.scenario)
-    if spec is None:
-        return status
+    spec = _load_spec(args.scenario)
     report = validate_scenario(spec)
-    _print_entries("ERROR", report.errors, sys.stdout)
-    _print_entries("WARNING", report.warnings, sys.stdout)
-    if report.ok():
-        suffix = f" ({len(report.warnings)} warning(s))" if report.warnings else ""
-        print(f"{spec.meta.name}: OK{suffix}")
-        return 0
-    return 2
+    for line in [*_lines("ERROR", report.errors), *_lines("WARNING", report.warnings)]:
+        print(line)
+    if not report.ok():
+        return 2
+    suffix = f" ({len(report.warnings)} warning(s))" if report.warnings else ""
+    print(f"{spec.meta.name}: OK{suffix}")
+    return 0
 
 
-def _weights_ok(weights: list[float]) -> bool:
-    """True when every weight is finite and non-negative; otherwise print
-    the one message both weight options share."""
-    if all(math.isfinite(w) and w >= 0 for w in weights):
-        return True
-    print("error: weights must be finite and non-negative", file=sys.stderr)
-    return False
+def _check_weights(weights: list[float]) -> None:
+    """Every weight must be finite and non-negative: the one message both
+    weight options share."""
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise _Failure(2, "error: weights must be finite and non-negative")
 
 
-def _template_known(template: str, spec) -> bool:
-    """True when ``spec`` declares the argument template; otherwise print
-    the one message both template options share."""
-    if any(t.id == template for t in spec.agent.argument_templates):
-        return True
-    print(f"error: unknown argument template: {template}", file=sys.stderr)
-    return False
+def _check_template(template: str, spec) -> None:
+    """``spec`` must declare the argument template: the one message both
+    template options share."""
+    if not any(t.id == template for t in spec.agent.argument_templates):
+        raise _Failure(2, f"error: unknown argument template: {template}")
 
 
-def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float] | None:
+def _parse_weight_overrides(pairs: list[str], spec) -> dict[str, float]:
     out: dict[str, float] = {}
     for pair in pairs:
         if "=" not in pair:
-            print(f"error: --set-weight expects TEMPLATE=WEIGHT, got {pair!r}",
-                  file=sys.stderr)
-            return None
+            raise _Failure(
+                2, f"error: --set-weight expects TEMPLATE=WEIGHT, got {pair!r}")
         template, raw = pair.split("=", 1)
         try:
             weight = float(raw)
         except ValueError:
-            print(f"error: weight is not a number: {raw!r}", file=sys.stderr)
-            return None
-        if not _weights_ok([weight]):
-            return None
-        if not _template_known(template, spec):
-            return None
+            raise _Failure(2, f"error: weight is not a number: {raw!r}")
+        _check_weights([weight])
+        _check_template(template, spec)
         out[template] = weight
     return out
 
 
 def _checked_spec(args: argparse.Namespace):
     if args.ticks < 1:
-        print("error: --ticks must be >= 1", file=sys.stderr)
-        return None, 2
-    spec, status = _load_spec(args.scenario)
-    if spec is None:
-        return None, status
+        raise _Failure(2, "error: --ticks must be >= 1")
+    spec = _load_spec(args.scenario)
     report = validate_scenario(spec)
     if not report.ok():
-        _print_entries("ERROR", report.errors, sys.stderr)
-        return None, 2
-    return spec, 0
+        raise _Failure(2, "\n".join(_lines("ERROR", report.errors)))
+    return spec
 
 
 def _file_key(path: str):
@@ -126,21 +120,19 @@ def _file_key(path: str):
     return (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
 
 
-def _outputs_clash(scenario: str, outputs: dict[str, str]) -> bool:
-    """True, after saying so, when an output (by option) names the same
-    file as the scenario or as another output, whose bytes it would
-    overwrite.  Checked before any file is opened."""
+def _check_outputs(scenario: str, outputs: dict[str, str]) -> None:
+    """No output (by option) may name the same file as the scenario or as
+    another output, whose bytes it would overwrite.  Checked before any
+    file is opened."""
     seen = {_file_key(scenario): "the scenario"}
     for option, path in outputs.items():
         key = _file_key(path)
         if key is None:
             continue
         if key in seen:
-            print(f"error: {option} names the same file as {seen[key]}: {path}",
-                  file=sys.stderr)
-            return True
+            raise _Failure(
+                2, f"error: {option} names the same file as {seen[key]}: {path}")
         seen[key] = option
-    return False
 
 
 def _run_config(args: argparse.Namespace, overrides: dict[str, float]) -> RunConfig:
@@ -157,14 +149,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     stem = Path(args.scenario).stem
     trace_path = args.trace or f"{stem}.trace.jsonl"
     metrics_path = args.metrics or f"{stem}.metrics.csv"
-    if _outputs_clash(args.scenario, {"--trace": trace_path, "--metrics": metrics_path}):
-        return 2
-    spec, status = _checked_spec(args)
-    if spec is None:
-        return status
+    _check_outputs(args.scenario, {"--trace": trace_path, "--metrics": metrics_path})
+    spec = _checked_spec(args)
     overrides = _parse_weight_overrides(args.set_weight, spec)
-    if overrides is None:
-        return 2
     try:
         with (trace_sink(trace_path) as sink,
               metrics_sink(metrics_path, [p.id for p in spec.agent.processes]) as rows):
@@ -176,41 +163,30 @@ def cmd_run(args: argparse.Namespace) -> int:
                     sink(batch)
             sink(state.trace.events)
     except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure(1, f"error: cannot write outputs: {exc}")
     print(summary_line(summarize(spec, state, row)))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if _outputs_clash(args.scenario, {"--out": args.out}):
-        return 2
-    spec, status = _checked_spec(args)
-    if spec is None:
-        return status
+    _check_outputs(args.scenario, {"--out": args.out})
+    spec = _checked_spec(args)
     if not args.weights.strip():
-        print("error: --weights is empty", file=sys.stderr)
-        return 2
+        raise _Failure(2, "error: --weights is empty")
     try:
         weights = [float(w) for w in args.weights.split(",")]
     except ValueError:
-        print(f"error: malformed --weights: {args.weights!r}", file=sys.stderr)
-        return 2
-    if not _weights_ok(weights):
-        return 2
-    if not _template_known(args.template, spec):
-        return 2
+        raise _Failure(2, f"error: malformed --weights: {args.weights!r}")
+    _check_weights(weights)
+    _check_template(args.template, spec)
     base_overrides = _parse_weight_overrides(args.set_weight, spec)
-    if base_overrides is None:
-        return 2
 
     runs = [(weight, _sweep_summary(args, spec, base_overrides, weight))
             for weight in weights]
     try:
         write_sweep(runs, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure(1, f"error: cannot write {args.out}: {exc}")
     print(f"{spec.meta.name}: swept {args.template} over {len(runs)} weight(s)")
     return 0
 
@@ -274,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     command = {"validate": cmd_validate, "run": cmd_run, "sweep": cmd_sweep}
     try:
         return command[args.command](args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except CogsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
