@@ -34,6 +34,10 @@ from .rules import BeliefStore, Condition, compile_condition
 
 FORMAT_VERSION = 1
 DEFAULT_GRID = (8, 8)
+# Validation counts a grid's free cells, and each search of the planner
+# may visit every cell: at this bound, validating a document and running
+# it for 60 ticks take seconds at most.
+MAX_GRID_CELLS = 128 * 128
 DEFAULT_DELIBERATION_PERIOD = 3
 DEFAULT_TENDENCY_TTL = 2
 
@@ -591,6 +595,10 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
     slot_ids: set[str] = set()
     start = spec.starting_state
     width, height = start.grid
+    if width * height > MAX_GRID_CELLS:
+        report.error("GRID_TOO_LARGE", "starting_state.grid",
+                     f"{width}x{height} grid has more than {MAX_GRID_CELLS} cells")
+        return report
     layout = W.RoomLayout(width, height, onto.fixtures)
 
     seen_cells: set[tuple[int, int]] = set()
@@ -698,6 +706,16 @@ def _validate(spec: ScenarioSpec) -> ValidationReport:
     if agent.reactive_rules and not agent.processes:
         report.error("NO_OS_PROCESS", "agent.reactive_rules",
                      "reactive rules need a process to attribute tendencies to")
+    # A run finds each of these by id: a second declaration would be
+    # listed twice in an option set, or overwrite the first's rule truth.
+    for section in ("reactive_rules", "appraisal_rules", "argument_templates",
+                    "countermeasures"):
+        ids: set[str] = set()
+        for item in getattr(agent, section):
+            if item.id in ids:
+                report.error("DUPLICATE_ID", f"agent.{section}[{item.id}]",
+                             f"{item.id} declared twice")
+            ids.add(item.id)
 
     for rule in agent.appraisal_rules:
         if rule.process not in process_ids:

@@ -2,6 +2,8 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -504,6 +506,67 @@ class TestValidateCommand:
         assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
                      "--metrics", str(tmp_path / "m.csv")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["reactive_rules", "appraisal_rules",
+                                         "argument_templates", "countermeasures"])
+    def test_an_agent_item_id_declared_twice_exits_2(self, tmp_path, capsys, section):
+        # A run finds each item by its id: a second template of one id was
+        # listed twice in an option set, and a second appraisal rule's
+        # truth overwrote the first's.
+        doc = json.loads(bundled_document("room_tidy"))
+        items = doc["agent"][section]
+        items.append(dict(items[0]))
+        path = tmp_path / "id_twice.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        item = items[0]["id"]
+        message = f"DUPLICATE_ID @ agent.{section}[{item}]: {item} declared twice"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR {message}\n"
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == f"ERROR {message}\n"
+
+    @pytest.mark.parametrize("grid, code", [([128, 128], 0), ([129, 128], 2),
+                                            ([16_385, 1], 2)],
+                             ids=["at_the_bound", "a_column_over", "a_cell_over"])
+    def test_a_grid_holds_at_most_the_cell_bound(self, tmp_path, capsys, grid, code):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["starting_state"]["grid"] = grid
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert out == (f"ERROR GRID_TOO_LARGE @ starting_state.grid: "
+                           f"{grid[0]}x{grid[1]} grid has more than 16384 cells\n")
+
+    # Before the bound, validation listed every free cell of this grid, and
+    # its run would search them: each used memory until the host ran out.
+    # So the commands run in a child process whose address space is capped.
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_a_huge_grid_is_refused_within_a_memory_cap(self, tmp_path):
+        doc = json.loads(bundled_document("room_tidy"))
+        doc["starting_state"]["grid"] = [100_000, 100_000]
+        del doc["starting_state"]["scatter_region"]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from cogsim.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = os.pathsep.join(filter(None, [str(ASSETS.parents[1]),
+                                            os.environ.get("PYTHONPATH")]))
+        message = ("ERROR GRID_TOO_LARGE @ starting_state.grid: "
+                   "100000x100000 grid has more than 16384 cells\n")
+        for argv, stream in [(["validate"], "stdout"),
+                             (["run", "--trace", str(tmp_path / "t.jsonl"),
+                               "--metrics", str(tmp_path / "m.csv")], "stderr")]:
+            child = subprocess.run(
+                [sys.executable, "-c", script, argv[0], str(path), *argv[1:]],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                text=True, timeout=120)
+            assert child.returncode == 2, child.stderr
+            assert getattr(child, stream) == message
 
     def test_spawning_into_a_slot_filled_before_the_tick_is_skipped(self, tmp_path):
         # Validation cannot know which slots are held after tick 0; the run
