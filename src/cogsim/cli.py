@@ -49,7 +49,7 @@ def _load_spec(path: str):
         raise _Failure(1, f"error: {path}: {exc}")
 
 
-def _lines(label: str, entries: list[tuple[str, str, str]]) -> list[str]:
+def _report_lines(label: str, entries: list[tuple[str, str, str]]) -> list[str]:
     """One line per validation report entry."""
     return [f"{label} {code} @ {location}: {message}"
             for code, location, message in entries]
@@ -58,7 +58,8 @@ def _lines(label: str, entries: list[tuple[str, str, str]]) -> list[str]:
 def cmd_validate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.scenario)
     report = validate_scenario(spec)
-    for line in [*_lines("ERROR", report.errors), *_lines("WARNING", report.warnings)]:
+    for line in (_report_lines("ERROR", report.errors)
+                 + _report_lines("WARNING", report.warnings)):
         print(line)
     if not report.ok():
         return 2
@@ -104,7 +105,7 @@ def _checked_spec(args: argparse.Namespace):
     spec = _load_spec(args.scenario)
     report = validate_scenario(spec)
     if not report.ok():
-        raise _Failure(2, "\n".join(_lines("ERROR", report.errors)))
+        raise _Failure(2, "\n".join(_report_lines("ERROR", report.errors)))
     return spec
 
 
