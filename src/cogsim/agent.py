@@ -67,12 +67,26 @@ sources, the templates or the truth of a trigger, the sticky arguments
 or the weight overrides differ from the last build; otherwise the last
 case and its force table are reused and no new OptionSet is traced.
 The table is tallied once per build.
+
+A run that settles repeats one exact cycle, and ``tick`` replays it.
+Before each tick it does not replay, ``_watch`` compares a few values
+of the state with those of the last ``RECENT`` ticks.  Where they
+repeat p ticks back and no world event is still to fire, it takes the
+state's key (every field but the memo and counters, ticks relative to
+the tick and ids to the tendency counter) and records the next p ticks.
+If the key then repeats, each later tick is replayed: the events of the
+tick one period back, with their ticks and tendency ids (the keys of
+``metacog.PAYLOAD_REFS``) moved on, its row with its tick, and every
+field but the memo set as the computed tick sets it.  A replay ends,
+and the tick is computed, once anything has changed the state since
+the last tick; with ``REPLAY = False`` every tick is computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import world as W
@@ -85,7 +99,15 @@ from .affect import (
 )
 from .arguments import Argument, ForceTable, active_set, build_case, tally, triggered
 from .errors import IllegalAction, NonFiniteForce
-from .metacog import ReasoningTrace, control, monitor
+from .metacog import (
+    ReasoningTrace,
+    TraceEvent,
+    control,
+    monitor,
+    payload_refs,
+    shift_id,
+    shifted,
+)
 from .planner import plan_tidy_task
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
 
@@ -132,7 +154,8 @@ class Memo:
     and standing argument; a focus payload per process and phase).  Each
     is derived from the rest of the state or equal to what a tick would
     build, so ``state.memo = Memo()`` at any stage changes no output byte.
-    Payloads and rows are read-only; one is shared within its run only."""
+    Payloads and rows are read-only; one is shared within its run only.
+    The looks of the last ticks and the steady cycle are kept here too."""
 
     world: WorldMemo | None = None
     case: tuple[tuple, list[Argument], dict[str, float],
@@ -147,6 +170,28 @@ class Memo:
     redescription: tuple | None = None
     forces: dict[str, float] | None = None
     focus_payloads: dict[tuple[str, str], dict] = field(default_factory=dict)
+    recent: list[int] = field(default_factory=list)  # see ``_watch``
+    cycle: Cycle | None = None
+
+
+# Whether ``tick`` replays a steady cycle; tests that count the calls of a
+# computed stage turn it off.
+REPLAY = True
+RECENT = 12  # ticks looked back for a repeat
+
+
+@dataclass(slots=True)
+class Cycle:
+    """``period`` ticks from tick ``start``, one ``_record`` each: recorded
+    while ``key`` is set, then replayed (see ``tick``)."""
+
+    start: int
+    period: int
+    key: list | None
+    counter: int  # the tendency counter at start; then the ids a period draws
+    records: list[list] = field(default_factory=list)
+    stamp: tuple = ()
+    names: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -729,7 +774,26 @@ def act(state: SimulationState) -> dict:
 
 def tick(state: SimulationState) -> dict:
     """Advance the simulation by exactly one world action; return the
-    tick's metrics row."""
+    tick's metrics row.  A tick of a steady cycle is replayed (``_watch``)."""
+    if not REPLAY:
+        return _compute(state)
+    cycle = state.memo.cycle
+    if cycle is not None and cycle.stamp != _stamp(state):
+        cycle = state.memo.cycle = None  # changed since the last tick
+    if cycle is None or cycle.key is not None:
+        cycle = _watch(state, cycle)
+    if cycle is None:
+        return _compute(state)
+    if cycle.key is None:
+        return _replay(state, cycle)
+    first, counts = len(state.trace.events), _counts(state)
+    row = _compute(state)
+    cycle.records.append(_record(state, state.trace.events[first:], row, counts))
+    cycle.stamp = _stamp(state, cycle.records[-1][4])
+    return row
+
+
+def _compute(state: SimulationState) -> dict:
     fire_events(state)
     perceive(state)
     for tendency in reactive_step(state):
@@ -742,3 +806,178 @@ def tick(state: SimulationState) -> dict:
         metacognition(state)
     recompute_forces(state)
     return act(state)
+
+
+# -- the steady cycle ----------------------------------------------------------
+
+
+def _counts(state: SimulationState) -> list[int]:
+    return [state._tendency_counter, state.countermeasures_fired,
+            state.trace.inconsistencies]
+
+
+def _procs(state: SimulationState) -> list[tuple]:
+    return [(p.phase, p.attention_target, p.active_appraisals, p.candidate_goals)
+            for p in state.processes]
+
+
+def _stamp(state: SimulationState, procs: list[tuple] | None = None) -> tuple:
+    """What changing the state between two ticks changes: every field but
+    the memo (which holds the stamp), the belief version, the trace head
+    and the ``_procs``."""
+    values = list(_FIELDS(state))
+    values[_MEMO] = None
+    return values, state.beliefs.version, state.trace.head(), procs or _procs(state)
+
+
+# ``attrgetter``, not ``vars``: CPython reads the attributes of an object
+# more slowly once ``vars`` has given it an instance dict.  Every field,
+# the memo too: CPython 3.11 never reuses a freed tuple of 20 items.
+_FIELDS = attrgetter(*[f.name for f in fields(SimulationState)])
+_MEMO = [f.name for f in fields(SimulationState)].index("memo")
+_PROCESS = attrgetter(*[f.name for f in fields(AffectiveProcess)])
+
+
+def _key(state: SimulationState) -> list:
+    """The state but its memo and counters, its ticks relative to the
+    current one and its ids to the tendency counter, with its place in the
+    deliberation cadence: from two states with equal keys the same ticks
+    follow, moved on, while no world event fires."""
+    now, ids, trace = state.world.tick, state._tendency_counter, state.trace
+    cursor, head, unread = state.monitor_cursor, trace.head(), []
+    if state.metacognition_enabled:  # the monitor reads what follows the cursor
+        unread = [[e.tick - now, e.seq, e.layer, e.kind, e.reasons,
+                   shifted(e.payload, -now, lambda name: shift_id(name, -ids),
+                           payload_refs(e.payload))] for e in trace.since(cursor)]
+        cursor = [cursor[0] - now, cursor[1]]
+    # Lists, not tuples: CPython keeps freed small tuples allocated.
+    return [now % state.config.deliberation_period, W.but_tick(state.world),
+            state.beliefs.snapshot(),
+            [[list(v) if type(v) is list else v for v in _PROCESS(p)]
+             for p in state.processes],
+            [[t.action, t.source_process, t.base_urgency, t.created_tick - now, t.label,
+              t.origin, shift_id(t.id, -ids), t.force, t.supporting_arguments]
+             for t in state.tendency_pool],
+            list(state.arguments), list(state.sticky_arguments), state.goal_variant,
+            state.plan, state.plan_cursor, state.last_option_set, cursor,
+            [head[0] - now, head[1]], unread, state.config, state.goal, state.events,
+            state.bct_profile, state.metacognition_enabled, dict(state.weight_overrides)]
+
+
+def _watch(state: SimulationState, cycle: Cycle | None) -> Cycle | None:
+    """Before a tick that is not replayed: end a recorded period, replayed
+    from now on if the key repeats and otherwise dropped; then, with none
+    recorded and no world event to come, record from a repeat of the look
+    of one of the ``RECENT`` ticks before (a longer period than one that
+    failed first)."""
+    memo, world, failed = state.memo, state.world, 0
+    now, recent = world.tick, memo.recent
+    # A few values of the key, hashed: the key is taken only where they repeat.
+    look = hash((now % state.config.deliberation_period, world.agent_pos,
+                 world.agent_holding, state.plan_cursor, state.goal_variant,
+                 len(state.tendency_pool), *[p.phase for p in state.processes]))
+    periods = ([len(recent) - i for i, seen in enumerate(recent) if seen == look]
+               if look in recent else ())
+    recent.append(look)
+    if len(recent) > RECENT:
+        del recent[0]
+    if cycle is not None:
+        if now < cycle.start + cycle.period:
+            return cycle
+        if _key(state) == cycle.key:
+            cycle.key, memo.recent = None, []
+            cycle.counter = state._tendency_counter - cycle.counter
+            _share(cycle.records)
+            return cycle
+        failed, memo.cycle = cycle.period, None
+    if periods and all(event.fire_tick < now for event in state.events):
+        period = min([p for p in periods if p > failed] or periods)
+        memo.cycle = Cycle(now, period, _key(state), state._tendency_counter)
+    return memo.cycle
+
+
+def _record(state: SimulationState, events: list[TraceEvent], row: dict,
+            counts: list[int]) -> list:
+    """A tick as it left the state, from its events, row and ``_counts``
+    before it: the events and their ``payload_refs``, the row but its
+    tick, the world, processes and other fields, the monitor cursor
+    relative to the next tick, what the tick added to the counts, and the
+    pool with each tendency's force and reasons."""
+    cursor, pool = state.monitor_cursor, state.tendency_pool
+    return [events, [payload_refs(e.payload) for e in events],
+            {key: value for key, value in row.items() if key != "tick"}, state.world,
+            _procs(state), (state.arguments, state.sticky_arguments, state.goal_variant,
+                            state.plan, state.plan_cursor, state.last_option_set),
+            [state.world.tick - cursor[0], cursor[1]],
+            [b - a for a, b in zip(counts, _counts(state))], list(pool),
+            [(t.force, t.supporting_arguments) for t in pool]]
+
+
+def _share(records: list[list]) -> None:
+    """Make each part of a record that a replay only reads one object with
+    an equal part of an earlier record (a world equal but its tick)."""
+    for i in (1, 2, 3, 4, 5, 6, 7, 9):
+        kept = []
+        for record in records:
+            value = W.but_tick(record[i]) if i == 3 else record[i]
+            for other in kept:
+                if other[0] == value:
+                    record[i] = other[1]
+                    break
+            else:
+                kept.append((value, record[i]))
+
+
+class _Renamed(dict):
+    """Tendency id -> the id ``ids`` numbers on, each made once."""
+
+    def __init__(self, ids: int) -> None:
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, name: str) -> str:
+        new = self[name] = shift_id(name, self.ids)
+        return new
+
+
+def _replay(state: SimulationState, cycle: Cycle) -> dict:
+    """The tick as the record one period back, moved on by a period's
+    ticks and tendency ids: its events traced, its row returned and every
+    field but the memo set as the computed tick sets it.  The record then
+    holds this tick's events and pool."""
+    now, period, ids = state.world.tick, cycle.period, cycle.counter
+    k = (now - cycle.start) % period
+    if not k:  # one string per id, as ``_inject`` shares it: the pool's first
+        cycle.names = _Renamed(ids)
+        cycle.names.update((shift_id(t.id, -ids), t.id) for t in state.tendency_pool)
+    rename, record = cycle.names.__getitem__, cycle.records[k]
+    events, refs, row, world, procs, others, cursor, added, pool, forces = record
+    record[0] = events = [
+        TraceEvent(now, e.seq, e.layer, e.kind, shifted(e.payload, period, rename, keys)
+                   if keys else e.payload, e.reasons) for e, keys in zip(events, refs)]
+    state.trace.extend(events)
+    for event in events:
+        if event.kind == "BeliefChange":
+            state.beliefs.set(event.payload["atom"], event.payload["value"], now)
+    last = cycle.records[k - 1]  # as the state stands
+    if procs is not last[4]:
+        for proc, (phase, target, appraisals, goals) in zip(state.processes, procs):
+            proc.phase, proc.attention_target = phase, target
+            proc.active_appraisals, proc.candidate_goals = appraisals, goals
+    if others is not last[5]:
+        (state.arguments, state.sticky_arguments, state.goal_variant, state.plan,
+         state.plan_cursor, state.last_option_set) = others
+    live = {t.id: t for t in state.tendency_pool}
+    state.tendency_pool = record[8] = pool = [live.get(rename(t.id)) or ActionTendency(
+        t.action, t.source_process, t.base_urgency, t.created_tick + period, t.label,
+        t.origin, rename(t.id)) for t in pool]
+    for tendency, (force, reasons) in zip(pool, forces):
+        tendency.force, tendency.supporting_arguments, tendency.folded = force, reasons, None
+    if state.metacognition_enabled:  # else it never moves
+        state.monitor_cursor = (now + 1 - cursor[0], cursor[1])
+    state._tendency_counter += added[0]
+    state.countermeasures_fired += added[1]
+    state.trace.inconsistencies += added[2]
+    state.world = world._replace(tick=now + 1)
+    cycle.stamp = _stamp(state, procs)
+    return {"tick": now, **row}

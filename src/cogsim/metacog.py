@@ -72,6 +72,44 @@ TRACE_KINDS: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {
 
 MONITORED_KINDS = frozenset({"AppraisalChange", "GoalChange", "TendencyInjected"})
 
+# The payload keys whose value names a tick ("tick"), an event as its
+# [tick, seq] ("event") or a tendency id ("id"); no other payload value
+# names either.  A replayed tick (see ``agent``) moves exactly these.
+PAYLOAD_REFS = {"fire_tick": "tick", "source_event": "event",
+                "tendency": "id", "os_tendency": "id"}
+
+
+def shift_id(tendency_id: str, ids: int) -> str:
+    """The tendency id ``ids`` numbers on."""
+    return f"td{int(tendency_id[2:]) + ids:05d}"
+
+
+def payload_refs(payload: dict) -> tuple[str, ...]:
+    """The ``PAYLOAD_REFS`` keys set in ``payload``, not to None, as the one
+    tuple of ``_REF_SETS`` that lists them."""
+    return _REF_SETS[tuple([key for key in PAYLOAD_REFS if payload.get(key) is not None])]
+
+
+# Each subset of PAYLOAD_REFS, in order, to itself.
+_REF_SETS = {keys: keys for keys in (
+    tuple(key for i, key in enumerate(PAYLOAD_REFS) if mask >> i & 1)
+    for mask in range(1 << len(PAYLOAD_REFS)))}
+
+
+def shifted(payload: dict, ticks: int, rename, keys: tuple[str, ...]) -> dict:
+    """``payload`` itself, or with ``keys`` (its ``payload_refs``) a copy
+    whose value under each is moved ``ticks`` on or, an id, ``rename``d."""
+    if not keys:
+        return payload
+    # Key by key: ``dict(payload)`` allocates a new keys table, where the
+    # literal that built the payload may reuse a freed one.
+    out = {key: value for key, value in payload.items()}
+    for key in keys:
+        value, ref = out[key], PAYLOAD_REFS[key]
+        out[key] = (value + ticks if ref == "tick" else rename(value) if ref == "id"
+                    else [value[0] + ticks, value[1]])
+    return out
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -131,6 +169,12 @@ class ReasoningTrace:
         self.events.append(event)
         self._head = (tick, seq)
         return event
+
+    def extend(self, events: list[TraceEvent]) -> None:
+        """Append events already numbered after the head, as they are."""
+        if events:
+            self.events += events
+            self._head = (events[-1].tick, events[-1].seq)
 
     def since(self, cursor: tuple[int, int]) -> list[TraceEvent]:
         """Events strictly after the (tick, seq) cursor, in trace order.

@@ -39,15 +39,22 @@ def bfs_path(
     layout: W.RoomLayout,
     start: tuple[int, int],
     goals: set[tuple[int, int]],
+    dead: list | None = None,
 ) -> list[str] | None:
     """Moves from start to the first reachable goal cell, or None.
 
     Neighbor expansion order is fixed, so equal inputs give equal paths.
     Each discovered cell records the cell and move it was reached by;
     only the winning path is rebuilt from those parent pointers.
+    ``dead`` collects the cells a failed search reached, which are its
+    start's whole component of ``layout``: a later search from inside
+    one with no goal in it fails without searching.
     """
     if start in goals:
         return []
+    for component in dead or ():
+        if start in component and goals.isdisjoint(component):
+            return None
     width, height = layout.width, layout.height
     blocked = layout.fixture_cells
     parents: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
@@ -66,6 +73,8 @@ def bfs_path(
             if nxt in goals:
                 return _path_to(parents, nxt)
             queue.append(nxt)
+    if dead is not None:
+        dead.append(parents)
     return None
 
 
@@ -145,13 +154,16 @@ def plan_tidy_task(
     sim = start
     steps: list[str] = []
     handled: set[str] = set()
+    # The components failed searches reached, kept for this call only: the
+    # layout cannot change within it.
+    dead: list = []
     # Legs are planned while the plan is shorter than this.
     limit = math.inf if min_steps is None else max(min_steps, 1)
 
     # If already carrying something, deliver it first.
     if sim.agent_holding is not None:
         held_id = sim.agent_holding
-        delivered = _deliver(sim, sim.object(held_id), goal, variant)
+        delivered = _deliver(sim, sim.object(held_id), goal, variant, dead)
         if delivered is None:
             return None
         sim, extra = delivered
@@ -159,7 +171,7 @@ def plan_tidy_task(
         handled.add(held_id)
 
     while len(steps) < limit:
-        found = _nearest_object(sim, goal, variant, handled)
+        found = _nearest_object(sim, goal, variant, handled, dead)
         if found is None:
             break
         obj_id, path = found
@@ -169,7 +181,7 @@ def plan_tidy_task(
         except IllegalAction:
             handled.add(obj_id)
             continue
-        delivered = _deliver(trial, trial.object(obj_id), goal, variant)
+        delivered = _deliver(trial, trial.object(obj_id), goal, variant, dead)
         if delivered is None:
             handled.add(obj_id)
             continue
@@ -185,7 +197,8 @@ def plan_tidy_task(
 
 
 def _nearest_object(
-    sim: W.WorldState, goal: W.GoalSpec, variant: str, handled: set[str]
+    sim: W.WorldState, goal: W.GoalSpec, variant: str, handled: set[str],
+    dead: list | None = None,
 ) -> tuple[str, list[str]] | None:
     """The loose misplaced object with the least ``(path length, id)``
     and its path, or None when none is reachable.
@@ -210,21 +223,22 @@ def _nearest_object(
     for bound, obj_id, cell in candidates:
         if best_key is not None and (bound, obj_id) > best_key:
             break
-        path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell))
+        path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell), dead)
         if path is not None and (best_key is None or (len(path), obj_id) < best_key):
             best_key, best_path = (len(path), obj_id), path
     return None if best_key is None else (best_key[1], best_path)
 
 
 def _deliver(
-    sim: W.WorldState, obj: W.ObjectState, goal: W.GoalSpec, variant: str
+    sim: W.WorldState, obj: W.ObjectState, goal: W.GoalSpec, variant: str,
+    dead: list | None = None,
 ) -> tuple[W.WorldState, list[str]] | None:
     """Steps that carry the held object to a legal target and place it."""
     location = _free_target(sim, obj, _target_allowance(goal, obj.kind, variant))
     if location is None:
         return None
     cell = sim.layout.fixture_at(location).cell
-    path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell))
+    path = bfs_path(sim.layout, sim.agent_pos, _adjacent_cells(sim.layout, cell), dead)
     if path is None:
         return None
     place = f"place:{location.partition(':')[2]}"

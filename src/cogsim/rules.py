@@ -59,6 +59,16 @@ class BeliefStore:
     def last_changed(self, atom: str) -> int:
         return self._changed.get(atom, -1)
 
+    def snapshot(self) -> tuple:
+        """The values, the atoms in the order they last changed, and
+        whether each changed in the tick of the one before it: all that a
+        reader compares of the change ticks, each between -1 (never) and
+        the current tick."""
+        changed = self._changed
+        order = sorted(changed, key=changed.get)
+        ticks = [changed[atom] for atom in order]
+        return dict(self._atoms), order, list(map(int.__eq__, ticks, ticks[1:]))
+
 
 @dataclass(slots=True)
 class RuleContext:

@@ -147,13 +147,14 @@ class WorldState:
 
 
 _WORLD_FIELDS = frozenset(f.name for f in fields(WorldState))
-_ALL_BUT_TICK = attrgetter(*(f.name for f in fields(WorldState) if f.name != "tick"))
+# Every field of a world but its tick, as a tuple.
+but_tick = attrgetter(*(f.name for f in fields(WorldState) if f.name != "tick"))
 
 
 def same_but_tick(a: WorldState, b: WorldState) -> bool:
     """Whether two worlds agree on every field except ``tick``: what a
     plan, a goal evaluation or a perception of them reads is the same."""
-    return _ALL_BUT_TICK(a) == _ALL_BUT_TICK(b)
+    return but_tick(a) == but_tick(b)
 
 
 @dataclass(frozen=True)

@@ -536,7 +536,8 @@ FORGETFUL_STAGES = ("fire_events", "perceive", "reactive_step", "deliberative_st
 def forgetful():
     """Within the block, each of ``FORGETFUL_STAGES`` starts from a fresh
     ``agent.Memo``: every memo is rebuilt and every payload built afresh.
-    The planner ignores ``min_steps`` and returns whole plans."""
+    The planner ignores ``min_steps`` and returns whole plans, and no
+    tick is replayed."""
 
     def forgetting(stage):
         def run(state):
@@ -548,7 +549,7 @@ def forgetful():
         return plan_tidy_task(world, goal, variant)
 
     stages = {name: forgetting(getattr(agent, name)) for name in FORGETFUL_STAGES}
-    with mock.patch.multiple(agent, plan_tidy_task=whole_plan, **stages):
+    with mock.patch.multiple(agent, plan_tidy_task=whole_plan, REPLAY=False, **stages):
         yield
 
 

@@ -814,6 +814,7 @@ class TestTriggerReuse:
         assert state.memo.conditions[2] == _fresh_fired(state)
 
     def test_reused_triggers_match_a_fresh_evaluation(self, monkeypatch):
+        monkeypatch.setattr(agent, "REPLAY", False)  # a replayed tick has no stages
         rebuild = agent._rebuild_case
         checked = []
 
@@ -899,6 +900,7 @@ class TestReactiveReuse:
     @pytest.mark.parametrize("mode", RUN_MODES)
     @pytest.mark.parametrize("name", BUNDLED)
     def test_reused_rules_match_a_fresh_evaluation(self, monkeypatch, name, mode):
+        monkeypatch.setattr(agent, "REPLAY", False)  # a replayed tick has no stages
         step = agent.reactive_step
         checked = []
 
@@ -1072,6 +1074,7 @@ class TestSteadyState:
         # metacognition finds nothing: the case is looked up once a tick, a
         # condition key is built once for it and once for each process
         # step, and a preparing step scans no appraisal.
+        monkeypatch.setattr(agent, "REPLAY", False)  # a replayed tick has no stages
         counts = {"_rebuild_case": 0, "_all_appraisals": 0, "prepare_action": 0,
                   "tendency_specs": 0}
         steady = []

@@ -517,6 +517,7 @@ def test_control_leaves_the_lists_a_fresh_upsert_would(monkeypatch, name, profil
     """After every ``control`` call of a 600-tick run, the sticky and the
     case argument lists equal, in order, what upserting a freshly built
     argument would leave, also where control reuses the standing one."""
+    monkeypatch.setattr(agent, "REPLAY", False)  # a replayed tick has no stages
     checked = 0
 
     def checked_control(finding, library, state):
@@ -647,6 +648,7 @@ def test_monitor_reads_per_tick_stay_flat_across_horizons(monkeypatch):
     tick at 200 and 400 ticks.  A positive control, the reference
     ``since`` that reads the whole trace, shows the counter sees a
     rescan: its reads per tick double with the horizon."""
+    monkeypatch.setattr(agent, "REPLAY", False)  # a replayed tick has no stages
     horizons = (200, 400)
     counts = [_monitor_reads(monkeypatch, ticks) for ticks in horizons]
     engine = [reads / ticks for (reads, _), ticks in zip(counts, horizons)]

@@ -1,12 +1,15 @@
 import dataclasses
+import json
 import random
+from collections import deque
 
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from cogsim import planner
 from cogsim import world as W
 from cogsim.planner import _free_target, bfs_path, plan_tidy_task
-from cogsim.scenario import instantiate, load_bundled
+from cogsim.scenario import bundled_document, instantiate, load_bundled, parse_scenario
 
 from helpers import (
     bfs_distance,
@@ -343,3 +346,48 @@ def test_free_target_matches_the_planner_s_former_checks(case):
     assert (None if location is None else location.partition(":")[2]) == expected
     if location is not None:
         assert W.placement_problem(world, obj.kind, location) is None
+
+
+def _walled_room(toys: int):
+    """Bundled ``room_tidy`` on a 128 x 128 grid, with ``box_1`` in a corner
+    pocket that no path enters and ``toys`` more toys: no toy can be
+    delivered."""
+    doc = json.loads(bundled_document("room_tidy"))
+    start, fixtures = doc["starting_state"], doc["ontology"]["fixtures"]
+    start["grid"] = [128, 128]
+    for fixture in fixtures:
+        if fixture["id"] == "box_1":
+            fixture["cell"] = [127, 127]
+    fixtures += [{"id": f"wall_{i}", "cell": cell, "accepts": "book"}
+                 for i, cell in enumerate([[125, 127], [125, 126], [126, 125], [127, 125]])]
+    start["objects"] += [{"id": f"toy_{i}", "kind": "toy", "location": {"cell": [3 * i, 9]}}
+                         for i in range(3, 3 + toys)]
+    return instantiate(parse_scenario(json.dumps(doc)), seed=1)
+
+
+class _CountingDeque(deque):
+    """``bfs_path``'s queue, counting the cells it expands."""
+
+    expanded = 0
+
+    def popleft(self):
+        _CountingDeque.expanded += 1
+        return super().popleft()
+
+
+def test_an_unreachable_component_is_searched_once_per_plan(monkeypatch):
+    # Each of the 14 toys is picked up and its delivery searched.  Without
+    # the failed searches' components every delivery searches the grid.
+    state, cells = _walled_room(toys=12), 128 * 128
+    monkeypatch.setattr(planner, "deque", _CountingDeque)
+    search, counts, plans = planner.bfs_path, [], []
+    for forget in (False, True):
+        if forget:
+            monkeypatch.setattr(planner, "bfs_path",
+                                lambda layout, start, goals, dead=None:
+                                search(layout, start, goals))
+        _CountingDeque.expanded = 0
+        plans.append(plan_tidy_task(state.world, state.goal, "strict"))
+        counts.append(_CountingDeque.expanded)
+    assert plans[0] == plans[1] and plans[0] is not None
+    assert counts[0] < 3 * cells < 12 * cells < counts[1]
