@@ -77,9 +77,12 @@ the tick and ids to the tendency counter) and records the next p ticks.
 If the key then repeats, each later tick is replayed: the events of the
 tick one period back, with their ticks and tendency ids (the keys of
 ``metacog.PAYLOAD_REFS``) moved on, its row with its tick, and every
-field but the memo set as the computed tick sets it.  A replay ends,
-and the tick is computed, once anything has changed the state since
-the last tick; with ``REPLAY = False`` every tick is computed.
+field but the memo set as the computed tick sets it.  A payload that
+holds one is built anew by the constructor ``metacog.shifter`` found for
+its shape when the tick was recorded; every other payload is passed
+again.  A replay ends, and the tick is computed, once anything has
+changed the state since the last tick (``_stamp``); with ``REPLAY =
+False`` every tick is computed.
 """
 
 from __future__ import annotations
@@ -104,9 +107,8 @@ from .metacog import (
     TraceEvent,
     control,
     monitor,
-    payload_refs,
     shift_id,
-    shifted,
+    shifter,
 )
 from .planner import plan_tidy_task
 from .rules import BeliefStore, Condition, RuleContext, eval_condition
@@ -821,20 +823,25 @@ def _procs(state: SimulationState) -> list[tuple]:
             for p in state.processes]
 
 
-def _stamp(state: SimulationState, procs: list[tuple] | None = None) -> tuple:
+def _stamp(state: SimulationState, procs: list[tuple] | None = None,
+           kept: tuple | None = None) -> tuple:
     """What changing the state between two ticks changes: every field but
-    the memo (which holds the stamp), the belief version, the trace head
-    and the ``_procs``."""
-    values = list(_FIELDS(state))
-    values[_MEMO] = None
-    return values, state.beliefs.version, state.trace.head(), procs or _procs(state)
+    the memo (which holds the stamp), those a replay leaves (``kept``,
+    when known) apart from those it sets, the belief version, the trace
+    head and the ``_procs``."""
+    return (kept or _KEPT(state), _REPLAYED(state), state.beliefs.version,
+            state.trace.head(), procs or _procs(state))
 
 
-# ``attrgetter``, not ``vars``: CPython reads the attributes of an object
-# more slowly once ``vars`` has given it an instance dict.  Every field,
-# the memo too: CPython 3.11 never reuses a freed tuple of 20 items.
-_FIELDS = attrgetter(*[f.name for f in fields(SimulationState)])
-_MEMO = [f.name for f in fields(SimulationState)].index("memo")
+# What ``_replay`` sets, and the other fields but the memo.  ``attrgetter``,
+# not ``vars``: CPython reads the attributes of an object more slowly once
+# ``vars`` has given it an instance dict.  Two tuples, of 11 and 9 items:
+# CPython 3.11 never reuses a freed tuple of 20 items.
+_SET = ("world", "tendency_pool", "monitor_cursor", "_tendency_counter",
+        "countermeasures_fired", "arguments", "sticky_arguments", "goal_variant", "plan",
+        "plan_cursor", "last_option_set")
+_KEPT = attrgetter(*[f.name for f in fields(SimulationState) if f.name not in (*_SET, "memo")])
+_REPLAYED = attrgetter(*_SET)
 _PROCESS = attrgetter(*[f.name for f in fields(AffectiveProcess)])
 
 
@@ -847,8 +854,9 @@ def _key(state: SimulationState) -> list:
     cursor, head, unread = state.monitor_cursor, trace.head(), []
     if state.metacognition_enabled:  # the monitor reads what follows the cursor
         unread = [[e.tick - now, e.seq, e.layer, e.kind, e.reasons,
-                   shifted(e.payload, -now, lambda name: shift_id(name, -ids),
-                           payload_refs(e.payload))] for e in trace.since(cursor)]
+                   shift(e.payload, -now, lambda name: shift_id(name, -ids))
+                   if (shift := shifter(e.payload)) else e.payload]
+                  for e in trace.since(cursor)]
         cursor = [cursor[0] - now, cursor[1]]
     # Lists, not tuples: CPython keeps freed small tuples allocated.
     return [now % state.config.deliberation_period, W.but_tick(state.world),
@@ -899,24 +907,26 @@ def _watch(state: SimulationState, cycle: Cycle | None) -> Cycle | None:
 def _record(state: SimulationState, events: list[TraceEvent], row: dict,
             counts: list[int]) -> list:
     """A tick as it left the state, from its events, row and ``_counts``
-    before it: the events and their ``payload_refs``, the row but its
-    tick, the world, processes and other fields, the monitor cursor
-    relative to the next tick, what the tick added to the counts, and the
-    pool with each tendency's force and reasons."""
+    before it: the events and their ``shifter``s, the row with its tick
+    None, the world, processes and other fields, the monitor cursor
+    relative to the next tick, what the tick added to the counts, the
+    pool with each tendency's force and reasons, the beliefs it set and,
+    once replayed, each pooled tendency's place in the pool before it."""
     cursor, pool = state.monitor_cursor, state.tendency_pool
-    return [events, [payload_refs(e.payload) for e in events],
-            {key: value for key, value in row.items() if key != "tick"}, state.world,
+    return [events, [shifter(e.payload) for e in events], {**row, "tick": None}, state.world,
             _procs(state), (state.arguments, state.sticky_arguments, state.goal_variant,
                             state.plan, state.plan_cursor, state.last_option_set),
             [state.world.tick - cursor[0], cursor[1]],
             [b - a for a, b in zip(counts, _counts(state))], list(pool),
-            [(t.force, t.supporting_arguments) for t in pool]]
+            [(t.force, t.supporting_arguments) for t in pool],
+            [(e.payload["atom"], e.payload["value"]) for e in events
+             if e.kind == "BeliefChange"], None]
 
 
 def _share(records: list[list]) -> None:
     """Make each part of a record that a replay only reads one object with
     an equal part of an earlier record (a world equal but its tick)."""
-    for i in (1, 2, 3, 4, 5, 6, 7, 9):
+    for i in (1, 2, 3, 4, 5, 6, 7, 9, 10):
         kept = []
         for record in records:
             value = W.but_tick(record[i]) if i == 3 else record[i]
@@ -931,9 +941,7 @@ def _share(records: list[list]) -> None:
 class _Renamed(dict):
     """Tendency id -> the id ``ids`` numbers on, each made once."""
 
-    def __init__(self, ids: int) -> None:
-        super().__init__()
-        self.ids = ids
+    ids = 0
 
     def __missing__(self, name: str) -> str:
         new = self[name] = shift_id(name, self.ids)
@@ -948,17 +956,17 @@ def _replay(state: SimulationState, cycle: Cycle) -> dict:
     now, period, ids = state.world.tick, cycle.period, cycle.counter
     k = (now - cycle.start) % period
     if not k:  # one string per id, as ``_inject`` shares it: the pool's first
-        cycle.names = _Renamed(ids)
-        cycle.names.update((shift_id(t.id, -ids), t.id) for t in state.tendency_pool)
+        cycle.names = _Renamed((shift_id(t.id, -ids), t.id) for t in state.tendency_pool)
+        cycle.names.ids = ids
     rename, record = cycle.names.__getitem__, cycle.records[k]
-    events, refs, row, world, procs, others, cursor, added, pool, forces = record
+    (events, shifts, row, world, procs, others, cursor, added, pool, forces, beliefs,
+     links) = record
     record[0] = events = [
-        TraceEvent(now, e.seq, e.layer, e.kind, shifted(e.payload, period, rename, keys)
-                   if keys else e.payload, e.reasons) for e, keys in zip(events, refs)]
+        TraceEvent(now, e.seq, e.layer, e.kind, shift(e.payload, period, rename)
+                   if shift else e.payload, e.reasons) for e, shift in zip(events, shifts)]
     state.trace.extend(events)
-    for event in events:
-        if event.kind == "BeliefChange":
-            state.beliefs.set(event.payload["atom"], event.payload["value"], now)
+    for atom, value in beliefs:
+        state.beliefs.set(atom, value, now)
     last = cycle.records[k - 1]  # as the state stands
     if procs is not last[4]:
         for proc, (phase, target, appraisals, goals) in zip(state.processes, procs):
@@ -967,10 +975,13 @@ def _replay(state: SimulationState, cycle: Cycle) -> dict:
     if others is not last[5]:
         (state.arguments, state.sticky_arguments, state.goal_variant, state.plan,
          state.plan_cursor, state.last_option_set) = others
-    live = {t.id: t for t in state.tendency_pool}
-    state.tendency_pool = record[8] = pool = [live.get(rename(t.id)) or ActionTendency(
+    live = state.tendency_pool
+    if links is None:  # where each tendency was in the pool: the same every period
+        at = {t.id: i for i, t in enumerate(live)}
+        links = record[11] = [at.get(rename(t.id)) for t in pool]
+    state.tendency_pool = record[8] = pool = [live[i] if i is not None else ActionTendency(
         t.action, t.source_process, t.base_urgency, t.created_tick + period, t.label,
-        t.origin, rename(t.id)) for t in pool]
+        t.origin, rename(t.id)) for i, t in zip(links, pool)]
     for tendency, (force, reasons) in zip(pool, forces):
         tendency.force, tendency.supporting_arguments, tendency.folded = force, reasons, None
     if state.metacognition_enabled:  # else it never moves
@@ -979,5 +990,6 @@ def _replay(state: SimulationState, cycle: Cycle) -> dict:
     state.countermeasures_fired += added[1]
     state.trace.inconsistencies += added[2]
     state.world = world._replace(tick=now + 1)
-    cycle.stamp = _stamp(state, procs)
-    return {"tick": now, **row}
+    cycle.stamp = _stamp(state, procs, cycle.stamp[0])
+    # The row's keys table copied, in its key order, then its tick set.
+    return {**row, "tick": now}

@@ -15,7 +15,8 @@ the commitment) or replanning against the relaxed goal variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from . import world as W
 from .affect import option_for_state
@@ -84,31 +85,56 @@ def shift_id(tendency_id: str, ids: int) -> str:
     return f"td{int(tendency_id[2:]) + ids:05d}"
 
 
-def payload_refs(payload: dict) -> tuple[str, ...]:
-    """The ``PAYLOAD_REFS`` keys set in ``payload``, not to None, as the one
-    tuple of ``_REF_SETS`` that lists them."""
-    return _REF_SETS[tuple([key for key in PAYLOAD_REFS if payload.get(key) is not None])]
-
-
-# Each subset of PAYLOAD_REFS, in order, to itself.
-_REF_SETS = {keys: keys for keys in (
-    tuple(key for i, key in enumerate(PAYLOAD_REFS) if mask >> i & 1)
-    for mask in range(1 << len(PAYLOAD_REFS)))}
+def shifter(payload: dict) -> Callable | None:
+    """The ``shift`` with which ``shift(payload, ticks, rename)`` moves
+    ``payload``: the constructor of its key set and the ``PAYLOAD_REFS`` keys
+    it sets (not to None), or ``shifted`` for a key set no kind lists."""
+    refs = tuple([key for key in PAYLOAD_REFS if payload.get(key) is not None])
+    if not refs:
+        return None  # nothing to move: the payload is passed again
+    return _SHIFTERS.get((frozenset(payload), refs)) or partial(shifted, keys=refs)
 
 
 def shifted(payload: dict, ticks: int, rename, keys: tuple[str, ...]) -> dict:
-    """``payload`` itself, or with ``keys`` (its ``payload_refs``) a copy
-    whose value under each is moved ``ticks`` on or, an id, ``rename``d."""
-    if not keys:
-        return payload
-    # Key by key: ``dict(payload)`` allocates a new keys table, where the
-    # literal that built the payload may reuse a freed one.
-    out = {key: value for key, value in payload.items()}
+    """A copy of ``payload`` whose value under each of ``keys`` (of
+    ``PAYLOAD_REFS``) is moved ``ticks`` on or, an id, ``rename``d."""
+    out = dict(payload)
     for key in keys:
         value, ref = out[key], PAYLOAD_REFS[key]
         out[key] = (value + ticks if ref == "tick" else rename(value) if ref == "id"
                     else [value[0] + ticks, value[1]])
     return out
+
+
+def _shifters() -> dict[tuple[frozenset[str], tuple[str, ...]], Callable]:
+    """One constructor per key set of ``TRACE_KINDS`` and per non-empty
+    subset of its ``PAYLOAD_REFS`` keys, generated once as literal code
+    as ``runner`` builds its trace formatters.  Each returns a dict
+    literal, which CPython gives a keys table from its free list as it
+    does the literal that built the payload; ``dict(payload)`` would
+    allocate one.  The constructor of ``TendencyExpired`` payloads::
+
+        def _shift_13(p, ticks, rename):
+            return {"option": p["option"], "tendency": rename(p["tendency"])}
+    """
+    moves = {"tick": 'p["{0}"] + ticks', "id": 'rename(p["{0}"])',
+             "event": '[p["{0}"][0] + ticks, p["{0}"][1]]', None: 'p["{0}"]'}
+    shapes, source = {}, []
+    for _, key_sets in TRACE_KINDS.values():
+        for keys in key_sets:
+            refs = [key for key in PAYLOAD_REFS if key in keys]
+            for mask in range(1, 1 << len(refs)):
+                moved = tuple(key for i, key in enumerate(refs) if mask >> i & 1)
+                items = ", ".join(f'"{key}": ' + moves[PAYLOAD_REFS[key] if key in moved
+                                                       else None].format(key) for key in keys)
+                shapes[frozenset(keys), moved] = name = f"_shift_{len(shapes)}"
+                source.append(f"def {name}(p, ticks, rename):\n    return {{{items}}}\n")
+    namespace: dict = {}
+    exec("".join(source), namespace)
+    return {shape: namespace[name] for shape, name in shapes.items()}
+
+
+_SHIFTERS = _shifters()
 
 
 @dataclass(slots=True)

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -562,6 +563,17 @@ def run_bytes(spec, config):
     except CogsimError as exc:
         return type(exc)
     return trace_lines(result.state), repr(result.metrics), repr(result.summary)
+
+
+def traced_peak(action) -> int:
+    """The tracemalloc peak of ``action()`` above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 # -- trace encoding ------------------------------------------------------------

@@ -9,20 +9,32 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cogsim import agent
 from cogsim.affect import ActionTendency, AffectiveProcess
 from cogsim.cli import main
-from cogsim.metacog import PAYLOAD_REFS, ReasoningTrace, TraceEvent, shift_id
+from cogsim.metacog import (
+    _SHIFTERS,
+    PAYLOAD_REFS,
+    TRACE_KINDS,
+    ReasoningTrace,
+    TraceEvent,
+    shift_id,
+    shifted,
+    shifter,
+)
 from cogsim.rules import BeliefStore
 from cogsim.runner import RunConfig, run_simulation, start
 from cogsim.scenario import BUNDLED, bundled_document, load_bundled
 
-from helpers import forgetful, run_bytes
+from helpers import forgetful, run_bytes, traced_peak
 
 MODES = {
     "default": ({}, []),
@@ -184,6 +196,85 @@ def test_payload_refs_hold_every_tick_and_tendency_id(monkeypatch, name, mode):
                     assert new.payload[key] - old.payload[key] == period
                 elif PAYLOAD_REFS[key] == "event":
                     assert new.payload[key][0] - old.payload[key][0] == period
+
+
+# -- how a replayed payload is built ---------------------------------------------
+
+
+def _ref_shapes():
+    """Each key set of TRACE_KINDS with a PAYLOAD_REFS key, with each
+    non-empty subset of those keys (the ones set to other than None), in
+    PAYLOAD_REFS order."""
+    for keys in sorted({keys for _, key_sets in TRACE_KINDS.values() for keys in key_sets}):
+        refs = [key for key in PAYLOAD_REFS if key in keys]
+        for size in range(1, len(refs) + 1):
+            yield from ((keys, moved) for moved in itertools.combinations(refs, size))
+
+
+_REF_SHAPES = list(_ref_shapes())
+_VALUES = st.one_of(st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=3))
+_REFS = {"tick": st.integers(-10**6, 10**6),
+         "id": st.integers(1, 10**4).map(lambda n: f"td{n:05d}"),
+         "event": st.tuples(st.integers(-10**6, 10**6), st.integers(0, 50)).map(list)}
+
+
+def test_every_ref_shape_has_a_generated_constructor():
+    assert len(_REF_SHAPES) == 15
+    assert {(frozenset(keys), moved) for keys, moved in _REF_SHAPES} == _SHIFTERS.keys()
+
+
+@pytest.mark.parametrize("keys, moved", _REF_SHAPES)
+@seed(20211022)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), ticks=st.integers(-3000, 3000), ids=st.integers(-500, 500))
+def test_each_constructor_builds_what_the_generic_shift_builds(keys, moved, data, ticks, ids):
+    payload = {key: None if key in PAYLOAD_REFS and key not in moved
+               else data.draw(_REFS[PAYLOAD_REFS[key]] if key in moved else _VALUES)
+               for key in keys}
+    before = repr(payload)
+    shift = shifter(payload)
+    assert shift is _SHIFTERS[frozenset(keys), moved]
+    rename = lambda name: shift_id(name, ids)  # noqa: E731
+    built = shift(payload, ticks, rename)
+    assert built == shifted(payload, ticks, rename, moved) and built is not payload
+    assert repr(payload) == before  # the recorded payload is left as it was
+    for key in keys:
+        if key not in moved:
+            assert built[key] is payload[key]
+
+
+def test_a_payload_of_no_listed_shape_is_moved_by_the_generic_shift():
+    payload = {"tendency": "td00007", "source_event": [40, 2], "os_tendency": None,
+               "extra": [1]}
+    shift = shifter(payload)
+    assert shift not in _SHIFTERS.values()
+    assert shift(payload, 9, lambda name: shift_id(name, 3)) == {
+        "tendency": "td00010", "source_event": [49, 2], "os_tendency": None, "extra": [1]}
+    assert payload["tendency"] == "td00007" and payload["source_event"] == [40, 2]
+    assert shifter({"tendency": None, "fire_tick": None}) is None
+
+
+# -- what the replay costs in memory ---------------------------------------------
+
+
+def test_a_replayed_sweep_holds_little_more_than_a_computed_one(monkeypatch, tmp_path):
+    # The shape of the benchmark's one-cell sweep, after a warm-up sweep so
+    # that what the first run of a process caches falls in neither peak.
+    scenario = tmp_path / "non_smoking.json"
+    scenario.write_text(bundled_document("non_smoking"), encoding="utf-8")
+    argv = ["sweep", str(scenario), "--template", "relief_appeal", "--ticks", "60",
+            "--weights", "0,0.5,1.0,1.5,2.0", "--out", str(tmp_path / "sweep.csv")]
+
+    def sweep():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    sweep()
+    peaks = {}
+    for flag in (False, True):
+        monkeypatch.setattr(agent, "REPLAY", flag)
+        peaks[flag] = traced_peak(sweep)
+    assert peaks[True] <= 1.15 * peaks[False], peaks
 
 
 # -- what the replay key covers -------------------------------------------------

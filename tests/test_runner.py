@@ -34,7 +34,7 @@ from cogsim.runner import (
 )
 from cogsim.scenario import BUNDLED, bundled_document, load_bundled
 
-from helpers import reference_trace_lines
+from helpers import reference_trace_lines, traced_peak
 
 CONFIGS = {
     "default": {},
@@ -171,6 +171,18 @@ def test_the_fallback_spy_sees_a_payload_of_no_listed_shape(monkeypatch):
     state = _trace_of(("NoTendency", {}, ()), ("NoTendency", {"extra": 1}, ()))
     assert trace_lines(state) == reference_trace_lines(state)
     assert whole == [{"extra": 1}]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_bundled_run_traces_a_payload_of_no_listed_shape(name, config, monkeypatch):
+    # Replayed ticks included: a payload of no listed shape would be
+    # encoded whole and, replayed, moved by ``metacog.shifted``.
+    whole = _spy_on_fallbacks(monkeypatch)
+    result = run_simulation(load_bundled(name), RunConfig(ticks=600, **CONFIGS[config]))
+    trace_lines(result.state)
+    assert result.summary["ticks_executed"] == 600
+    assert whole == []
 
 
 # Values the formatters must write as the encoder does: each non-finite
@@ -400,17 +412,6 @@ def test_a_run_that_raises_after_drains_leaves_the_trace_empty(tmp_path, monkeyp
     assert not metrics.exists()
 
 
-def _peak(action) -> int:
-    """The tracemalloc peak of ``action()`` above what was held before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        action()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_streamed_run_holds_under_half_of_a_kept_one(tmp_path, capsys):
     name, ticks = "room_tidy_redescription", 1600
     paths = [tmp_path / "t.jsonl", tmp_path / "m.csv"]
@@ -419,8 +420,8 @@ def test_a_streamed_run_holds_under_half_of_a_kept_one(tmp_path, capsys):
         result = run_simulation(load_bundled(name), RunConfig(ticks=ticks))
         write_trace(result.state, str(paths[0]))
 
-    streamed = _peak(lambda: main(_run_argv(name, *paths, ticks)))
-    assert _peak(kept) > 2 * streamed
+    streamed = traced_peak(lambda: main(_run_argv(name, *paths, ticks)))
+    assert traced_peak(kept) > 2 * streamed
 
 
 @pytest.mark.parametrize("name", ["room_tidy_redescription", "non_smoking"])
@@ -429,7 +430,7 @@ def test_a_streamed_runs_memory_does_not_grow_with_the_horizon(name, tmp_path, c
     # that what the first run of a process caches falls in neither peak.
     paths = [tmp_path / "t.jsonl", tmp_path / "m.csv"]
     assert main(_run_argv(name, *paths, 60)) == 0
-    short, long = (_peak(lambda: main(_run_argv(name, *paths, ticks)))
+    short, long = (traced_peak(lambda: main(_run_argv(name, *paths, ticks)))
                    for ticks in (600, 3000))
     assert "ticks=3000 " in capsys.readouterr().out
     assert abs(long - short) <= 0.15 * short, (short, long)
